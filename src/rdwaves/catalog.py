@@ -32,7 +32,6 @@ from .elliptic import (
     weierstrass_real_half_period,
 )
 from .equations import (
-    EquationError,
     EquationSpec,
     Fisher,
     GeneralFamily,
@@ -65,7 +64,6 @@ __all__ = [
     "potential_transform",
     "z_from_phi",
     "z_plane_wave",
-    "z_fisher_exponential",
     "closed_forms",
     "crosscheck_closed_forms",
     "FAMILIES",
@@ -172,14 +170,13 @@ def chain_constant(n: int) -> float:
 class PhiState:
     """Chain element: y -> (phi, phi') with its first-integral constant.
 
-    All elements satisfy phi'' = 2 phi^3 (c_sign = +2) and
-    (phi')^2 - phi^4 = C_n; the derivative of the next element comes from
-    the analytic step (phi'/phi, (phi^4 - C_n)/phi^2).
+    All elements satisfy phi'' = 2 phi^3 and (phi')^2 - phi^4 = C_n; the
+    derivative of the next element comes from the analytic step
+    (phi'/phi, (phi^4 - C_n)/phi^2).
     """
 
     index: int
     c_n: float
-    c_sign: int = 2
 
     def eval(self, y):
         y = np.asarray(y, dtype=float)
@@ -719,17 +716,18 @@ def quadratic_rational(sign: int = 1) -> Sampler:
 
 @dataclass(frozen=True)
 class ZSampler:
-    """Potential-level solution z(x, t) with its analytic x-derivative."""
+    """Potential-level solution z(x, t) with its analytic x-derivative.
 
-    z: Callable = field(compare=False)
-    z_x: Callable = field(compare=False)
+    fn(x, t) returns (z, z_x, defined) from one evaluation.
+    """
+
+    fn: Callable = field(compare=False)
     label: str = ""
-    defined: Callable | None = field(default=None, compare=False)
 
     def sample(self, x, t):
+        """Vectorized (z, defined) with numpy broadcasting of x and t."""
         xg, tg = _as_grid(x, t)
-        zv = self.z(xg, tg)
-        ok = self.defined(xg, tg) if self.defined is not None else np.isfinite(zv)
+        zv, _, ok = self.fn(xg, tg)
         return zv, ok
 
 
@@ -739,9 +737,7 @@ def potential_transform(z: ZSampler, k: float, equation: EquationSpec | None = N
     under a fractional exponent."""
 
     def fn(x, t):
-        zv = z.z(x, t)
-        zx = z.z_x(x, t)
-        ok = z.defined(x, t) if z.defined is not None else np.isfinite(zv)
+        zv, zx, ok = z.fn(x, t)
         ok = ok & (np.abs(zv) >= POLE_EPS)
         with np.errstate(divide="ignore", invalid="ignore"):
             base = np.where(ok, zx / np.where(ok, zv, 1.0), np.nan)
@@ -762,48 +758,24 @@ def z_from_phi(index: int) -> ZSampler:
     """z = phi_n(x^2 + 6t) with z_x = 2x phi_n'(y)."""
     state = phi_chain(index)
 
-    def zf(x, t):
-        phi, _, defined = state.eval(x * x + 6.0 * t)
-        return np.where(defined, phi, np.nan)
+    def fn(x, t):
+        phi, dphi, defined = state.eval(x * x + 6.0 * t)
+        return (np.where(defined, phi, np.nan), np.where(defined, 2.0 * x * dphi, np.nan),
+                defined)
 
-    def zxf(x, t):
-        _, dphi, defined = state.eval(x * x + 6.0 * t)
-        return np.where(defined, 2.0 * x * dphi, np.nan)
-
-    def okf(x, t):
-        return state.eval(x * x + 6.0 * t)[2]
-
-    return ZSampler(z=zf, z_x=zxf, label=f"chain-potential[{index}]", defined=okf)
+    return ZSampler(fn=fn, label=f"chain-potential[{index}]")
 
 
 def z_plane_wave(n: float, c1: float, c2: float, lambda2: float) -> ZSampler:
     """z = e^(c1 x + k c1^2 t) + c2 e^((lambda2 c1 - (k+1) c1^2) t)."""
     k = derived_constants(n).k
 
-    def zf(x, t):
-        return np.exp(c1 * x + k * c1**2 * t) + c2 * np.exp((lambda2 * c1 - (k + 1.0) * c1**2) * t)
+    def fn(x, t):
+        lead = np.exp(c1 * x + k * c1**2 * t)
+        zv = lead + c2 * np.exp((lambda2 * c1 - (k + 1.0) * c1**2) * t)
+        return zv, c1 * lead, np.isfinite(zv)
 
-    def zxf(x, t):
-        return c1 * np.exp(c1 * x + k * c1**2 * t)
-
-    return ZSampler(z=zf, z_x=zxf, label="plane-wave-potential")
-
-
-def z_fisher_exponential() -> ZSampler:
-    """z = exp(-y/sqrt6 + 5 tau/6), the potential behind the Fisher fronts."""
-
-    def zf(y, tau):
-        return np.exp(-y / SQRT6 + 5.0 * tau / 6.0)
-
-    def zxf(y, tau):
-        return -np.exp(-y / SQRT6 + 5.0 * tau / 6.0) / SQRT6
-
-    return ZSampler(z=zf, z_x=zxf, label="fisher-exp-potential")
-
-
-def _quotients(y):
-    sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
-    return sn, cn, dn
+    return ZSampler(fn=fn, label="plane-wave-potential")
 
 
 def closed_forms(y):
@@ -815,7 +787,7 @@ def closed_forms(y):
     matches the chain exactly.
     """
     y = np.asarray(y, dtype=float)
-    sn, cn, dn = _quotients(y)
+    sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
     ok = (np.abs(sn) >= POLE_EPS) & (np.abs(cn) >= POLE_EPS)
     safe_sn = np.where(ok, sn, 1.0)
     safe_cn = np.where(ok, cn, 1.0)

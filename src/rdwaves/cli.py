@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -369,7 +368,12 @@ def figure_data(fig_id: int):
 def figure_gate(fig_id: int) -> dict:
     """Finiteness/defined-fraction of the plot data plus a residual probe
     of the family on its clean verification window."""
-    sampler, X, T, u, defined, spec = figure_data(fig_id)
+    sampler, _, _, u, defined, _ = figure_data(fig_id)
+    return _gate(fig_id, sampler, u, defined)
+
+
+def _gate(fig_id: int, sampler, u, defined) -> dict:
+    """figure_gate's checks on plot data that is already sampled."""
     frac = float(defined.mean())
     finite = bool(np.all(np.isfinite(u[defined])))
     x0, x1, t0, t1 = sampler.suggested_window
@@ -392,7 +396,7 @@ def cmd_figures(args) -> int:
     all_ok = True
     for fig_id in ids:
         sampler, X, T, u, defined, spec = figure_data(fig_id)
-        gate = figure_gate(fig_id)
+        gate = _gate(fig_id, sampler, u, defined)
         csv_path = outdir / f"figure{fig_id}.csv"
         _atomic_write(csv_path, _grid_csv(X, T, u, defined))
         outputs.append(csv_path)

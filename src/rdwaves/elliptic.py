@@ -21,13 +21,11 @@ __all__ = [
     "EllipticError",
     "UnboundedPeriodError",
     "EllipticModulus",
-    "JacobiTriple",
     "WeierstrassInvariants",
     "MODULUS_INV_SQRT2",
     "POLE_EPS",
     "complete_elliptic_K",
     "jacobi_sn_cn_dn",
-    "jacobi",
     "jacobi_quotient",
     "QUOTIENT_NAMES",
     "weierstrass_p",
@@ -69,16 +67,6 @@ class EllipticModulus:
 
 
 MODULUS_INV_SQRT2 = EllipticModulus(1.0 / math.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class JacobiTriple:
-    """Point values (sn, cn, dn); at_pole marks sn = 0 for quotient users."""
-
-    sn: float
-    cn: float
-    dn: float
-    at_pole: bool
 
 
 def complete_elliptic_K(m: EllipticModulus) -> float:
@@ -140,12 +128,6 @@ def jacobi_sn_cn_dn(y, m: EllipticModulus):
     return sn, cn, dn
 
 
-def jacobi(y: float, m: EllipticModulus) -> JacobiTriple:
-    """Scalar (sn, cn, dn) with the sn = 0 pole flag for quotient users."""
-    sn, cn, dn = jacobi_sn_cn_dn(float(y), m)
-    return JacobiTriple(float(sn), float(cn), float(dn), at_pole=abs(float(sn)) < POLE_EPS)
-
-
 # quotient name -> (numerator, denominator) drawn from {'sn','cn','dn','1'}
 QUOTIENT_NAMES = {
     "sn": ("sn", "1"),
@@ -182,30 +164,25 @@ def jacobi_quotient(name: str, y, m: EllipticModulus):
 
 @dataclass(frozen=True)
 class WeierstrassInvariants:
-    """Invariants (g2, g3) of P; g2 = 0, g3 = C covers every use here."""
+    """Invariants (g2, g3) of P; only the g2 = 0 lattices that the catalog
+    uses are supported, the ones P's period reduction and pole masking cover."""
 
     g2: float
     g3: float
 
-    @property
-    def discriminant(self) -> float:
-        return self.g2**3 - 27.0 * self.g3**2
-
-    @property
-    def degenerate(self) -> bool:
-        """g2 = g3 = 0, where P collapses to 1/z^2."""
-        return self.g2 == 0.0 and self.g3 == 0.0
+    def __post_init__(self) -> None:
+        if self.g2 != 0.0:
+            raise EllipticError(f"g2={self.g2}: only g2 = 0 lattices are supported")
 
 
 def weierstrass_real_half_period(inv: WeierstrassInvariants) -> float:
     """Half the spacing of the real poles of P for the g2 = 0 lattices.
 
     g3 > 0 gives omega = Gamma(1/3)^3/(4 pi) * g3^(-1/6); for g3 < 0 the real
-    pole spacing picks up an extra factor sqrt(3).  Only g2 = 0 is supported;
-    general invariants are evaluated without period reduction.
+    pole spacing picks up an extra factor sqrt(3).
     """
-    if inv.g2 != 0.0 or inv.g3 == 0.0:
-        raise EllipticError("closed-form real half-period implemented for g2 = 0, g3 != 0 only")
+    if inv.g3 == 0.0:
+        raise EllipticError("closed-form real half-period needs g3 != 0")
     base = _OMEGA_G3_UNIT * abs(inv.g3) ** (-1.0 / 6.0)
     return base if inv.g3 > 0 else math.sqrt(3.0) * base
 
@@ -247,54 +224,37 @@ def _duplicate_pair(p, dp, inv: WeierstrassInvariants):
 def weierstrass_p(z, inv: WeierstrassInvariants):
     """Vectorized (P, P', defined) on the real ray z > 0.
 
-    For g2 = 0 the argument is first reduced modulo the real period and
-    reflected into (0, omega], so accuracy is uniform in z; the pair is then
-    seeded from the Laurent series and pushed out by the duplication formula.
+    The argument is first reduced modulo the real period and reflected into
+    (0, omega], so accuracy is uniform in z; the pair is then seeded from
+    the Laurent series and pushed out by the duplication formula.
     Points within POLE_EPS of a real pole (and non-positive z) are masked.
     """
     z = np.asarray(z, dtype=float)
     defined = np.isfinite(z) & (z > 0.0)
-    if inv.degenerate:
+    if inv.g3 == 0.0:  # the degenerate lattice: P collapses to 1/z^2
         defined = defined & (np.abs(z) >= POLE_EPS)
         with np.errstate(divide="ignore"):
             p = np.where(defined, 1.0 / z**2, np.nan)
             dp = np.where(defined, -2.0 / z**3, np.nan)
         return p, dp, defined
 
-    if inv.g2 == 0.0:
-        omega = weierstrass_real_half_period(inv)
-        period = 2.0 * omega
-        z_red = np.mod(z, period)
-        pole_dist = np.minimum(z_red, period - z_red)
-        defined = defined & (pole_dist >= POLE_EPS)
-        # reflect into (0, omega]: P is even about omega, P' odd
-        reflect = z_red > omega
-        z_eff = np.where(reflect, period - z_red, z_red)
-        sign = np.where(reflect, -1.0, 1.0)
-        z_eff = np.where(defined, z_eff, 0.1 * omega)
-        # fixed two duplications: every seed z0 = z_eff/4 <= omega/4 sits well
-        # inside the series radius, and the branch-free path keeps the
-        # amplification of rounding error to a minimum
-        p, dp = _laurent_pair(z_eff / 4.0, inv)
-        for _ in range(2):
-            p, dp = _duplicate_pair(p, dp, inv)
-        dp = sign * dp
-    else:
-        # no closed-form period: duplicate straight from the series seed
-        scale = max(abs(inv.g2) ** 0.25, abs(inv.g3) ** (1.0 / 6.0))
-        sign = np.ones_like(z)
-        z_seed_max = 0.2 * _OMEGA_G3_UNIT / scale
-        z_eff = np.where(defined, z, z_seed_max)
-        with np.errstate(divide="ignore"):
-            n_dup = np.ceil(np.log2(np.maximum(z_eff / z_seed_max, 1.0))).astype(int)
-        n_dup = np.minimum(n_dup, 48)
-        z0 = z_eff / (2.0**n_dup)
-        p, dp = _laurent_pair(z0, inv)
-        for j in range(int(n_dup.max()) if n_dup.size else 0):
-            p_next, dp_next = _duplicate_pair(p, dp, inv)
-            step = j < n_dup
-            p = np.where(step, p_next, p)
-            dp = np.where(step, dp_next, dp)
+    omega = weierstrass_real_half_period(inv)
+    period = 2.0 * omega
+    z_red = np.mod(z, period)
+    pole_dist = np.minimum(z_red, period - z_red)
+    defined = defined & (pole_dist >= POLE_EPS)
+    # reflect into (0, omega]: P is even about omega, P' odd
+    reflect = z_red > omega
+    z_eff = np.where(reflect, period - z_red, z_red)
+    sign = np.where(reflect, -1.0, 1.0)
+    z_eff = np.where(defined, z_eff, 0.1 * omega)
+    # fixed two duplications: every seed z0 = z_eff/4 <= omega/4 sits well
+    # inside the series radius, and the branch-free path keeps the
+    # amplification of rounding error to a minimum
+    p, dp = _laurent_pair(z_eff / 4.0, inv)
+    for _ in range(2):
+        p, dp = _duplicate_pair(p, dp, inv)
+    dp = sign * dp
     defined = defined & np.isfinite(p) & np.isfinite(dp)
     p = np.where(defined, p, np.nan)
     dp = np.where(defined, dp, np.nan)

@@ -5,8 +5,8 @@ class, cubic polynomial reactions, the power-law equation and its extension
 with four tunable coupling terms, the square-root-coupled family behind the
 solitary waves, the perturbed and generalized Fisher equations, and pure
 quadratic decay.  Everything is immutable and numpy-vectorized; fractional
-powers of non-positive bases are rejected (scalar path) or mapped to nan
-(array path) rather than returning complex values.
+powers of non-positive bases are mapped to nan rather than returning complex
+values, and the scalar rhs_eval turns such a nan into an EquationError.
 """
 
 from __future__ import annotations
@@ -42,25 +42,17 @@ __all__ = [
 
 _INT_TOL = 1e-12
 
-# set by rhs_eval so scalar evaluation can name the offending term
-_RAISE_CONTEXT: list[str] = []
-
 
 class EquationError(ValueError):
     """Invalid parameters or out-of-domain evaluation for an EquationSpec."""
 
 
-def _frac_pow(u, p: float, term: str):
+def _frac_pow(u, p: float):
     """u**p with integer fast path; fractional power of u < 0 yields nan."""
     if abs(p - round(p)) < _INT_TOL:
         ip = int(round(p))
         with np.errstate(divide="ignore"):
             return np.power(u, ip) if ip >= 0 else 1.0 / np.power(u, -ip)
-    if _RAISE_CONTEXT and np.ndim(u) == 0:
-        if u < 0.0 or (u == 0.0 and p < 0):
-            raise EquationError(
-                f"term {term} undefined at u={float(u)}: fractional power of a non-positive base"
-            )
     with np.errstate(invalid="ignore", divide="ignore"):
         val = np.power(np.maximum(u, 0.0), p)
         if p < 0:
@@ -155,7 +147,7 @@ class PowerLaw(EquationSpec):
 
     def rhs(self, u):
         u = np.asarray(u, dtype=float)
-        return -derived_constants(self.n).lam * _frac_pow(u, self.n, "u^n")
+        return -derived_constants(self.n).lam * _frac_pow(u, self.n)
 
 
 @dataclass(frozen=True)
@@ -186,13 +178,13 @@ class GeneralFamily(EquationSpec):
         s = float(self.halfpower_sign)
         total = self.lambda1 * u
         if k + 1.0 != 0.0:  # skip 0 * u^n, which would poison u = 0 for n < 0
-            total = total - (k + 1.0) * _frac_pow(u, n, "u^n")
+            total = total - (k + 1.0) * _frac_pow(u, n)
         if self.lambda2 != 0.0:
-            total = total + self.lambda2 * s * _frac_pow(u, (n + 1.0) / 2.0, "u^((n+1)/2)")
+            total = total + self.lambda2 * s * _frac_pow(u, (n + 1.0) / 2.0)
         if self.lambda3 != 0.0:
-            total = total + self.lambda3 * s * _frac_pow(u, (3.0 - n) / 2.0, "u^((3-n)/2)")
+            total = total + self.lambda3 * s * _frac_pow(u, (3.0 - n) / 2.0)
         if self.lambda4 != 0.0:
-            total = total + self.lambda4 * _frac_pow(u, 2.0 - n, "u^(2-n)")
+            total = total + self.lambda4 * _frac_pow(u, 2.0 - n)
         return k * total
 
 
@@ -210,11 +202,11 @@ class SigmaFamily(EquationSpec):
     def rhs(self, u):
         u = np.asarray(u, dtype=float)
         n = self.n
-        factor = 1.0 + self.nu * _frac_pow(u, 1.0 - n, "u^(1-n)")
+        factor = 1.0 + self.nu * _frac_pow(u, 1.0 - n)
         inner = (
-            -(n + 1.0) * _frac_pow(u, n, "u^n")
+            -(n + 1.0) * _frac_pow(u, n)
             + self.nu * (n - 3.0) * u
-            + self.sigma * _frac_pow(u, (n + 1.0) / 2.0, "u^((n+1)/2)")
+            + self.sigma * _frac_pow(u, (n + 1.0) / 2.0)
         )
         return factor * inner
 
@@ -248,7 +240,7 @@ class GeneralizedFisher(EquationSpec):
         u = np.asarray(u, dtype=float)
         total = -self.c1 - u
         if self.c1 + 1.0 != 0.0:
-            total = total + (self.c1 + 1.0) * self.halfpower_sign * _frac_pow(u, 0.5, "sqrt(u)")
+            total = total + (self.c1 + 1.0) * self.halfpower_sign * _frac_pow(u, 0.5)
         return u * total
 
 
@@ -262,14 +254,12 @@ class QuadraticDecay(EquationSpec):
 
 
 def rhs_eval(spec: EquationSpec, u: float) -> float:
-    """Scalar f(u); raises EquationError on fractional powers of u <= 0."""
-    _RAISE_CONTEXT.append(spec.variant)
-    try:
-        val = float(spec.rhs(float(u)))
-    finally:
-        _RAISE_CONTEXT.pop()
+    """Scalar f(u); raises EquationError where f(u) is nan for a non-nan u,
+    which every out-of-domain term yields: nan survives each coefficient."""
+    val = float(spec.rhs(float(u)))
     if math.isnan(val) and not math.isnan(u):
-        raise EquationError(f"{spec.describe()} undefined at u={u}")
+        raise EquationError(f"{spec.describe()} undefined at u={u}: fractional power of a "
+                            "non-positive base or argument outside the domain")
     return val
 
 

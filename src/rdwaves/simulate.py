@@ -260,13 +260,17 @@ def register_shift(x: np.ndarray, u_ref: np.ndarray, u: np.ndarray,
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
+    cost_c, cost_d = cost(c), cost(d)
     for _ in range(80):
-        if cost(c) < cost(d):
-            b, d = d, c
+        # the surviving interior point keeps its cost: one new evaluation per step
+        if cost_c < cost_d:
+            b, d, cost_d = d, c, cost_c
             c = b - phi * (b - a)
+            cost_c = cost(c)
         else:
-            a, c = c, d
+            a, c, cost_c = c, d, cost_d
             d = a + phi * (b - a)
+            cost_d = cost(d)
         if b - a < 1e-12:
             break
     return float(0.5 * (a + b))

@@ -12,7 +12,7 @@ from the analytically propagated derivative pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,46 +123,63 @@ def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def _stencil_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D, order: int):
-    """(residual, valid, defined_fraction) at one grid level."""
-    x = grid.x
-    t = grid.t
-    X, T = np.meshgrid(x, t, indexing="ij")
-    u, defined = sampler.sample(X, T)
-    with np.errstate(all="ignore"):
-        f = eq.rhs(u)
-    defined = defined & np.isfinite(u) & np.isfinite(f)
-    r = 1 if order == 2 else 2
-    hx, ht = grid.h_x, grid.h_t
+def _refinement_study(sample, grid: Grid2D, level_residual, radius: tuple[int, int],
+                      stencil_order: int, masked_where: str) -> ResidualReport:
+    """ResidualReport of a residual over the nested (h, h/2, h/4) triple.
 
-    u0 = np.where(defined, u, 0.0)
-    if order == 2:
-        u_t = (u0[:, 2:] - u0[:, :-2])[1:-1, :] / (2 * ht)
-        u_xx = (u0[:-2, :] - 2 * u0[1:-1, :] + u0[2:, :])[:, 1:-1] / hx**2
-        core = np.s_[1:-1, 1:-1]
-    elif order == 4:
-        u_t = (u0[:, :-4] - 8 * u0[:, 1:-3] + 8 * u0[:, 3:-1] - u0[:, 4:])[2:-2, :] / (12 * ht)
-        u_xx = (-u0[:-4, :] + 16 * u0[1:-3, :] - 30 * u0[2:-2, :] + 16 * u0[3:-1, :]
-                - u0[4:, :])[:, 2:-2] / (12 * hx**2)
-        core = np.s_[2:-2, 2:-2]
-    else:
-        raise ValueError("stencil_order must be 2 or 4")
+    sample(X, T) runs once, on the finest grid, and returns a tuple of arrays.
+    refined() keeps every coarse point and divides the spacing by a power of
+    two, so the h and h/2 levels are the exact [::4, ::4] and [::2, ::2]
+    strides of that sample.  level_residual(fields, h_x, h_t) returns
+    (residual, valid, defined_fraction) on the level's interior, radius =
+    (r_x, r_t) points inside its grid.  masked_where ends the message of the
+    VerificationImpossibleError raised below a finest defined fraction of 0.1.
+    """
+    grids = [grid, grid.refined(), grid.refined().refined()]
+    X, T = np.meshgrid(grids[-1].x, grids[-1].t, indexing="ij")
+    fields = sample(X, T)
+    rx, rt = radius
+    maxima: list[float] = []
+    fractions: list[float] = []
+    for lvl, g in enumerate(grids):
+        stride = 2 ** (len(grids) - 1 - lvl)
+        res, valid, frac = level_residual([a[::stride, ::stride] for a in fields], g.h_x, g.h_t)
+        fractions.append(frac)
+        # points shared with the coarse level: residual index r(2^lvl - 1)
+        # mod 2^lvl accounts for the interior offset by the stencil radius
+        step = 2**lvl
+        common = np.zeros_like(valid)
+        common[(rx * (step - 1)) % step::step, (rt * (step - 1)) % step::step] = True
+        sel = valid & common
+        maxima.append(float(np.max(np.abs(res[sel]))) if sel.any() else math.nan)
 
-    res = u_t - u_xx - f[core]
+    # res, valid and frac now belong to the finest level
+    if frac < 0.1:
+        raise VerificationImpossibleError(f"defined fraction {frac:.3f} < 0.1 {masked_where}")
+    vals = res[valid]
+    orders = [math.log2(a / b) if (a > 0 and b > 0) else math.nan
+              for a, b in zip(maxima[:-1], maxima[1:])]
+    order_estimate = None
+    if all(f > 0.5 for f in fractions) and all(math.isfinite(o) for o in orders):
+        order_estimate = float(np.mean(orders))
 
-    # a stencil is usable when every plus-shaped neighbor is defined
-    ok = defined.copy()
-    for shift in range(1, r + 1):
-        ok[shift:, :] &= defined[:-shift, :]
-        ok[:-shift, :] &= defined[shift:, :]
-        ok[:, shift:] &= defined[:, :-shift]
-        ok[:, :-shift] &= defined[:, shift:]
-    stencil_ok = ok[core]
-    defined_fraction = float(stencil_ok.mean()) if stencil_ok.size else 0.0
-
-    standoff = _dilate(~defined, _STANDOFF_FACTOR * r)
-    valid = stencil_ok & ~standoff[core]
-    return res, valid, defined_fraction, (X[core], T[core])
+    Xc, Tc = X[rx:-rx, rt:-rt], T[rx:-rx, rt:-rt]
+    flat = np.argsort(np.abs(np.where(valid, res, 0.0)), axis=None)[::-1][:10]
+    worst = []
+    for idx in flat:
+        i, j = np.unravel_index(idx, res.shape)
+        if valid[i, j]:
+            worst.append((float(Xc[i, j]), float(Tc[i, j]), float(res[i, j])))
+    return ResidualReport(
+        max_abs=float(np.max(np.abs(vals))) if vals.size else math.nan,
+        l2=float(np.sqrt(np.mean(vals**2))) if vals.size else math.nan,
+        defined_fraction=frac,
+        order_estimate=order_estimate,
+        level_max_abs=tuple(maxima),
+        orders=tuple(orders),
+        worst=tuple(worst),
+        stencil_order=stencil_order,
+    )
 
 
 def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
@@ -174,57 +191,44 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
     three levels share.  Raises VerificationImpossibleError when fewer than
     10 percent of the stencils are usable.
     """
-    grids = [grid, grid.refined(), grid.refined().refined()]
-    r = 1 if stencil_order == 2 else 2
-    maxima: list[float] = []
-    fractions: list[float] = []
-    finest = None
-    for lvl, g in enumerate(grids):
-        res, valid, frac, coords = _stencil_residual(sampler, eq, g, stencil_order)
-        fractions.append(frac)
-        # points shared with the coarse level: residual index r(2^lvl - 1)
-        # mod 2^lvl accounts for the interior offset by the stencil radius
-        step = 2**lvl
-        off = (r * (step - 1)) % step
-        common = np.zeros_like(valid)
-        common[off::step, off::step] = True
-        sel = valid & common
-        maxima.append(float(np.max(np.abs(res[sel]))) if sel.any() else math.nan)
-        if lvl == 2:
-            finest = (res, valid, frac, coords)
+    if stencil_order not in (2, 4):
+        raise ValueError("stencil_order must be 2 or 4")
+    r = stencil_order // 2
+    core = np.s_[r:-r, r:-r]
 
-    res, valid, frac, (Xc, Tc) = finest
-    if frac < 0.1:
-        raise VerificationImpossibleError(
-            f"defined fraction {frac:.3f} < 0.1 on the finest grid; "
-            f"mask cause: {sampler.domain_note or 'sampler mask'}"
-        )
-    vals = res[valid]
-    max_abs = float(np.max(np.abs(vals))) if vals.size else math.nan
-    l2 = float(np.sqrt(np.mean(vals**2))) if vals.size else math.nan
-    orders = []
-    for a, b in zip(maxima[:-1], maxima[1:]):
-        orders.append(math.log2(a / b) if (a > 0 and b > 0) else math.nan)
-    order_estimate = None
-    if all(f > 0.5 for f in fractions) and orders and all(math.isfinite(o) for o in orders):
-        order_estimate = float(np.mean(orders))
+    def sample(X, T):
+        u, defined = sampler.sample(X, T)
+        with np.errstate(all="ignore"):
+            f = eq.rhs(u)
+        return u, defined & np.isfinite(u) & np.isfinite(f), f
 
-    flat = np.argsort(np.abs(np.where(valid, res, 0.0)), axis=None)[::-1][:10]
-    worst = []
-    for idx in flat:
-        i, j = np.unravel_index(idx, res.shape)
-        if valid[i, j]:
-            worst.append((float(Xc[i, j]), float(Tc[i, j]), float(res[i, j])))
-    return ResidualReport(
-        max_abs=max_abs,
-        l2=l2,
-        defined_fraction=frac,
-        order_estimate=order_estimate,
-        level_max_abs=tuple(maxima),
-        orders=tuple(orders),
-        worst=tuple(worst),
-        stencil_order=stencil_order,
-    )
+    def level_residual(fields, hx, ht):
+        u, defined, f = fields
+        u0 = np.where(defined, u, 0.0)
+        if stencil_order == 2:
+            u_t = (u0[:, 2:] - u0[:, :-2])[1:-1, :] / (2 * ht)
+            u_xx = (u0[:-2, :] - 2 * u0[1:-1, :] + u0[2:, :])[:, 1:-1] / hx**2
+        else:
+            u_t = (u0[:, :-4] - 8 * u0[:, 1:-3] + 8 * u0[:, 3:-1] - u0[:, 4:])[2:-2, :] / (12 * ht)
+            u_xx = (-u0[:-4, :] + 16 * u0[1:-3, :] - 30 * u0[2:-2, :] + 16 * u0[3:-1, :]
+                    - u0[4:, :])[:, 2:-2] / (12 * hx**2)
+        res = u_t - u_xx - f[core]
+
+        # a stencil is usable when every plus-shaped neighbor is defined
+        ok = defined.copy()
+        for shift in range(1, r + 1):
+            ok[shift:, :] &= defined[:-shift, :]
+            ok[:-shift, :] &= defined[shift:, :]
+            ok[:, shift:] &= defined[:, :-shift]
+            ok[:, :-shift] &= defined[:, shift:]
+        stencil_ok = ok[core]
+        standoff = _dilate(~defined, _STANDOFF_FACTOR * r)
+        return (res, stencil_ok & ~standoff[core],
+                float(stencil_ok.mean()) if stencil_ok.size else 0.0)
+
+    return _refinement_study(
+        sample, grid, level_residual, (r, r), stencil_order,
+        f"on the finest grid; mask cause: {sampler.domain_note or 'sampler mask'}")
 
 
 @dataclass(frozen=True)
@@ -277,8 +281,8 @@ def ode_residual(state: PhiState, y_samples, h: float | None = None) -> OdeResid
     if y.size == 0:
         raise VerificationImpossibleError("all samples masked near chain poles")
     d2 = _fd_second(lambda q: state.eval(q)[0], y, h)
-    second_order_max = float(np.max(np.abs(d2 - 0.5 * state.c_sign * 2.0 * phi**3)))
-    first = dphi**2 - np.sign(state.c_sign) * phi**4
+    second_order_max = float(np.max(np.abs(d2 - 2.0 * phi**3)))
+    first = dphi**2 - phi**4
     return OdeResidualReport(
         second_order_max=second_order_max,
         first_integral_std=float(np.std(first)),
@@ -405,14 +409,12 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
     l3 = params.get("lambda3", 0.0)
     l4 = params.get("lambda4", 0.0)
 
-    grids = [grid, grid.refined(), grid.refined().refined()]
-    maxima, fractions = [], []
-    finest_vals = None
-    for lvl, g in enumerate(grids):
-        X, T = np.meshgrid(g.x, g.t, indexing="ij")
+    def sample(X, T):
         zv, ok = z.sample(X, T)
-        zfill = np.where(ok, zv, 0.0)
-        hx, ht = g.h_x, g.h_t
+        return np.where(ok, zv, 0.0), ok
+
+    def level_residual(fields, hx, ht):
+        zfill, ok = fields
         z_x = (-zfill[5:-1, :] + 8 * zfill[4:-2, :] - 8 * zfill[2:-4, :]
                + zfill[1:-5, :]) / (12 * hx)
         z_xx = (-zfill[5:-1, :] + 16 * zfill[4:-2, :] - 30 * zfill[3:-3, :]
@@ -420,7 +422,7 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
         z_xxx = (-zfill[6:, :] + 8 * zfill[5:-1, :] - 13 * zfill[4:-2, :]
                  + 13 * zfill[2:-4, :] - 8 * zfill[1:-5, :] + zfill[:-6, :]) / (8 * hx**3)
 
-        def dt4(a, ht=ht):
+        def dt4(a):
             return (a[:, :-4] - 8 * a[:, 1:-3] + 8 * a[:, 3:-1] - a[:, 4:]) / (12 * ht)
 
         zc = zfill[3:-3, 2:-2]
@@ -444,40 +446,7 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
         for shift in range(1, 3):
             okc[:, shift:] &= ok[:, :-shift]
             okc[:, :-shift] &= ok[:, shift:]
-        valid_full = okc
-        valid = valid_full[3:-3, 2:-2] & ~_dilate(~ok, 3 * _STANDOFF_FACTOR)[3:-3, 2:-2]
-        frac = float(valid.mean()) if valid.size else 0.0
-        fractions.append(frac)
-        step = 2**lvl
-        common = np.zeros_like(valid)
-        common[(3 * (step - 1)) % step::step, (2 * (step - 1)) % step::step] = True
-        sel = valid & common
-        maxima.append(float(np.max(np.abs(res[sel]))) if sel.any() else math.nan)
-        if lvl == 2:
-            finest_vals = (res, valid, frac, (X[3:-3, 2:-2], T[3:-3, 2:-2]))
+        valid = okc[3:-3, 2:-2] & ~_dilate(~ok, 3 * _STANDOFF_FACTOR)[3:-3, 2:-2]
+        return res, valid, float(valid.mean()) if valid.size else 0.0
 
-    res, valid, frac, (Xc, Tc) = finest_vals
-    if frac < 0.1:
-        raise VerificationImpossibleError(f"defined fraction {frac:.3f} < 0.1 for the potential")
-    vals = res[valid]
-    orders = [math.log2(a / b) if (a > 0 and b > 0) else math.nan
-              for a, b in zip(maxima[:-1], maxima[1:])]
-    order_estimate = None
-    if all(f > 0.5 for f in fractions) and all(math.isfinite(o) for o in orders):
-        order_estimate = float(np.mean(orders))
-    flat = np.argsort(np.abs(np.where(valid, res, 0.0)), axis=None)[::-1][:10]
-    worst = []
-    for idx in flat:
-        i, j = np.unravel_index(idx, res.shape)
-        if valid[i, j]:
-            worst.append((float(Xc[i, j]), float(Tc[i, j]), float(res[i, j])))
-    return ResidualReport(
-        max_abs=float(np.max(np.abs(vals))) if vals.size else math.nan,
-        l2=float(np.sqrt(np.mean(vals**2))) if vals.size else math.nan,
-        defined_fraction=frac,
-        order_estimate=order_estimate,
-        level_max_abs=tuple(maxima),
-        orders=tuple(orders),
-        worst=tuple(worst),
-        stencil_order=4,
-    )
+    return _refinement_study(sample, grid, level_residual, (3, 2), 4, "for the potential")

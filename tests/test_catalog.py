@@ -350,7 +350,7 @@ class TestPotentialTransform:
         from rdwaves.catalog import ZSampler
 
         a = 0.7
-        z = ZSampler(z=lambda x, t: np.exp(a * x), z_x=lambda x, t: a * np.exp(a * x),
+        z = ZSampler(fn=lambda x, t: (np.exp(a * x), a * np.exp(a * x), np.ones_like(x, bool)),
                      label="exp")
         s = potential_transform(z, 1.0)
         u, ok = s.sample(np.linspace(-1, 1, 11), 0.0)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import rdwaves.cli as cli
 from rdwaves.cli import FIGURES, figure_gate, main
 
 
@@ -156,6 +157,19 @@ class TestFigures:
             run(capsys, "figures", "--id", "6", "--outdir", str(tmp_path / sub))
         assert ((tmp_path / "a" / "figure6.csv").read_bytes()
                 == (tmp_path / "b" / "figure6.csv").read_bytes())
+
+    def test_each_figure_sampled_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = cli.figure_data
+
+        def counted(fig_id):
+            calls.append(fig_id)
+            return real(fig_id)
+
+        monkeypatch.setattr(cli, "figure_data", counted)
+        code, _ = run(capsys, "figures", "--id", "6", "--outdir", str(tmp_path))
+        assert code == 0
+        assert calls == [6]
 
     def test_gate_values(self):
         gate = figure_gate(4)

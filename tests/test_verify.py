@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from rdwaves.catalog import (
+    FAMILIES,
     Sampler,
     ZSampler,
+    build_family,
     elliptic_solution,
     fisher_front,
     phi_chain,
@@ -44,7 +46,22 @@ class TestGrid:
         r = g.refined()
         assert r.n_x == 21 and r.n_t == 17
         assert r.h_x == pytest.approx(0.05)
-        assert set(np.round(g.x, 12)).issubset(set(np.round(r.x, 12)))
+        rr = r.refined()
+        assert np.array_equal(r.x[::2], g.x) and np.array_equal(r.t[::2], g.t)
+        assert np.array_equal(rr.x[::4], g.x) and np.array_equal(rr.t[::4], g.t)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_refinement_keeps_suggested_points_exactly(self, family):
+        # the residual driver reads the coarse levels as strides of the
+        # finest sample, which needs every coarse point reproduced bit for bit
+        s = build_family(family)
+        x0, x1, t0, t1 = s.suggested_window
+        nx, nt = s.suggested_resolution
+        g = Grid2D(x0, x1, nx, t0, t1, nt)
+        r = g.refined()
+        rr = r.refined()
+        assert np.array_equal(r.x[::2], g.x) and np.array_equal(r.t[::2], g.t)
+        assert np.array_equal(rr.x[::4], g.x) and np.array_equal(rr.t[::4], g.t)
 
     def test_minimum_points(self):
         with pytest.raises(ValueError):
@@ -141,6 +158,18 @@ class TestPdeResidual:
         assert 0 < len(rep.worst) <= 10
         assert abs(rep.worst[0][2]) == pytest.approx(rep.max_abs)
 
+    def test_samples_finest_grid_once(self):
+        base = fisher_front("tanh")
+        shapes = []
+
+        def fn(x, t):
+            shapes.append(np.shape(x))
+            return base.fn(x, t)
+
+        s = Sampler(fn=fn, equation=Fisher(), family_id="counted", params={})
+        pde_residual(s, Fisher(), Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17), 4)
+        assert shapes == [(129, 65)]
+
     def test_report_serializes(self):
         s = fisher_front("tanh")
         g = Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17)
@@ -209,8 +238,21 @@ class TestPotentialResidual:
         assert rep.max_abs < 1e-7
         assert rep.order_estimate is not None and rep.order_estimate > 3.0
 
+    def test_samples_finest_grid_once(self):
+        base = z_plane_wave(2.0, -1.0, 0.8, 0.0)
+        shapes = []
+
+        def fn(x, t):
+            shapes.append(np.shape(x))
+            return base.fn(x, t)
+
+        g = Grid2D(-2.0, 2.0, 33, 0.0, 0.3, 17)
+        potential_residual(ZSampler(fn=fn, label="counted"),
+                           {"k": 2.0, "lambda1": 3.0, "lambda2": 0.0}, g)
+        assert shapes == [(129, 65)]
+
     def test_constant_z_identically_zero(self):
-        z = ZSampler(z=lambda x, t: np.ones_like(x), z_x=lambda x, t: np.zeros_like(x),
+        z = ZSampler(fn=lambda x, t: (np.ones_like(x), np.zeros_like(x), np.ones_like(x, bool)),
                      label="const")
         g = Grid2D(-1.0, 1.0, 17, 0.0, 1.0, 9)
         rep = potential_residual(z, {"k": 2.0, "lambda1": 1.0}, g)
