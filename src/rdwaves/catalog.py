@@ -26,6 +26,7 @@ from .elliptic import (
     MODULUS_INV_SQRT2,
     POLE_EPS,
     WeierstrassInvariants,
+    _masked_div,
     complete_elliptic_K,
     jacobi_sn_cn_dn,
     weierstrass_p,
@@ -182,9 +183,8 @@ class PhiState:
         y = np.asarray(y, dtype=float)
         sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
         defined = np.abs(sn) >= POLE_EPS
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.where(defined, dn / np.where(defined, sn, 1.0), np.nan)
-            dphi = np.where(defined, -cn / np.where(defined, sn, 1.0) ** 2, np.nan)
+        phi = _masked_div(defined, dn, sn)
+        dphi = _masked_div(defined, -cn, sn, 2)
         c = -0.25
         for _ in range(self.index):
             defined = defined & (np.abs(phi) >= POLE_EPS)
@@ -374,7 +374,7 @@ def plane_wave(n: float, c1: float, c2: float, lambda2: float) -> Sampler:
         theta = -c1 * x - rate * t
         with np.errstate(over="ignore"):
             den = 1.0 + c2 * np.exp(theta)
-        base = np.where(np.abs(den) >= POLE_EPS, c1 / np.where(np.abs(den) >= POLE_EPS, den, 1.0), np.nan)
+        base = _masked_div(np.abs(den) >= POLE_EPS, c1, den)
         u, defined = _masked_pow(base, k)
         defined = defined & np.isfinite(base)
         return np.where(defined, u, np.nan), defined
@@ -506,8 +506,7 @@ def fisher_front(form: str = "tanh", complement: bool = False, c: float = 0.0,
         th = np.tanh(theta)
         if form == "coth":
             defined = np.abs(th) >= POLE_EPS
-            with np.errstate(divide="ignore"):
-                h = np.where(defined, 1.0 / np.where(defined, th, 1.0), np.nan)
+            h = _masked_div(defined, 1.0, th)
         else:
             defined = np.ones_like(theta, dtype=bool)
             h = th
@@ -544,8 +543,7 @@ def fisher_exponential(c2: float) -> Sampler:
         with np.errstate(over="ignore"):
             den = 1.0 + c2 * np.exp(y / SQRT6 - 5.0 * tau / 6.0)
         defined = np.abs(den) >= POLE_EPS
-        with np.errstate(divide="ignore"):
-            u = np.where(defined, 1.0 / np.where(defined, den, 1.0) ** 2, np.nan)
+        u = _masked_div(defined, 1.0, den, 2)
         return u, defined
 
     return Sampler(
@@ -618,8 +616,7 @@ def generalized_fisher(c1: float, form: str = "tanh", c: float = 0.0,
         th = np.tanh(theta)
         if form == "coth":
             defined = np.abs(th) >= POLE_EPS
-            with np.errstate(divide="ignore"):
-                h = np.where(defined, 1.0 / np.where(defined, th, 1.0), np.nan)
+            h = _masked_div(defined, 1.0, th)
             valid = theta > 0.0  # coth < -1 side rides the flipped sqrt branch
             defined = defined & valid
         else:
@@ -699,8 +696,7 @@ def quadratic_rational(sign: int = 1) -> Sampler:
     def fn(x, t):
         den = x * x + beta * t
         defined = np.abs(den) >= 1e-6 * (1.0 + x * x + np.abs(beta * t))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(defined, (a * x * x + b * t) / np.where(defined, den, 1.0) ** 2, np.nan)
+        u = _masked_div(defined, a * x * x + b * t, den, 2)
         return u, defined
 
     return Sampler(
@@ -739,8 +735,7 @@ def potential_transform(z: ZSampler, k: float, equation: EquationSpec | None = N
     def fn(x, t):
         zv, zx, ok = z.fn(x, t)
         ok = ok & (np.abs(zv) >= POLE_EPS)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            base = np.where(ok, zx / np.where(ok, zv, 1.0), np.nan)
+        base = _masked_div(ok, zx, zv)
         u, defined = _masked_pow(base, k)
         return np.where(ok & defined, u, np.nan), ok & defined
 
@@ -802,15 +797,15 @@ def closed_forms(y):
     c_printed = 2.25 * SQRT2
     den_printed = dn * cs * (c_printed * safe_cn**2 - ds**2)
     ok3p = ok & (np.abs(den_printed) >= POLE_EPS)
-    out["u3_printed"] = (np.where(ok3p, (cs**4 - dn**4) / np.where(ok3p, den_printed, 1.0), np.nan), ok3p)
+    out["u3_printed"] = (_masked_div(ok3p, cs**4 - dn**4, den_printed), ok3p)
     den_corr = dn * cs * (0.5 * safe_cn**2 - ds**2)
     ok3c = ok & (np.abs(den_corr) >= POLE_EPS)
-    out["u3_corrected"] = (np.where(ok3c, (cs**4 - dn**4) / np.where(ok3c, den_corr, 1.0), np.nan), ok3c)
+    out["u3_corrected"] = (_masked_div(ok3c, cs**4 - dn**4, den_corr), ok3c)
     out["tilde1"] = (dn / cs, ok)
     num_t3 = 2.0 * dn * cs * (c_printed * safe_cn**2 - ds**2)
     den_t3 = cs**4 - dn**4
     okt3 = ok & (np.abs(den_t3) >= POLE_EPS)
-    out["tilde3_printed"] = (np.where(okt3, num_t3 / np.where(okt3, den_t3, 1.0), np.nan), okt3)
+    out["tilde3_printed"] = (_masked_div(okt3, num_t3, den_t3), okt3)
     out["hat0"] = (sd / 2.0, ok)
     out["hat2"] = (-4.0 * sn * cn * dn / (cn**4 + 1.0), np.isfinite(y))
     return out
@@ -958,6 +953,9 @@ def build_family(family_id: str, params: dict | None = None) -> Sampler:
     info = FAMILIES[family_id]
     merged = dict(info.defaults)
     merged.update(params or {})
+    for key, value in merged.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CatalogError(f"parameter {key!r} must be finite, got {value}")
     sampler = info.builder(merged)
     shift_x = merged.get("x_shift", 0.0)
     shift_t = merged.get("t_shift", 0.0)

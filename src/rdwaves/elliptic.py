@@ -38,6 +38,17 @@ POLE_EPS = 1e-8  # a quotient/pole is declared undefined below this threshold
 _OMEGA_G3_UNIT = 1.5299540370571927
 
 
+def _masked_div(ok, num, den, power: int = 1):
+    """num / den**power where ok, nan elsewhere.
+
+    Masked denominators are replaced by 1 before the division, so neither
+    the division nor the power warns about points that are discarded.
+    """
+    safe = np.where(ok, den, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ok, num / (safe if power == 1 else safe**power), np.nan)
+
+
 class EllipticError(ValueError):
     """Domain violation in an elliptic-function evaluation."""
 
@@ -157,9 +168,7 @@ def jacobi_quotient(name: str, y, m: EllipticModulus):
     num_name, den_name = QUOTIENT_NAMES[name]
     num, den = parts[num_name], parts[den_name]
     defined = np.abs(den) >= POLE_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
-    return val, defined
+    return _masked_div(defined, num, den), defined
 
 
 @dataclass(frozen=True)

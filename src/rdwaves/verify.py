@@ -80,7 +80,14 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Residual statistics at the finest level of the refinement triple."""
+    """Residual statistics at the finest level of the refinement triple.
+
+    defined_fraction is the finest level's share of usable stencils, but the
+    two studies count it differently: pde_residual counts stencils before the
+    standoff exclusion around masked points, potential_residual after it.
+    The same number can therefore describe different grids, and the > 0.5
+    gate on order_estimate reads each as reported.
+    """
 
     max_abs: float
     l2: float
@@ -133,7 +140,9 @@ def _refinement_study(sample, grid: Grid2D, level_residual, radius: tuple[int, i
     strides of that sample.  level_residual(fields, h_x, h_t) returns
     (residual, valid, defined_fraction) on the level's interior, radius =
     (r_x, r_t) points inside its grid.  masked_where ends the message of the
-    VerificationImpossibleError raised below a finest defined fraction of 0.1.
+    VerificationImpossibleError raised below a finest defined fraction of 0.1;
+    a usable stencil whose residual is not finite (its products overflowed)
+    raises the same error, naming the level.
     """
     grids = [grid, grid.refined(), grid.refined().refined()]
     X, T = np.meshgrid(grids[-1].x, grids[-1].t, indexing="ij")
@@ -144,6 +153,11 @@ def _refinement_study(sample, grid: Grid2D, level_residual, radius: tuple[int, i
     for lvl, g in enumerate(grids):
         stride = 2 ** (len(grids) - 1 - lvl)
         res, valid, frac = level_residual([a[::stride, ::stride] for a in fields], g.h_x, g.h_t)
+        nonfinite = int(np.count_nonzero(valid & ~np.isfinite(res)))
+        if nonfinite:
+            raise VerificationImpossibleError(
+                f"{nonfinite} usable stencils give a non-finite residual on the "
+                f"{('h', 'h/2', 'h/4')[lvl]} level (overflow in the stencil arithmetic)")
         fractions.append(frac)
         # points shared with the coarse level: residual index r(2^lvl - 1)
         # mod 2^lvl accounts for the interior offset by the stencil radius

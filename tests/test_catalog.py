@@ -397,6 +397,11 @@ class TestRegistry:
         with pytest.raises(CatalogError):
             build_family("nope")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, value):
+        with pytest.raises(CatalogError, match="'epsilon' must be finite"):
+            build_family("bell", {"epsilon": value})
+
     def test_shift_params(self):
         s = build_family("fisher-front", {"x_shift": 1.0})
         u, _ = s.sample(1.0, 0.0)

@@ -63,6 +63,13 @@ class TestSample:
         with pytest.raises(SystemExit, match="valid families"):
             main(["sample", "--family", "nope", "--out", "/tmp/x.csv"])
 
+    @pytest.mark.parametrize("raw", ['{"epsilon": NaN}', '{"epsilon": Infinity}'])
+    def test_non_finite_params_rejected(self, capsys, tmp_path, raw):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit, match="'epsilon' must be finite"):
+            main(["sample", "--family", "bell", "--params", raw, "--out", str(out)])
+        assert not out.exists()
+
     def test_bad_params_json(self, capsys):
         with pytest.raises(SystemExit, match="JSON"):
             main(["sample", "--family", "fisher-front", "--params", "{oops",

@@ -132,6 +132,97 @@ class TestIntegrate:
         assert max(rep.max_abs_errors) > 0.5
 
 
+def reference_rk4(eq, init: Sampler, cfg: SimConfig) -> tuple[np.ndarray, int]:
+    """Checkpoint fields of the RK4 loop that pins the boundary at every
+    stage with its own sampler calls and a separate Laplacian."""
+    x = cfg.x
+    nb = 1 if cfg.space_order == 2 else 2
+    h = cfg.h
+    u = np.array(init.sample(x, cfg.t0)[0], dtype=float)
+
+    def boundary(values, t_stage):
+        for side in (slice(0, nb), slice(-nb, None)):
+            values[side] = init.sample(x[side], t_stage)[0]
+        return values
+
+    def laplacian(v):
+        d2 = np.zeros_like(v)
+        with np.errstate(all="ignore"):
+            if cfg.space_order == 2:
+                d2[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
+            else:
+                d2[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1]
+                            - v[4:]) / (12.0 * h**2)
+        return d2
+
+    def rhs(v):
+        with np.errstate(all="ignore"):
+            reaction = eq.rhs(v)
+        return laplacian(v) + reaction
+
+    fields = [u]
+    steps = 0
+    t = cfg.t0
+    for target in cfg.checkpoints[1:]:
+        while t < target - 1e-13:
+            dt = min(cfg.dt_max, target - t)
+            k1 = rhs(boundary(u.copy(), t))
+            k2 = rhs(boundary(u + 0.5 * dt * k1, t + 0.5 * dt))
+            k3 = rhs(boundary(u + 0.5 * dt * k2, t + 0.5 * dt))
+            k4 = rhs(boundary(u + dt * k3, t + dt))
+            u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += dt
+            u = boundary(u, t)
+            steps += 1
+        fields.append(u)
+    return np.array(fields), steps
+
+
+class TestHotPath:
+    def test_one_boundary_sample_per_stage_time(self):
+        # after the full-window initial sample: one pin at t0, then two
+        # calls a step (t + dt/2 and t + dt), each covering both sides
+        base = fisher_front("tanh")
+        sizes = []
+
+        def fn(x, t):
+            sizes.append(np.size(x))
+            return base.fn(x, t)
+
+        s = Sampler(fn=fn, equation=base.equation, family_id="counted", params={})
+        for order, nb in ((2, 1), (4, 2)):
+            sizes.clear()
+            cfg = SimConfig(-6.0, 6.0, 81, 0.0, 0.2, space_order=order, n_checkpoints=3)
+            hist = integrate(s.equation, s, cfg)
+            assert sizes[0] == cfg.n_x
+            assert len(sizes) - 1 == 1 + 2 * hist.steps_taken
+            assert set(sizes[1:]) == {2 * nb}
+
+    @pytest.mark.parametrize("space_order", [2, 4])
+    @pytest.mark.parametrize("sampler, window", [
+        (fisher_front("tanh"), (-6.0, 8.0)),
+        (perturbed_fisher_bell(0.3), (1.2, 9.5)),
+    ], ids=["fisher-front", "bell"])
+    def test_fields_match_reference_loop(self, sampler, window, space_order):
+        cfg = SimConfig(*window, 81, 0.0, 0.5, space_order=space_order, n_checkpoints=5)
+        hist = integrate(sampler.equation, sampler, cfg)
+        ref_fields, ref_steps = reference_rk4(sampler.equation, sampler, cfg)
+        assert hist.steps_taken == ref_steps
+        for got, want in zip(hist.fields, ref_fields, strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("f", [lambda u: u, lambda u: 0.0], ids=["aliasing", "scalar"])
+    def test_reaction_not_shaped_like_a_fresh_field(self, f):
+        # f(u) = u hands back its argument, which the stencil must not be
+        # added into; a scalar f broadcasts over the field
+        s = heat_kernel_sampler()
+        eq = KPPGeneric(f=f, label="custom")
+        cfg = SimConfig(-20.0, 20.0, 101, 0.0, 0.2, n_checkpoints=3)
+        hist = integrate(eq, s, cfg)
+        ref_fields, _ = reference_rk4(eq, s, cfg)
+        assert np.array_equal(hist.fields, ref_fields)
+
+
 class TestFrontVelocity:
     def synthetic_history(self, v: float) -> SimHistory:
         cfg = SimConfig(-10.0, 10.0, 401, 0.0, 2.0, n_checkpoints=9)

@@ -251,6 +251,15 @@ class TestPotentialResidual:
                            {"k": 2.0, "lambda1": 3.0, "lambda2": 0.0}, g)
         assert shapes == [(129, 65)]
 
+    def test_overflowing_products_raise_named_error(self):
+        # z stays finite far left, but its stencil products overflow: the
+        # study must refuse the verdict instead of reporting a NaN maximum
+        z = z_plane_wave(2, -1, 0.8, 0)
+        g = Grid2D(-800, -600, 33, 0, 0.3, 17)
+        with np.errstate(all="ignore"), pytest.raises(
+                VerificationImpossibleError, match=r"usable stencils give a non-finite residual"):
+            potential_residual(z, {"k": 2, "lambda1": 3}, g)
+
     def test_constant_z_identically_zero(self):
         z = ZSampler(fn=lambda x, t: (np.ones_like(x), np.zeros_like(x), np.ones_like(x, bool)),
                      label="const")
