@@ -766,8 +766,9 @@ def z_plane_wave(n: float, c1: float, c2: float, lambda2: float) -> ZSampler:
     k = derived_constants(n).k
 
     def fn(x, t):
-        lead = np.exp(c1 * x + k * c1**2 * t)
-        zv = lead + c2 * np.exp((lambda2 * c1 - (k + 1.0) * c1**2) * t)
+        with np.errstate(over="ignore"):  # an overflowed z is masked, not an error
+            lead = np.exp(c1 * x + k * c1**2 * t)
+            zv = lead + c2 * np.exp((lambda2 * c1 - (k + 1.0) * c1**2) * t)
         return zv, c1 * lead, np.isfinite(zv)
 
     return ZSampler(fn=fn, label="plane-wave-potential")

@@ -1,8 +1,8 @@
 """Command-line surface: sampling, verification, simulation, figure data.
 
 Subcommands: list, sample, verify, ode-check, simulate, velocity, chain,
-figures.  Grids and reports are deterministic: CSV cells use fixed
-17-significant-digit scientific notation and repeated invocations produce
+figures.  Grids and reports are deterministic: CSV cells use fixed ``%.17e``
+scientific notation (18 significant digits) and repeated invocations produce
 byte-identical files.  All outputs are written atomically (temp + rename)
 and every run that writes files also writes a manifest listing them.
 
@@ -39,10 +39,6 @@ from .verify import (
 SCHEMA = 1
 
 
-def _fmt(v: float) -> str:
-    return "%.17e" % v
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
@@ -68,19 +64,19 @@ def _write_manifest(base: Path, command: str, parameters: dict, outputs: list[Pa
 
 
 def _grid_csv(x, t, u, defined) -> str:
-    lines = ["x,t,u,defined"]
-    X, T = np.broadcast_arrays(x, t)
-    for xi, ti, ui, di in zip(X.ravel(), T.ravel(), u.ravel(), defined.ravel()):
-        uval = _fmt(ui) if di else "nan"
-        lines.append(f"{_fmt(xi)},{_fmt(ti)},{uval},{int(di)}")
-    return "\n".join(lines) + "\n"
+    """CSV of u on the 1-D axes x (varying slowest) and t; each axis value is formatted once."""
+    t_cols = ["%.17e," % v for v in t.tolist()]
+    parts = ["x,t,u,defined\n"]
+    for xv, u_row, d_row in zip(x.tolist(), u.tolist(), defined.tolist()):
+        lead = "%.17e," % xv
+        cells = ["%.17e,1\n" % v if d else "nan,0\n" for v, d in zip(u_row, d_row)]
+        parts.append(lead)
+        parts.append(lead.join(map(str.__add__, t_cols, cells)))
+    return "".join(parts)
 
 
 def _profile_csv(x, u) -> str:
-    lines = ["x,u"]
-    for xi, ui in zip(x, u):
-        lines.append(f"{_fmt(xi)},{_fmt(ui)}")
-    return "\n".join(lines) + "\n"
+    return "x,u\n" + "".join(map("%.17e,%.17e\n".__mod__, zip(x.tolist(), u.tolist())))
 
 
 def _gnuplot_script(csv_path: Path, title: str) -> str:
@@ -143,7 +139,7 @@ def cmd_sample(args) -> int:
               file=sys.stderr)
     outputs: list[Path] = []
     out = Path(args.out)
-    _atomic_write(out, _grid_csv(X, T, u, defined))
+    _atomic_write(out, _grid_csv(grid.x, grid.t, u, defined))
     outputs.append(out)
     if args.gnuplot:
         gp = out.with_suffix(".gp")
@@ -278,10 +274,13 @@ def cmd_velocity(args) -> int:
     rep = compare_exact(hist, sampler, level=level, registration=registration)
     predicted = sampler.predicted_velocity
     measured = rep.measured_velocity
-    rel = abs(measured - predicted) / max(abs(predicted), 1e-30)
-    print("family            predicted      measured       rel.err   r2")
-    print(f"{args.family:16s} {predicted:+.6f}  {measured:+.6f}  {rel:8.2e}  "
-          f"{rep.velocity_fit_r2:.6f}")
+    # a front predicted to stand still has no relative error: judge the absolute one
+    kind = "relative" if predicted else "absolute"
+    err = abs(measured - predicted) / (abs(predicted) or 1.0)
+    note = "" if predicted else " (absolute error: predicted speed is 0)"
+    print(f"family            predicted      measured       {kind[:3]}.err   r2")
+    print(f"{args.family:16s} {predicted:+.6f}  {measured:+.6f}  {err:8.2e}  "
+          f"{rep.velocity_fit_r2:.6f}{note}")
     if args.out:
         outputs: list[Path] = []
         _write_json(Path(args.out), {
@@ -289,13 +288,13 @@ def cmd_velocity(args) -> int:
             "params": sampler.params,
             "predicted_velocity": predicted,
             "measured_velocity": measured,
-            "relative_error": rel,
+            f"{kind}_error": err,
             "r2": rep.velocity_fit_r2,
-            "method": rep.velocity_method,
+            "method": rep.velocity_method + note,
         }, outputs)
         _write_manifest(Path(args.out).with_suffix(".manifest.json"), "velocity",
                         {"family": args.family, "params": sampler.params}, outputs)
-    return 0 if rel <= 0.01 else 1
+    return 0 if err <= 0.01 else 1
 
 
 def cmd_chain(args) -> int:
@@ -398,7 +397,7 @@ def cmd_figures(args) -> int:
         sampler, X, T, u, defined, spec = figure_data(fig_id)
         gate = _gate(fig_id, sampler, u, defined)
         csv_path = outdir / f"figure{fig_id}.csv"
-        _atomic_write(csv_path, _grid_csv(X, T, u, defined))
+        _atomic_write(csv_path, _grid_csv(X[:, 0], T[0, :], u, defined))
         outputs.append(csv_path)
         _write_json(outdir / f"figure{fig_id}.json",
                     {"caption": spec["caption"], **gate}, outputs)

@@ -6,13 +6,87 @@ import numpy as np
 import pytest
 
 import rdwaves.cli as cli
-from rdwaves.cli import FIGURES, figure_gate, main
+from rdwaves.catalog import build_family
+from rdwaves.cli import FIGURES, figure_data, figure_gate, main
+from rdwaves.verify import Grid2D
 
 
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# The per-cell writers that cli's CSV functions replaced: the byte reference.
+def reference_grid_csv(x, t, u, defined) -> str:
+    lines = ["x,t,u,defined"]
+    X, T = np.broadcast_arrays(x, t)
+    for xi, ti, ui, di in zip(X.ravel(), T.ravel(), u.ravel(), defined.ravel()):
+        uval = ("%.17e" % ui) if di else "nan"
+        lines.append(f"{'%.17e' % xi},{'%.17e' % ti},{uval},{int(di)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_profile_csv(x, u) -> str:
+    lines = ["x,u"]
+    for xi, ui in zip(x, u):
+        lines.append(f"{'%.17e' % xi},{'%.17e' % ui}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_rows(got: str, expected: str) -> None:
+    # row by row, so a failure names the first differing row quickly instead of
+    # diffing two multi-megabyte strings
+    got_rows, expected_rows = got.splitlines(True), expected.splitlines(True)
+    for i, (g, e) in enumerate(zip(got_rows, expected_rows)):
+        assert g == e, f"row {i}"
+    assert len(got_rows) == len(expected_rows)
+
+
+# nan, infinities, signed zeros, subnormals and exponents near +-300
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                    1e-300, -3.7e-298, 1.7976931348623157e308, -4.2e301, 1e300, 0.1, -2.0 / 3.0,
+                    1.0, 123456.789])
+
+
+class TestCsvWriters:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 7)])
+    def test_grid_matches_reference(self, shape):
+        nx, nt = shape
+        rng = np.random.default_rng(nx * 10 + nt)
+        x = np.resize(SPECIAL, nx)
+        t = np.resize(SPECIAL[::-1], nt)
+        u = rng.permutation(np.resize(SPECIAL, nx * nt)).reshape(shape)
+        defined = np.ones(shape, bool)
+        if u.size > 1:  # masked cells beside defined ones holding nan and +-inf
+            defined.flat[::3] = False
+        for mask in (defined, ~defined):
+            assert_same_rows(cli._grid_csv(x, t, u, mask),
+                             reference_grid_csv(x[:, None], t[None, :], u, mask))
+
+    @pytest.mark.parametrize("n", [1, 2, len(SPECIAL)])
+    def test_profile_matches_reference(self, n):
+        x = np.resize(SPECIAL[::-1], n)
+        u = np.resize(SPECIAL, n)
+        assert_same_rows(cli._profile_csv(x, u), reference_profile_csv(x, u))
+
+    def test_sample_file_matches_reference(self, capsys, tmp_path):
+        out = tmp_path / "bell.csv"
+        code, _ = run(capsys, "sample", "--family", "bell", "--grid=-2,2,9,0,0.1,8",
+                      "--out", str(out))
+        assert code == 0
+        grid = Grid2D(-2.0, 2.0, 9, 0.0, 0.1, 8)
+        X, T = np.meshgrid(grid.x, grid.t, indexing="ij")
+        u, defined = build_family("bell", {}).sample(X, T)
+        assert not defined.all()
+        assert_same_rows(out.read_text(), reference_grid_csv(X, T, u, defined))
+
+    def test_figure_file_matches_reference(self, capsys, tmp_path):
+        code, _ = run(capsys, "figures", "--id", "6", "--outdir", str(tmp_path))
+        assert code == 0
+        _, X, T, u, defined, _ = figure_data(6)
+        assert_same_rows((tmp_path / "figure6.csv").read_text(),
+                         reference_grid_csv(X, T, u, defined))
 
 
 class TestList:
@@ -113,6 +187,11 @@ class TestSimulateVelocity:
         assert max(report["report"]["max_abs_errors"]) < 1e-5
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert len(manifest["outputs"]) == 4  # 3 checkpoints + report
+        # %.17e round-trips a float64, so reformatting the parsed cells must
+        # give the written bytes back
+        text = (tmp_path / "run_ck1.csv").read_text()
+        x, u = np.array([row.split(",") for row in text.splitlines()[1:]], float).T
+        assert_same_rows(text, reference_profile_csv(x, u))
 
     def test_velocity_fisher(self, capsys, tmp_path):
         out = tmp_path / "vel.json"
@@ -123,6 +202,20 @@ class TestSimulateVelocity:
         assert payload["relative_error"] < 0.01
         assert payload["measured_velocity"] == pytest.approx(
             payload["predicted_velocity"], rel=0.01)
+
+    def test_velocity_stationary_front_absolute_error(self, capsys, tmp_path):
+        # c1 = 3/2 gives predicted speed 0: no relative error exists, so the
+        # absolute error is held to the 0.01 bound
+        out = tmp_path / "vel.json"
+        code, text = run(capsys, "velocity", "--family", "generalized-fisher",
+                         "--params", '{"c1": 1.5}', "--out", str(out))
+        assert code == 0
+        assert "abs.err" in text and "predicted speed is 0" in text
+        payload = json.loads(out.read_text())
+        assert payload["predicted_velocity"] == 0.0
+        assert "relative_error" not in payload
+        assert payload["absolute_error"] < 0.01
+        assert "absolute error" in payload["method"]
 
 
 class TestChainOdeCheck:

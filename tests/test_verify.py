@@ -1,6 +1,7 @@
 """Residual verifiers: convergence orders, chain checks, negative controls."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,16 @@ class TestPotentialResidual:
         with np.errstate(all="ignore"), pytest.raises(
                 VerificationImpossibleError, match=r"usable stencils give a non-finite residual"):
             potential_residual(z, {"k": 2, "lambda1": 3}, g)
+
+    def test_overflowing_products_raise_no_warning(self):
+        # the named error is the only signal: numpy warns of nothing first
+        z = z_plane_wave(2, -1, 0.8, 0)
+        g = Grid2D(-800, -600, 33, 0, 0.3, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VerificationImpossibleError,
+                               match=r"usable stencils give a non-finite residual"):
+                potential_residual(z, {"k": 2, "lambda1": 3}, g)
 
     def test_constant_z_identically_zero(self):
         z = ZSampler(fn=lambda x, t: (np.ones_like(x), np.zeros_like(x), np.ones_like(x, bool)),
