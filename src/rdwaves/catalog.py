@@ -864,7 +864,7 @@ def crosscheck_closed_forms(n_samples: int = 100, seed: int = 12345) -> dict:
 
 @dataclass(frozen=True)
 class FamilyInfo:
-    """Registry entry: builder plus defaults and a one-line description."""
+    """Registry entry: builder function, defaults for all its keywords, one-line description."""
 
     builder: Callable = field(compare=False)
     defaults: dict = field(default_factory=dict)
@@ -873,57 +873,52 @@ class FamilyInfo:
 
 FAMILIES: dict[str, FamilyInfo] = {
     "chain": FamilyInfo(
-        builder=lambda p: elliptic_solution(p["kind"], p["index"], p.get("sign", 1)),
+        builder=elliptic_solution,
         defaults={"kind": "direct", "index": 0, "sign": 1},
         description="cubic heat equation solutions 2x*psi(x^2+6t) from the elliptic chain",
     ),
     "chain-exp": FamilyInfo(
-        builder=lambda p: cosh_cos_solution(p["sign"], p.get("k1", 0.5), p.get("k2", 0.0),
-                                            p.get("kind", "direct"), p.get("index", 0)),
+        builder=cosh_cos_solution,
         defaults={"sign": -1, "k1": 0.5, "k2": 0.0, "kind": "direct", "index": 0},
         description="cubic heat equation with linear term: chain solutions through cosh/cos substitution",
     ),
     "plane-wave": FamilyInfo(
-        builder=lambda p: plane_wave(p["n"], p["c1"], p.get("c2", 1.0), p.get("lambda2", 0.0)),
+        builder=plane_wave,
         defaults={"n": 2.0, "c1": -1.0, "c2": 1.0, "lambda2": 0.0},
         description="exponential fronts of the three-term power-law family",
     ),
     "solitary": FamilyInfo(
-        builder=lambda p: solitary_wave(p["n"], p["nu"], p["sigma"], p.get("branch", "tanh"),
-                                        p.get("C", 0.0)),
+        builder=solitary_wave,
         defaults={"n": 2.0, "nu": -1.5, "sigma": 0.9, "branch": "tanh", "C": 0.0},
         description="tanh/coth/tan/rational traveling waves of the sqrt-coupled family",
     ),
     "fisher-front": FamilyInfo(
-        builder=lambda p: fisher_front(p.get("form", "tanh"), p.get("complement", False),
-                                       p.get("c", 0.0), p.get("reflect_y", False)),
+        builder=fisher_front,
         defaults={"form": "tanh", "complement": False, "c": 0.0, "reflect_y": False},
         description="hyperbolic Fisher fronts with velocity 5/sqrt6",
     ),
     "fisher-exp": FamilyInfo(
-        builder=lambda p: fisher_exponential(p.get("c2", 1.0)),
+        builder=fisher_exponential,
         defaults={"c2": 1.0},
         description="exponential-form Fisher front",
     ),
     "fisher-weierstrass": FamilyInfo(
-        builder=lambda p: fisher_weierstrass(p["C"], p.get("k_shift", 0.0),
-                                             p.get("reflect_y", False)),
+        builder=fisher_weierstrass,
         defaults={"C": 100.0, "k_shift": 0.0, "reflect_y": False},
         description="two-parameter Fisher family built on the Weierstrass P function",
     ),
     "generalized-fisher": FamilyInfo(
-        builder=lambda p: generalized_fisher(p["c1"], p.get("form", "tanh"), p.get("c", 0.0),
-                                             p.get("reflect_y", False)),
+        builder=generalized_fisher,
         defaults={"c1": 2.0, "form": "tanh", "c": 0.0, "reflect_y": False},
         description="tunable-velocity Fisher generalization, speed |2c1-3|/sqrt6",
     ),
     "bell": FamilyInfo(
-        builder=lambda p: perturbed_fisher_bell(p["epsilon"], p.get("C", 0.0)),
+        builder=perturbed_fisher_bell,
         defaults={"epsilon": 0.3, "C": 0.0},
         description="solitary bell of the sqrt-perturbed Fisher equation",
     ),
     "quadratic-rational": FamilyInfo(
-        builder=lambda p: quadratic_rational(p.get("sign", 1)),
+        builder=quadratic_rational,
         defaults={"sign": 1},
         description="rational solution of the quadratic-decay equation",
     ),
@@ -934,7 +929,7 @@ def family_info() -> dict:
     """JSON-ready registry summary, one entry per family."""
     out = {}
     for fid, info in FAMILIES.items():
-        sampler = info.builder(dict(info.defaults))
+        sampler = info.builder(**info.defaults)
         out[fid] = {
             "description": info.description,
             "defaults": info.defaults,
@@ -948,18 +943,21 @@ def family_info() -> dict:
 
 
 def build_family(family_id: str, params: dict | None = None) -> Sampler:
-    """Instantiate a registry family with defaults merged under params."""
+    """Instantiate a registry family, defaults merged under params (and x_shift, t_shift)."""
     if family_id not in FAMILIES:
-        raise CatalogError(f"unknown family {family_id!r}; valid: {sorted(FAMILIES)}")
+        raise CatalogError(f"unknown family {family_id!r}; valid families: {sorted(FAMILIES)}")
     info = FAMILIES[family_id]
-    merged = dict(info.defaults)
-    merged.update(params or {})
+    merged = {**info.defaults, **(params or {})}
     for key, value in merged.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise CatalogError(f"parameter {key!r} must be finite, got {value}")
-    sampler = info.builder(merged)
-    shift_x = merged.get("x_shift", 0.0)
-    shift_t = merged.get("t_shift", 0.0)
+    shift_x = merged.pop("x_shift", 0.0)
+    shift_t = merged.pop("t_shift", 0.0)
+    unknown = merged.keys() - info.defaults.keys()
+    if unknown:
+        raise CatalogError(f"unknown parameter {', '.join(map(repr, sorted(unknown)))}; "
+                           f"valid: {sorted(info.defaults)}, x_shift, t_shift")
+    sampler = info.builder(**merged)
     if shift_x or shift_t:
         sampler = sampler.shifted(shift_x, shift_t)
     return sampler

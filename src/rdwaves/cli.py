@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import FAMILIES, CatalogError, build_family, chain_constant, family_info, phi_chain
+from .catalog import CatalogError, Sampler, build_family, chain_constant, family_info, phi_chain
 from .elliptic import MODULUS_INV_SQRT2, complete_elliptic_K
 from .equations import spec_to_json
-from .simulate import SimConfig, compare_exact, integrate
+from .simulate import SimConfig, SimulationError, compare_exact, integrate
 from .verify import (
     Grid2D,
     clean_chain_samples,
@@ -61,6 +62,14 @@ def _write_manifest(base: Path, command: str, parameters: dict, outputs: list[Pa
         "outputs": sorted(str(p) for p in outputs),
     }
     _atomic_write(base, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _write_report(out: str | None, command: str, payload: dict, parameters: dict) -> None:
+    """JSON report at out and its manifest beside it; nothing when out is unset."""
+    if out:
+        outputs: list[Path] = []
+        _write_json(Path(out), payload, outputs)
+        _write_manifest(Path(out).with_suffix(".manifest.json"), command, parameters, outputs)
 
 
 def _grid_csv(x, t, u, defined) -> str:
@@ -100,13 +109,32 @@ def _parse_params(raw: str | None) -> dict:
     return obj
 
 
+def _usage(flag: str, build, *args, **kwargs):
+    """build(*args, **kwargs); a value it rejects ends in SystemExit naming flag."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, SimulationError) as exc:
+        raise SystemExit(f"{flag}: {exc}") from None
+
+
+def _parse_flag(flag: str, raw: str, fields: str, build=lambda *values: values):
+    """build(*values) of the comma flag raw, read against fields such as "x0,x1,nx".
+
+    Fields named n* are ints, the others finite floats.  A wrong count, a
+    malformed number or a value build rejects ends in SystemExit naming flag.
+    """
+    names, parts = fields.split(","), raw.split(",")
+    if len(parts) != len(names):
+        raise SystemExit(f"{flag}: expects {fields}, got {raw!r}")
+    values = [_usage(flag, int if n.startswith("n") else float, v) for n, v in zip(names, parts)]
+    if not all(map(math.isfinite, values)):
+        raise SystemExit(f"{flag}: values must be finite, got {raw!r}")
+    return _usage(flag, build, *values)
+
+
 def _parse_grid(raw: str, sampler) -> Grid2D:
     if raw:
-        parts = raw.split(",")
-        if len(parts) != 6:
-            raise SystemExit("--grid expects x0,x1,nx,t0,t1,nt")
-        x0, x1, t0, t1 = float(parts[0]), float(parts[1]), float(parts[3]), float(parts[4])
-        return Grid2D(x0, x1, int(parts[2]), t0, t1, int(parts[5]))
+        return _parse_flag("--grid", raw, "x0,x1,nx,t0,t1,nt", Grid2D)
     if sampler.suggested_window is None:
         raise SystemExit("this family has no default window; pass --grid")
     x0, x1, t0, t1 = sampler.suggested_window
@@ -114,13 +142,11 @@ def _parse_grid(raw: str, sampler) -> Grid2D:
     return Grid2D(x0, x1, nx, t0, t1, nt)
 
 
-def _build(args) -> tuple:
+def _build(args) -> Sampler:
     try:
-        sampler = build_family(args.family, _parse_params(args.params))
-    except (CatalogError, KeyError) as exc:
-        raise SystemExit(f"cannot build family {args.family!r}: {exc}; "
-                         f"valid families: {', '.join(sorted(FAMILIES))}")
-    return sampler
+        return build_family(args.family, _parse_params(args.params))
+    except CatalogError as exc:
+        raise SystemExit(f"cannot build family {args.family!r}: {exc}")
 
 
 def cmd_list(args) -> int:
@@ -164,11 +190,7 @@ def cmd_verify(args) -> int:
         "grid": [grid.x_min, grid.x_max, grid.n_x, grid.t_min, grid.t_max, grid.n_t],
         "report": report.to_json(),
     }
-    outputs: list[Path] = []
-    if args.out:
-        _write_json(Path(args.out), payload, outputs)
-        _write_manifest(Path(args.out).with_suffix(".manifest.json"), "verify",
-                        {"family": args.family, "params": sampler.params}, outputs)
+    _write_report(args.out, "verify", payload, {"family": args.family, "params": sampler.params})
     order = f"{report.order_estimate:.2f}" if report.order_estimate is not None else "n/a"
     print(f"{args.family}: max residual {report.max_abs:.3e}, l2 {report.l2:.3e}, "
           f"order {order}, defined {report.defined_fraction:.3f}")
@@ -181,7 +203,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ode_check(args) -> int:
-    state = phi_chain(args.chain_index)
+    state = _usage("--chain-index", phi_chain, args.chain_index)
     y = clean_chain_samples(args.chain_index, args.samples)
     rep = ode_residual(state, y)
     print(f"chain element {args.chain_index}: C_estimate {rep.c_estimate:+.9f} "
@@ -192,30 +214,20 @@ def cmd_ode_check(args) -> int:
     for r in rows:
         print(f"  [{'pass' if r.passed else 'FAIL'}] index {r.index}: {r.proposition} "
               f"(max deviation {r.max_deviation:.2e})")
-    payload = {
+    _write_report(args.out, "ode-check", {
         "chain_index": args.chain_index,
         "ode_residual": rep.to_json(),
         "propositions": [r.to_json() for r in rows],
-    }
-    if args.out:
-        outputs: list[Path] = []
-        _write_json(Path(args.out), payload, outputs)
-        _write_manifest(Path(args.out).with_suffix(".manifest.json"), "ode-check",
-                        {"chain_index": args.chain_index}, outputs)
+    }, {"chain_index": args.chain_index})
     return 0 if all(r.passed for r in rows) else 1
 
 
 def cmd_simulate(args) -> int:
     sampler = _build(args)
-    w = args.window.split(",")
-    if len(w) != 3:
-        raise SystemExit("--window expects x0,x1,nx")
-    tspan = args.time.split(",")
-    if len(tspan) != 2:
-        raise SystemExit("--time expects t0,t1")
-    cfg = SimConfig(float(w[0]), float(w[1]), int(w[2]), float(tspan[0]), float(tspan[1]),
-                    safety=args.safety, space_order=args.space_order,
-                    n_checkpoints=args.checkpoints)
+    window = _parse_flag("--window", args.window, "x0,x1,nx")
+    tspan = _parse_flag("--time", args.time, "t0,t1")
+    cfg = _usage("--window/--time/--safety", SimConfig, *window, *tspan, safety=args.safety,
+                 space_order=args.space_order, n_checkpoints=args.checkpoints)
     hist = integrate(sampler.equation, sampler, cfg)
     rep = compare_exact(hist, sampler, level=args.level,
                         registration=args.registration)
@@ -247,6 +259,8 @@ def _velocity_setup(sampler, h: float):
     v = sampler.predicted_velocity
     if v is None:
         raise SystemExit("this family carries no predicted velocity")
+    if not h > 0:
+        raise ValueError(f"grid step must be positive, got {h}")
     duration = min(3.0, max(0.5, 1.8 / max(abs(v), 0.6)))
     if sampler.family_id == "bell":
         x0 = max(0.0, v * duration) + 0.7
@@ -267,7 +281,7 @@ def _velocity_setup(sampler, h: float):
 
 def cmd_velocity(args) -> int:
     sampler = _build(args)
-    cfg, level, registration = _velocity_setup(sampler, args.h)
+    cfg, level, registration = _usage("--h", _velocity_setup, sampler, args.h)
     if args.level is not None:
         level = args.level
     hist = integrate(sampler.equation, sampler, cfg)
@@ -281,19 +295,15 @@ def cmd_velocity(args) -> int:
     print(f"family            predicted      measured       {kind[:3]}.err   r2")
     print(f"{args.family:16s} {predicted:+.6f}  {measured:+.6f}  {err:8.2e}  "
           f"{rep.velocity_fit_r2:.6f}{note}")
-    if args.out:
-        outputs: list[Path] = []
-        _write_json(Path(args.out), {
-            "family": args.family,
-            "params": sampler.params,
-            "predicted_velocity": predicted,
-            "measured_velocity": measured,
-            f"{kind}_error": err,
-            "r2": rep.velocity_fit_r2,
-            "method": rep.velocity_method + note,
-        }, outputs)
-        _write_manifest(Path(args.out).with_suffix(".manifest.json"), "velocity",
-                        {"family": args.family, "params": sampler.params}, outputs)
+    _write_report(args.out, "velocity", {
+        "family": args.family,
+        "params": sampler.params,
+        "predicted_velocity": predicted,
+        "measured_velocity": measured,
+        f"{kind}_error": err,
+        "r2": rep.velocity_fit_r2,
+        "method": rep.velocity_method + note,
+    }, {"family": args.family, "params": sampler.params})
     return 0 if err <= 0.01 else 1
 
 
@@ -314,11 +324,8 @@ def cmd_chain(args) -> int:
                      "singular": sorted(singular)})
         print(f"{n:5d}  {chain_constant(n):+12.6f}   {str(zeros):34s} {sorted(singular)}")
         singular = sorted(set(singular) | set(zeros))
-    if args.out:
-        outputs: list[Path] = []
-        _write_json(Path(args.out), {"depth": args.depth, "elements": rows}, outputs)
-        _write_manifest(Path(args.out).with_suffix(".manifest.json"), "chain",
-                        {"depth": args.depth}, outputs)
+    _write_report(args.out, "chain", {"depth": args.depth, "elements": rows},
+                  {"depth": args.depth})
     return 0
 
 
@@ -353,8 +360,6 @@ FIGURES: dict[int, dict] = {
 
 def figure_data(fig_id: int):
     """(sampler, X, T, u, defined, spec) for one registered figure."""
-    if fig_id not in FIGURES:
-        raise SystemExit(f"unknown figure id {fig_id}; valid: {sorted(FIGURES)}")
     spec = FIGURES[fig_id]
     sampler = build_family(spec["family"], spec["params"])
     x0, x1, t0, t1 = spec["window"]
@@ -375,9 +380,7 @@ def _gate(fig_id: int, sampler, u, defined) -> dict:
     """figure_gate's checks on plot data that is already sampled."""
     frac = float(defined.mean())
     finite = bool(np.all(np.isfinite(u[defined])))
-    x0, x1, t0, t1 = sampler.suggested_window
-    nx, nt = sampler.suggested_resolution
-    probe = pde_residual(sampler, sampler.equation, Grid2D(x0, x1, nx, t0, t1, nt), 4)
+    probe = pde_residual(sampler, sampler.equation, _parse_grid(None, sampler), 4)
     return {
         "figure": fig_id,
         "defined_fraction": frac,
@@ -388,7 +391,12 @@ def _gate(fig_id: int, sampler, u, defined) -> dict:
 
 
 def cmd_figures(args) -> int:
-    ids = [int(s) for s in args.id.split(",")] if args.id else sorted(FIGURES)
+    ids = sorted(FIGURES)
+    if args.id:
+        ids = [_parse_flag("--id", s, "n", int) for s in args.id.split(",")]
+    unknown = sorted(set(ids) - FIGURES.keys())
+    if unknown:
+        raise SystemExit(f"--id: unknown figure ids {unknown}; valid: {sorted(FIGURES)}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []

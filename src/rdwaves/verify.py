@@ -112,21 +112,13 @@ class ResidualReport:
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Chebyshev dilation of a boolean mask by whole grid steps."""
+    """Chebyshev dilation of a boolean mask by whole grid steps; nothing wraps at the edges."""
     out = mask.copy()
-    for axis in (0, 1):
-        acc = out.copy()
-        for shift in range(1, radius + 1):
-            rolled = np.roll(out, shift, axis=axis)
-            edge = [slice(None), slice(None)]
-            edge[axis] = slice(0, shift)
-            rolled[tuple(edge)] = False
-            acc |= rolled
-            rolled = np.roll(out, -shift, axis=axis)
-            edge[axis] = slice(-shift, None)
-            rolled[tuple(edge)] = False
-            acc |= rolled
-        out = acc
+    for view in (out, out.T):
+        # one step along the view's first axis a pass; numpy buffers overlapping operands
+        for _ in range(min(radius, view.shape[0] - 1)):
+            view[1:] |= view[:-1]
+            view[:-1] |= view[1:]
     return out
 
 

@@ -406,3 +406,24 @@ class TestRegistry:
         s = build_family("fisher-front", {"x_shift": 1.0})
         u, _ = s.sample(1.0, 0.0)
         assert float(u) == pytest.approx(0.25, abs=1e-15)
+
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(CatalogError, match="'C1'"):
+            build_family("generalized-fisher", {"C1": 3})
+
+    def test_shift_keys_shift_the_sampler(self):
+        base = build_family("generalized-fisher", {"c1": 3.0})
+        s = build_family("generalized-fisher", {"c1": 3.0, "x_shift": 0.4, "t_shift": 0.1})
+        assert s.params == {**base.params, "x_shift": 0.4, "t_shift": 0.1}
+        x = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(s.sample(x, 0.3)[0], base.sample(x - 0.4, 0.2)[0])
+
+    @pytest.mark.parametrize("fid", sorted(FAMILIES))
+    def test_builder_defaults_match_build_family(self, fid):
+        info = FAMILIES[fid]
+        direct, built = info.builder(**info.defaults), build_family(fid)
+        assert direct.params == built.params
+        x0, x1, t0, t1 = built.suggested_window
+        X, T = np.meshgrid(np.linspace(x0, x1, 17), np.linspace(t0, t1, 9), indexing="ij")
+        for a, b in zip(direct.sample(X, T), built.sample(X, T)):
+            assert np.array_equal(a, b, equal_nan=True)

@@ -149,6 +149,41 @@ class TestSample:
             main(["sample", "--family", "fisher-front", "--params", "{oops",
                   "--out", "/tmp/x.csv"])
 
+    def test_misspelled_param_key_usage_error(self, capsys, tmp_path):
+        # a silently dropped key would verify the default c1 = 2 instead
+        out = tmp_path / "v.json"
+        with pytest.raises(SystemExit, match="unknown parameter 'C1'"):
+            main(["verify", "--family", "generalized-fisher", "--params", '{"C1": 3}',
+                  "--out", str(out)])
+        assert not out.exists()
+
+
+class TestMalformedFlags:
+    @pytest.mark.parametrize("flag, argv", [
+        ("--grid", ["sample", "--family", "bell", "--grid=-3,3,1,0,1,1", "--out", "g.csv"]),
+        ("--grid", ["sample", "--family", "bell", "--grid=-3,3,x,0,1,9", "--out", "g.csv"]),
+        ("--grid", ["sample", "--family", "bell", "--grid=-3,3,9,0,1", "--out", "g.csv"]),
+        ("--grid", ["verify", "--family", "bell", "--grid=-3,inf,9,0,1,9", "--out", "v.json"]),
+        ("--window", ["simulate", "--family", "fisher-front", "--window=-3,3,4",
+                      "--time", "0,1", "--out", "run"]),
+        ("--window", ["simulate", "--family", "fisher-front", "--window=-3,3,x",
+                      "--time", "0,1", "--out", "run"]),
+        ("--time", ["simulate", "--family", "fisher-front", "--window=-3,3,41",
+                    "--time", "0", "--out", "run"]),
+        ("--time", ["simulate", "--family", "fisher-front", "--window=-3,3,41",
+                    "--time", "1,0", "--out", "run"]),
+        ("--id", ["figures", "--id", "a", "--outdir", "figs"]),
+        ("--id", ["figures", "--id", "1,9", "--outdir", "figs"]),
+        ("--chain-index", ["ode-check", "--chain-index=-1", "--out", "o.json"]),
+        ("--h", ["velocity", "--family", "fisher-front", "--h", "0", "--out", "v.json"]),
+    ])
+    def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert flag in str(exc.value.code)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerify:
     def test_converging_family_exit_zero(self, capsys, tmp_path):

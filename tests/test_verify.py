@@ -21,6 +21,7 @@ from rdwaves.equations import Fisher, QuadraticDecay
 from rdwaves.verify import (
     Grid2D,
     VerificationImpossibleError,
+    _dilate,
     clean_chain_samples,
     ode_residual,
     pde_residual,
@@ -71,6 +72,45 @@ class TestGrid:
     def test_extent(self):
         with pytest.raises(ValueError):
             Grid2D(1.0, 0.0, 9, 0.0, 1.0, 9)
+
+
+def rolled_dilate(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Reference Chebyshev dilation: np.roll with the wrapped rows cleared."""
+    out = mask.copy()
+    for axis in (0, 1):
+        acc = out.copy()
+        for shift in range(1, radius + 1):
+            for s in (shift, -shift):
+                rolled = np.roll(out, s, axis=axis)
+                edge = [slice(None), slice(None)]
+                edge[axis] = slice(0, s) if s > 0 else slice(s, None)
+                rolled[tuple(edge)] = False
+                acc |= rolled
+        out = acc
+    return out
+
+
+class TestDilate:
+    @pytest.mark.parametrize("shape", [(20, 12), (9, 31), (97, 49)])
+    @pytest.mark.parametrize("radius", [0, 1, 3, 10, 40])
+    def test_matches_rolled_reference(self, shape, radius):
+        # radius 40 exceeds every axis here: nothing may wrap round
+        rng = np.random.default_rng(radius * 1000 + shape[0])
+        for density in (0.002, 0.03, 0.3):
+            mask = rng.random(shape) < density
+            got = _dilate(mask, radius)
+            assert np.array_equal(got, rolled_dilate(mask, radius))
+            assert not np.shares_memory(got, mask)
+
+    def test_single_cell_grows_a_clipped_box(self):
+        mask = np.zeros((10, 8), dtype=bool)
+        mask[1, 6] = True
+        expected = np.zeros_like(mask)
+        expected[0:5, 3:8] = True
+        assert np.array_equal(_dilate(mask, 3), expected)
+        corner = np.zeros((10, 8), dtype=bool)
+        corner[0, 0] = True
+        assert _dilate(corner, 9).all() and not _dilate(corner, 8)[9].any()
 
 
 class TestPdeResidual:
