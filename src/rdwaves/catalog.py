@@ -17,6 +17,7 @@ records the deviation rather than hiding it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -98,9 +99,7 @@ def _masked_pow(base, p: float):
         if ip >= 0:
             return np.power(base, ip), np.isfinite(base)
         defined = np.abs(base) >= POLE_EPS
-        with np.errstate(divide="ignore"):
-            val = np.where(defined, 1.0 / np.power(np.where(defined, base, 1.0), -ip), np.nan)
-        return val, defined
+        return _masked_div(defined, 1.0, base, -ip), defined
     defined = base > POLE_EPS if p < 0 else base >= 0.0
     with np.errstate(invalid="ignore"):
         val = np.where(defined, np.power(np.maximum(base, 0.0), p), np.nan)
@@ -109,7 +108,11 @@ def _masked_pow(base, p: float):
 
 @dataclass(frozen=True)
 class Sampler:
-    """Exact solution u(x, t) with domain mask and the equation it solves."""
+    """Exact solution u(x, t) with domain mask and the equation it solves.
+
+    fn(x, t) returns (u, defined); u is unspecified where defined is False,
+    and sample() is where those cells become nan.
+    """
 
     fn: Callable = field(compare=False)
     equation: EquationSpec
@@ -122,7 +125,7 @@ class Sampler:
     suggested_resolution: tuple[int, int] = (49, 25)  # base residual grid (n_x, n_t)
 
     def sample(self, x, t):
-        """Vectorized (u, defined) with numpy broadcasting of x and t."""
+        """Vectorized (u, defined), broadcasting x and t; u is nan where not defined."""
         xg, tg = _as_grid(x, t)
         u, defined = self.fn(xg, tg)
         u = np.where(defined, u, np.nan)
@@ -148,19 +151,6 @@ class Sampler:
         return replace(self, fn=fn, residual_clean=False,
                        domain_note=f"perturbed by {amplitude}*sin(x): not a solution")
 
-    def to_json(self) -> dict:
-        from .equations import spec_to_json
-
-        return {
-            "family_id": self.family_id,
-            "params": self.params,
-            "equation": spec_to_json(self.equation),
-            "domain_note": self.domain_note,
-            "predicted_velocity": self.predicted_velocity,
-            "residual_clean": self.residual_clean,
-            "suggested_window": self.suggested_window,
-        }
-
 
 def chain_constant(n: int) -> float:
     """First-integral constant C_n = (-4)^n * (-1/4) of the chain."""
@@ -180,22 +170,21 @@ class PhiState:
     c_n: float
 
     def eval(self, y):
+        """(phi, phi', defined) at y; both values are nan where not defined."""
         y = np.asarray(y, dtype=float)
         sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
         defined = np.abs(sn) >= POLE_EPS
         phi = _masked_div(defined, dn, sn)
         dphi = _masked_div(defined, -cn, sn, 2)
         c = -0.25
+        # values under the mask are carried along unused and blanked once at the end
         for _ in range(self.index):
             defined = defined & (np.abs(phi) >= POLE_EPS)
             safe = np.where(defined, phi, 1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                phi_next = dphi / safe
-                dphi_next = (safe**4 - c) / safe**2
-            phi = np.where(defined, phi_next, np.nan)
-            dphi = np.where(defined, dphi_next, np.nan)
+                phi, dphi = dphi / safe, (safe**4 - c) / safe**2
             c = -4.0 * c
-        return phi, dphi, defined
+        return np.where(defined, phi, np.nan), np.where(defined, dphi, np.nan), defined
 
 
 def phi_chain(index: int) -> PhiState:
@@ -205,7 +194,8 @@ def phi_chain(index: int) -> PhiState:
     return PhiState(index=int(index), c_n=chain_constant(int(index)))
 
 
-_K_QUARTER = complete_elliptic_K(MODULUS_INV_SQRT2)
+# real quarter-period K(1/sqrt2) of the chain seed ds: its poles sit at multiples of 2K
+CHAIN_K = complete_elliptic_K(MODULUS_INV_SQRT2)
 
 # equations solved by the chain kinds
 _EQ_CUBIC_MINUS = PowerLaw(3.0)  # u_t - u_xx = -2 u^3
@@ -228,6 +218,14 @@ def _chain_factor(kind: str, index: int) -> float:
             raise CatalogError("focusing chain solutions need an even index (C_n < 0)")
         return 2.0 * math.sqrt(-c_n)
     raise CatalogError(f"unknown chain kind {kind!r}; valid: {_CHAIN_KINDS}")
+
+
+def _chain_u(kind: str, amp, phi, defined):
+    """(u, defined) of amp * phi (direct) or amp / phi (inverse/focusing), nan where masked."""
+    if kind == "direct":
+        return amp * phi, defined
+    defined = defined & (np.abs(phi) >= POLE_EPS)
+    return _masked_div(defined, amp, phi), defined
 
 
 _CHAIN_WINDOWS = {
@@ -269,15 +267,8 @@ def elliptic_solution(kind: str, index: int, sign: int = 1) -> Sampler:
         raise CatalogError("sign must be +1 or -1")
 
     def fn(x, t, state=state, factor=factor, sign=sign, kind=kind):
-        y = x * x + 6.0 * t
-        phi, _, defined = state.eval(y)
-        if kind == "direct":
-            u = sign * factor * x * phi
-        else:
-            defined = defined & (np.abs(phi) >= POLE_EPS)
-            safe = np.where(defined, phi, 1.0)
-            u = sign * factor * x / safe
-        return np.where(defined, u, np.nan), defined
+        phi, _, defined = state.eval(x * x + 6.0 * t)
+        return _chain_u(kind, sign * factor * x, phi, defined)
 
     return Sampler(
         fn=fn,
@@ -325,13 +316,7 @@ def cosh_cos_solution(sign: int, k1: float, k2: float, kind: str, index: int) ->
             w = k1 * np.cos(arg) * damp
             wx = -k1 * np.sin(arg) * damp
         phi, _, defined = state.eval(w)
-        if kind == "direct":
-            u = (factor / 2.0) * wx * phi
-        else:
-            defined = defined & (np.abs(phi) >= POLE_EPS)
-            safe = np.where(defined, phi, 1.0)
-            u = (factor / 2.0) * wx / safe
-        return np.where(defined, u, np.nan), defined
+        return _chain_u(kind, (factor / 2.0) * wx, phi, defined)
 
     shape = "cosh" if use_cosh else "cos"
     # keep w inside the clean chain interval; the cosh exponential grows, so
@@ -376,8 +361,7 @@ def plane_wave(n: float, c1: float, c2: float, lambda2: float) -> Sampler:
             den = 1.0 + c2 * np.exp(theta)
         base = _masked_div(np.abs(den) >= POLE_EPS, c1, den)
         u, defined = _masked_pow(base, k)
-        defined = defined & np.isfinite(base)
-        return np.where(defined, u, np.nan), defined
+        return u, defined & np.isfinite(base)
 
     velocity = lambda2 - (2.0 * k + 1.0) * c1
     note = "smooth for c2 >= 0" if c2 >= 0 else "singular line where 1 + c2 e^theta = 0 (masked)"
@@ -436,7 +420,7 @@ def solitary_wave(n: float, nu: float, sigma: float, branch: str, C: float = 0.0
             u, defined = _masked_pow(base, -k_exp)
             if half_sensitive:
                 defined = defined & (base > 0.0)
-            return np.where(defined, amp * u, np.nan), defined
+            return amp * u, defined
 
         note = "moving singular point at x = sigma t/sqrt2 - C (masked)"
         x0 = 1.0 - C + drift
@@ -458,7 +442,7 @@ def solitary_wave(n: float, nu: float, sigma: float, branch: str, C: float = 0.0
             defined = defined & defined0
             if half_sensitive:
                 defined = defined & (s > 0.0)
-            return np.where(defined, amp * u, np.nan), defined
+            return amp * u, defined
 
         if branch == "tan":
             note = "periodic poles of tan masked; valid on the -tan > 0 half-periods"
@@ -513,7 +497,7 @@ def fisher_front(form: str = "tanh", complement: bool = False, c: float = 0.0,
         u = 0.25 * (1.0 - h) ** 2
         if complement:
             u = 1.0 - u
-        return np.where(defined, u, np.nan), defined
+        return u, defined
 
     v = 5.0 / SQRT6 * sgn_y
     if form == "coth":
@@ -572,8 +556,7 @@ def fisher_weierstrass(C: float, k_shift: float = 0.0, reflect_y: bool = False) 
     def fn(y, tau):
         z = np.exp(-sgn_y * y / SQRT6 + 5.0 * tau / 6.0 + k_shift)
         p, _, defined = weierstrass_p(z, inv)
-        u = WEIERSTRASS_PREFACTOR * z * z * p
-        return np.where(defined, u, np.nan), defined
+        return WEIERSTRASS_PREFACTOR * z * z * p, defined
 
     omega = weierstrass_real_half_period(inv)
     # rectangle keeping z inside [0.03, 0.45] * 2*omega: scales with C so
@@ -622,8 +605,7 @@ def generalized_fisher(c1: float, form: str = "tanh", c: float = 0.0,
         else:
             defined = np.ones_like(theta, dtype=bool)
             h = th
-        u = 0.25 * c1**2 * (1.0 + h) ** 2
-        return np.where(defined, u, np.nan), defined
+        return 0.25 * c1**2 * (1.0 + h) ** 2, defined
 
     v = -(2.0 * c1 - 3.0) / SQRT6 * sgn_y
     if form == "coth" and c1 != 0.0:
@@ -661,9 +643,7 @@ def perturbed_fisher_bell(epsilon: float, C: float = 0.0) -> Sampler:
 
     def fn(x, t):
         s = 0.5 * (x - velocity * t) + C
-        u = 1.5 / np.cosh(s) ** 2
-        defined = s > 0.0
-        return np.where(defined, u, np.nan), defined
+        return 1.5 / np.cosh(s) ** 2, s > 0.0
 
     return Sampler(
         fn=fn,
@@ -714,17 +694,12 @@ def quadratic_rational(sign: int = 1) -> Sampler:
 class ZSampler:
     """Potential-level solution z(x, t) with its analytic x-derivative.
 
-    fn(x, t) returns (z, z_x, defined) from one evaluation.
+    fn(x, t) returns (z, z_x, defined) from one evaluation on arrays of one
+    shape; z and z_x are unspecified where defined is False.
     """
 
     fn: Callable = field(compare=False)
     label: str = ""
-
-    def sample(self, x, t):
-        """Vectorized (z, defined) with numpy broadcasting of x and t."""
-        xg, tg = _as_grid(x, t)
-        zv, _, ok = self.fn(xg, tg)
-        return zv, ok
 
 
 def potential_transform(z: ZSampler, k: float, equation: EquationSpec | None = None,
@@ -737,7 +712,7 @@ def potential_transform(z: ZSampler, k: float, equation: EquationSpec | None = N
         ok = ok & (np.abs(zv) >= POLE_EPS)
         base = _masked_div(ok, zx, zv)
         u, defined = _masked_pow(base, k)
-        return np.where(ok & defined, u, np.nan), ok & defined
+        return u, ok & defined
 
     eq = equation if equation is not None else QuadraticDecay()
     return Sampler(
@@ -755,8 +730,7 @@ def z_from_phi(index: int) -> ZSampler:
 
     def fn(x, t):
         phi, dphi, defined = state.eval(x * x + 6.0 * t)
-        return (np.where(defined, phi, np.nan), np.where(defined, 2.0 * x * dphi, np.nan),
-                defined)
+        return phi, 2.0 * x * dphi, defined
 
     return ZSampler(fn=fn, label=f"chain-potential[{index}]")
 
@@ -820,7 +794,7 @@ def crosscheck_closed_forms(n_samples: int = 100, seed: int = 12345) -> dict:
     defect instead of hiding it.
     """
     rng = np.random.default_rng(seed)
-    y = rng.uniform(0.25, 2.0 * _K_QUARTER - 0.25, 4 * n_samples)
+    y = rng.uniform(0.25, 2.0 * CHAIN_K - 0.25, 4 * n_samples)
     forms = closed_forms(y)
     chain_vals = {}
     for name, idx, kind in (
@@ -833,15 +807,8 @@ def crosscheck_closed_forms(n_samples: int = 100, seed: int = 12345) -> dict:
         ("hat0", 0, "focusing"),
         ("hat2", 2, "focusing"),
     ):
-        state = phi_chain(idx)
-        phi, _, ok = state.eval(y)
-        factor = _chain_factor(kind, idx) / 2.0
-        if kind == "direct":
-            vals = factor * phi
-        else:
-            ok = ok & (np.abs(phi) >= POLE_EPS)
-            vals = factor / np.where(ok, phi, 1.0)
-        chain_vals[name] = (np.where(ok, vals, np.nan), ok)
+        phi, _, ok = phi_chain(idx).eval(y)
+        chain_vals[name] = _chain_u(kind, _chain_factor(kind, idx) / 2.0, phi, ok)
 
     report = {}
     for name, (closed, ok_c) in forms.items():
@@ -942,21 +909,36 @@ def family_info() -> dict:
     return out
 
 
+def _json_type(value) -> str:
+    """JSON type name of a parameter value; a bool is not a number."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, numbers.Real):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return type(value).__name__
+
+
 def build_family(family_id: str, params: dict | None = None) -> Sampler:
     """Instantiate a registry family, defaults merged under params (and x_shift, t_shift)."""
     if family_id not in FAMILIES:
         raise CatalogError(f"unknown family {family_id!r}; valid families: {sorted(FAMILIES)}")
     info = FAMILIES[family_id]
-    merged = {**info.defaults, **(params or {})}
-    for key, value in merged.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise CatalogError(f"parameter {key!r} must be finite, got {value}")
-    shift_x = merged.pop("x_shift", 0.0)
-    shift_t = merged.pop("t_shift", 0.0)
-    unknown = merged.keys() - info.defaults.keys()
+    defaults = {**info.defaults, "x_shift": 0.0, "t_shift": 0.0}
+    merged = {**defaults, **(params or {})}
+    unknown = merged.keys() - defaults.keys()
     if unknown:
         raise CatalogError(f"unknown parameter {', '.join(map(repr, sorted(unknown)))}; "
                            f"valid: {sorted(info.defaults)}, x_shift, t_shift")
+    for key, value in merged.items():
+        expected = _json_type(defaults[key])
+        if _json_type(value) != expected:
+            raise CatalogError(f"parameter {key!r} must be a {expected}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CatalogError(f"parameter {key!r} must be finite, got {value}")
+    shift_x = merged.pop("x_shift")
+    shift_t = merged.pop("t_shift")
     sampler = info.builder(**merged)
     if shift_x or shift_t:
         sampler = sampler.shifted(shift_x, shift_t)

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import CatalogError, Sampler, build_family, chain_constant, family_info, phi_chain
-from .elliptic import MODULUS_INV_SQRT2, complete_elliptic_K
+from .catalog import (CHAIN_K, CatalogError, Sampler, build_family, chain_constant, family_info,
+                      phi_chain)
 from .equations import spec_to_json
 from .simulate import SimConfig, SimulationError, compare_exact, integrate
 from .verify import (
@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ode_check(args) -> int:
     state = _usage("--chain-index", phi_chain, args.chain_index)
-    y = clean_chain_samples(args.chain_index, args.samples)
+    y = _usage("--samples", clean_chain_samples, args.chain_index, args.samples)
     rep = ode_residual(state, y)
     print(f"chain element {args.chain_index}: C_estimate {rep.c_estimate:+.9f} "
           f"(expected {chain_constant(args.chain_index):+.9f}), "
@@ -226,8 +226,8 @@ def cmd_simulate(args) -> int:
     sampler = _build(args)
     window = _parse_flag("--window", args.window, "x0,x1,nx")
     tspan = _parse_flag("--time", args.time, "t0,t1")
-    cfg = _usage("--window/--time/--safety", SimConfig, *window, *tspan, safety=args.safety,
-                 space_order=args.space_order, n_checkpoints=args.checkpoints)
+    cfg = _usage("--window/--time/--safety/--checkpoints", SimConfig, *window, *tspan,
+                 safety=args.safety, space_order=args.space_order, n_checkpoints=args.checkpoints)
     hist = integrate(sampler.equation, sampler, cfg)
     rep = compare_exact(hist, sampler, level=args.level,
                         registration=args.registration)
@@ -308,12 +308,12 @@ def cmd_velocity(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    K = complete_elliptic_K(MODULUS_INV_SQRT2)
-    y = np.linspace(1e-4, 2 * K - 1e-4, 200001)
+    _usage("--depth", phi_chain, args.depth)
+    y = np.linspace(1e-4, 2 * CHAIN_K - 1e-4, 200001)
     rows = []
     # poles of element n are the base sn = 0 points plus every zero of the
     # elements below it (each division by phi promotes zeros to poles)
-    singular = [0.0, float(round(2 * K, 6))]
+    singular = [0.0, float(round(2 * CHAIN_K, 6))]
     print("index  C_n             zeros (one period)                 singular points")
     for n in range(args.depth + 1):
         phi, _, ok = phi_chain(n).eval(y)

@@ -242,10 +242,7 @@ def weierstrass_p(z, inv: WeierstrassInvariants):
     defined = np.isfinite(z) & (z > 0.0)
     if inv.g3 == 0.0:  # the degenerate lattice: P collapses to 1/z^2
         defined = defined & (np.abs(z) >= POLE_EPS)
-        with np.errstate(divide="ignore"):
-            p = np.where(defined, 1.0 / z**2, np.nan)
-            dp = np.where(defined, -2.0 / z**3, np.nan)
-        return p, dp, defined
+        return _masked_div(defined, 1.0, z, 2), _masked_div(defined, -2.0, z, 3), defined
 
     omega = weierstrass_real_half_period(inv)
     period = 2.0 * omega

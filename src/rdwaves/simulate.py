@@ -68,6 +68,8 @@ class SimConfig:
             raise SimulationError("need at least 16 spatial points")
         if self.t1 < self.t0:
             raise SimulationError("t1 must be >= t0")
+        if self.n_checkpoints < 2:
+            raise SimulationError(f"need at least 2 checkpoints, got {self.n_checkpoints}")
 
     @property
     def h(self) -> float:
@@ -211,6 +213,17 @@ def _crossing(x: np.ndarray, u: np.ndarray, level: float) -> float:
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
+def _line_fit(t: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """(slope, r2) of the least-squares line p = slope * t + intercept."""
+    A = np.vstack([t, np.ones_like(t)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(A, p, rcond=None)
+    fit = A @ np.array([slope, intercept])
+    ss_res = float(np.sum((p - fit) ** 2))
+    ss_tot = float(np.sum((p - p.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(r2)
+
+
 def front_velocity(history: SimHistory, level: float = 0.5) -> tuple[float, float]:
     """Least-squares velocity of the level crossing across checkpoints.
 
@@ -229,15 +242,7 @@ def front_velocity(history: SimHistory, level: float = 0.5) -> tuple[float, floa
         raise AmbiguousFrontError(
             f"level {level} tracked in only {len(times)}/{len(history.times)} checkpoints"
         )
-    tt = np.asarray(times)
-    pp = np.asarray(positions)
-    A = np.vstack([tt, np.ones_like(tt)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, pp, rcond=None)
-    fit = A @ np.array([slope, intercept])
-    ss_res = float(np.sum((pp - fit) ** 2))
-    ss_tot = float(np.sum((pp - pp.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(r2)
+    return _line_fit(np.asarray(times), np.asarray(positions))
 
 
 def register_shift(x: np.ndarray, u_ref: np.ndarray, u: np.ndarray,
@@ -299,14 +304,8 @@ def registration_velocity(history: SimHistory) -> tuple[float, float, float]:
         core = slice(margin, len(x) - margin)
         errs.append(float(np.max(np.abs(u[core] - shifted[core]))))
     tt = np.asarray(history.times, dtype=float)
-    pp = np.asarray(shifts)
-    A = np.vstack([tt - tt[0], np.ones_like(tt)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, pp, rcond=None)
-    fit = A @ np.array([slope, intercept])
-    ss_res = float(np.sum((pp - fit) ** 2))
-    ss_tot = float(np.sum((pp - pp.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(r2), float(np.max(errs))
+    slope, r2 = _line_fit(tt - tt[0], np.asarray(shifts))
+    return slope, r2, float(np.max(errs))
 
 
 def compare_exact(history: SimHistory, s: Sampler, level: float | None = None,

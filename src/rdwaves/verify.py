@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import PhiState, Sampler, ZSampler, chain_constant, phi_chain
+from .catalog import CHAIN_K, PhiState, Sampler, ZSampler, chain_constant, phi_chain
 from .equations import EquationSpec
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "potential_residual",
 ]
 
-_STANDOFF_FACTOR = 5  # stencils within 5 stencil-radii of a masked point are skipped
+_STANDOFF_FACTOR = 5  # stencils within 5 x-radii of a masked point are skipped
 
 
 class VerificationImpossibleError(RuntimeError):
@@ -120,6 +120,24 @@ def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
             view[1:] |= view[:-1]
             view[:-1] |= view[1:]
     return out
+
+
+def _usable(defined: np.ndarray, rx: int, rt: int) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, clear) on the interior rx, rt points inside the grid of defined.
+
+    plus marks stencils whose plus-shaped neighbourhood (rx points along x,
+    rt along t) is defined; clear marks points farther than _STANDOFF_FACTOR
+    * rx grid steps (Chebyshev distance) from every masked point.
+    """
+    ok = defined.copy()
+    for shift in range(1, rx + 1):
+        ok[shift:, :] &= defined[:-shift, :]
+        ok[:-shift, :] &= defined[shift:, :]
+    for shift in range(1, rt + 1):
+        ok[:, shift:] &= defined[:, :-shift]
+        ok[:, :-shift] &= defined[:, shift:]
+    core = np.s_[rx:-rx, rt:-rt]
+    return ok[core], ~_dilate(~defined, _STANDOFF_FACTOR * rx)[core]
 
 
 def _refinement_study(sample, grid: Grid2D, level_residual, radius: tuple[int, int],
@@ -219,18 +237,8 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
             u_xx = (-u0[:-4, :] + 16 * u0[1:-3, :] - 30 * u0[2:-2, :] + 16 * u0[3:-1, :]
                     - u0[4:, :])[:, 2:-2] / (12 * hx**2)
         res = u_t - u_xx - f[core]
-
-        # a stencil is usable when every plus-shaped neighbor is defined
-        ok = defined.copy()
-        for shift in range(1, r + 1):
-            ok[shift:, :] &= defined[:-shift, :]
-            ok[:-shift, :] &= defined[shift:, :]
-            ok[:, shift:] &= defined[:, :-shift]
-            ok[:, :-shift] &= defined[:, shift:]
-        stencil_ok = ok[core]
-        standoff = _dilate(~defined, _STANDOFF_FACTOR * r)
-        return (res, stencil_ok & ~standoff[core],
-                float(stencil_ok.mean()) if stencil_ok.size else 0.0)
+        plus, clear = _usable(defined, r, r)
+        return res, plus & clear, float(plus.mean()) if plus.size else 0.0
 
     return _refinement_study(
         sample, grid, level_residual, (r, r), stencil_order,
@@ -304,13 +312,12 @@ def clean_chain_samples(max_index: int, n: int, seed: int = 77,
     Conditioning filter only: each element's magnitude must stay below
     cap * |C_j|^(1/4) (its natural scale), which keeps the whole ladder away
     from pole neighborhoods - an element blowing up is exactly what flags
-    proximity to a zero of its predecessor.
+    proximity to a zero of its predecessor.  n must be positive (ValueError).
     """
-    from .elliptic import MODULUS_INV_SQRT2, complete_elliptic_K
-
-    K = complete_elliptic_K(MODULUS_INV_SQRT2)
+    if n < 1:
+        raise ValueError(f"need at least one sample, got {n}")
     rng = np.random.default_rng(seed)
-    y = rng.uniform(0.05, 2 * K - 0.05, 200 * n)
+    y = rng.uniform(0.05, 2 * CHAIN_K - 0.05, 200 * n)
     keep = np.ones_like(y, dtype=bool)
     for j in range(max_index + 1):
         phi, _, ok = phi_chain(j).eval(y)
@@ -416,7 +423,7 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
     l4 = params.get("lambda4", 0.0)
 
     def sample(X, T):
-        zv, ok = z.sample(X, T)
+        zv, _, ok = z.fn(X, T)
         return np.where(ok, zv, 0.0), ok
 
     def level_residual(fields, hx, ht):
@@ -448,14 +455,8 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
                                 + np.abs((2.0 * k + 1.0) * z_xxc))
             res = (lhs - rhs) / np.maximum(scale, 1e-12)
 
-        okc = ok.copy()
-        for shift in range(1, 4):
-            okc[shift:, :] &= ok[:-shift, :]
-            okc[:-shift, :] &= ok[shift:, :]
-        for shift in range(1, 3):
-            okc[:, shift:] &= ok[:, :-shift]
-            okc[:, :-shift] &= ok[:, shift:]
-        valid = okc[3:-3, 2:-2] & ~_dilate(~ok, 3 * _STANDOFF_FACTOR)[3:-3, 2:-2]
+        plus, clear = _usable(ok, 3, 2)
+        valid = plus & clear
         return res, valid, float(valid.mean()) if valid.size else 0.0
 
     return _refinement_study(sample, grid, level_residual, (3, 2), 4, "for the potential")

@@ -28,7 +28,7 @@ from rdwaves.catalog import (
     z_from_phi,
     z_plane_wave,
 )
-from rdwaves.elliptic import MODULUS_INV_SQRT2, complete_elliptic_K, jacobi_sn_cn_dn
+from rdwaves.elliptic import MODULUS_INV_SQRT2, POLE_EPS, complete_elliptic_K, jacobi_sn_cn_dn
 
 K = complete_elliptic_K(MODULUS_INV_SQRT2)
 SQRT6 = math.sqrt(6.0)
@@ -426,4 +426,103 @@ class TestRegistry:
         x0, x1, t0, t1 = built.suggested_window
         X, T = np.meshgrid(np.linspace(x0, x1, 17), np.linspace(t0, t1, 9), indexing="ij")
         for a, b in zip(direct.sample(X, T), built.sample(X, T)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("fid, params, key", [
+        ("chain", {"index": "a"}, "index"),
+        ("chain", {"index": True}, "index"),
+        ("chain", {"kind": 1}, "kind"),
+        ("fisher-front", {"complement": "no"}, "complement"),
+        ("fisher-front", {"complement": 0}, "complement"),
+        ("bell", {"epsilon": None}, "epsilon"),
+        ("bell", {"x_shift": "1"}, "x_shift"),
+    ])
+    def test_wrong_value_type_rejected(self, fid, params, key):
+        with pytest.raises(CatalogError, match=f"'{key}' must be a"):
+            build_family(fid, params)
+
+    def test_numbers_accept_ints_and_floats(self):
+        a = build_family("generalized-fisher", {"c1": 3, "x_shift": 1})
+        b = build_family("generalized-fisher", {"c1": 3.0, "x_shift": 1.0})
+        assert a.params == b.params
+        assert build_family("chain", {"index": np.int64(2)}).params["index"] == 2
+
+
+# exact y = x^2 + 6t pole and zero points of the chain elements (multiples of
+# K/8 at t = 0), and the zero of cos at x = pi/2, so that masks are exercised
+POLE_X = np.r_[np.sqrt(np.arange(17) * K / 8.0), math.pi / 2.0]
+
+
+def _masked_cases():
+    cases = [(fid, {}) for fid in FAMILIES]
+    cases += [("plane-wave", {"c2": -0.5}), ("solitary", {"branch": "tanh_inverse"}),
+              ("solitary", {"branch": "tan", "nu": 1.2}),
+              ("solitary", {"branch": "rational", "nu": 0.0}), ("fisher-front", {"form": "coth"}),
+              ("fisher-exp", {"c2": -0.5}), ("generalized-fisher", {"form": "coth"}),
+              ("quadratic-rational", {"sign": -1})]
+    for fid, depth in (("chain", 8), ("chain-exp", 4)):
+        for kind, first in (("direct", 0), ("inverse", 1), ("focusing", 0)):
+            step = 1 if kind == "direct" else 2
+            for index in range(first, depth, step):
+                for sign in (-1, 1):
+                    cases.append((fid, {"kind": kind, "index": index, "sign": sign}))
+    return cases
+
+
+class TestMaskedCells:
+    """Sampler.sample is nan wherever defined is False, for every variant."""
+
+    @staticmethod
+    def grid(s):
+        x0, x1, t0, t1 = s.suggested_window
+        w, ht = x1 - x0, t1 - t0
+        x = np.r_[np.linspace(x0 - w, x1 + w, 33), POLE_X]
+        t = np.r_[np.linspace(t0 - ht, t1 + ht, 17), 0.0]
+        return np.meshgrid(x, t, indexing="ij")
+
+    @pytest.mark.parametrize("fid, params", _masked_cases())
+    def test_masked_cells_are_nan(self, fid, params):
+        s = build_family(fid, params)
+        X, T = self.grid(s)
+        dx, dt = 0.5, 0.25
+        for sampler, x, t in ((s, X, T), (s.perturbed(), X, T),
+                              (s.shifted(dx, dt), X + dx, T + dt)):
+            u, defined = sampler.sample(x, t)
+            assert u.shape == defined.shape == X.shape
+            assert np.isnan(u[~defined]).all()
+        if fid == "chain":  # y = 0 is a pole of every chain element
+            assert not s.sample(X, T)[1].all()
+
+
+def reference_phi_eval(index: int, y):
+    """The chain recurrence with the values re-masked at every level."""
+    y = np.asarray(y, dtype=float)
+    sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
+    defined = np.abs(sn) >= POLE_EPS
+    safe_sn = np.where(defined, sn, 1.0)
+    phi = np.where(defined, dn / safe_sn, np.nan)
+    dphi = np.where(defined, -cn / safe_sn**2, np.nan)
+    c = -0.25
+    for _ in range(index):
+        defined = defined & (np.abs(phi) >= POLE_EPS)
+        safe = np.where(defined, phi, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_next = dphi / safe
+            dphi_next = (safe**4 - c) / safe**2
+        phi = np.where(defined, phi_next, np.nan)
+        dphi = np.where(defined, dphi_next, np.nan)
+        c = -4.0 * c
+    return phi, dphi, defined
+
+
+class TestPhiStateMasking:
+    @pytest.mark.parametrize("depth", range(8))
+    def test_eval_matches_per_level_masking(self, depth):
+        # the y grid crosses poles of ds and the dyadic zeros of every element
+        y = np.r_[np.linspace(-2 * K - 0.3, 4 * K + 0.3, 4001), np.arange(-16, 33) * K / 8.0]
+        got = phi_chain(depth).eval(y)
+        expected = reference_phi_eval(depth, y)
+        assert np.array_equal(got[2], expected[2])
+        assert not got[2].all()
+        for a, b in zip(got[:2], expected[:2]):
             assert np.array_equal(a, b, equal_nan=True)

@@ -149,6 +149,14 @@ class TestSample:
             main(["sample", "--family", "fisher-front", "--params", "{oops",
                   "--out", "/tmp/x.csv"])
 
+    def test_wrong_param_type_usage_error(self, capsys, tmp_path):
+        # a bool index would verify index 1; a string one failed in the arithmetic
+        out = tmp_path / "v.json"
+        for raw in ('{"index": "a"}', '{"index": true}'):
+            with pytest.raises(SystemExit, match="'index' must be a number"):
+                main(["verify", "--family", "chain", "--params", raw, "--out", str(out)])
+        assert not out.exists()
+
     def test_misspelled_param_key_usage_error(self, capsys, tmp_path):
         # a silently dropped key would verify the default c1 = 2 instead
         out = tmp_path / "v.json"
@@ -176,6 +184,13 @@ class TestMalformedFlags:
         ("--id", ["figures", "--id", "1,9", "--outdir", "figs"]),
         ("--chain-index", ["ode-check", "--chain-index=-1", "--out", "o.json"]),
         ("--h", ["velocity", "--family", "fisher-front", "--h", "0", "--out", "v.json"]),
+        ("--samples", ["ode-check", "--chain-index", "2", "--samples", "0", "--out", "o.json"]),
+        ("--samples", ["ode-check", "--samples=-3", "--out", "o.json"]),
+        ("--checkpoints", ["simulate", "--family", "fisher-front", "--window=-6,8,141",
+                           "--time", "0,0.5", "--checkpoints", "1", "--out", "run"]),
+        ("--checkpoints", ["simulate", "--family", "fisher-front", "--window=-6,8,141",
+                           "--time", "0,0.5", "--checkpoints", "0", "--out", "run"]),
+        ("--depth", ["chain", "--depth=-1", "--out", "c.json"]),
     ])
     def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
         monkeypatch.chdir(tmp_path)

@@ -19,6 +19,7 @@ from rdwaves.simulate import (
     SimConfig,
     SimHistory,
     SimulationError,
+    _line_fit,
     compare_exact,
     front_velocity,
     integrate,
@@ -47,6 +48,12 @@ class TestConfig:
             SimConfig(-1, 1, 64, 0, 1, space_order=3)
         with pytest.raises(SimulationError):
             SimConfig(-1, 1, 8, 0, 1)
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_needs_two_checkpoints(self, n):
+        # one checkpoint integrated 0 steps, none indexed past the end
+        with pytest.raises(SimulationError, match="at least 2 checkpoints"):
+            SimConfig(-1, 1, 64, 0, 1, n_checkpoints=n)
 
     def test_dt_bound(self):
         cfg = SimConfig(-1, 1, 101, 0, 1, safety=0.5)
@@ -235,6 +242,13 @@ class TestFrontVelocity:
         v, r2 = front_velocity(hist, 0.5)
         assert v == pytest.approx(1.5, abs=1e-10)
         assert r2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_line_fit(self):
+        t = np.linspace(0.0, 2.0, 9)
+        slope, r2 = _line_fit(t, 1.5 * t - 0.25)
+        assert slope == pytest.approx(1.5, abs=1e-12) and r2 == pytest.approx(1.0, abs=1e-12)
+        slope, r2 = _line_fit(t, np.full_like(t, 3.0))  # no spread: a perfect fit
+        assert slope == pytest.approx(0.0, abs=1e-12) and r2 == 1.0
 
     def test_ambiguous_front(self):
         cfg = SimConfig(-10.0, 10.0, 401, 0.0, 1.0, n_checkpoints=5)

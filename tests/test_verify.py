@@ -22,6 +22,7 @@ from rdwaves.verify import (
     Grid2D,
     VerificationImpossibleError,
     _dilate,
+    _usable,
     clean_chain_samples,
     ode_residual,
     pde_residual,
@@ -111,6 +112,48 @@ class TestDilate:
         corner = np.zeros((10, 8), dtype=bool)
         corner[0, 0] = True
         assert _dilate(corner, 9).all() and not _dilate(corner, 8)[9].any()
+
+
+def reference_pde_masks(defined, r):
+    """pde_residual's plus-stencil loop and standoff, written out for one radius r."""
+    ok = defined.copy()
+    for shift in range(1, r + 1):
+        ok[shift:, :] &= defined[:-shift, :]
+        ok[:-shift, :] &= defined[shift:, :]
+        ok[:, shift:] &= defined[:, :-shift]
+        ok[:, :-shift] &= defined[:, shift:]
+    core = np.s_[r:-r, r:-r]
+    return ok[core], _dilate(~defined, 5 * r)[core]
+
+
+def reference_potential_valid(ok):
+    """potential_residual's (3, 2) stencil loop and standoff, written out by hand."""
+    okc = ok.copy()
+    for shift in range(1, 4):
+        okc[shift:, :] &= ok[:-shift, :]
+        okc[:-shift, :] &= ok[shift:, :]
+    for shift in range(1, 3):
+        okc[:, shift:] &= ok[:, :-shift]
+        okc[:, :-shift] &= ok[:, shift:]
+    return okc[3:-3, 2:-2] & ~_dilate(~ok, 15)[3:-3, 2:-2]
+
+
+class TestUsable:
+    @pytest.mark.parametrize("rx, rt", [(1, 1), (2, 2), (3, 2)])
+    def test_matches_both_stencil_loops(self, rx, rt):
+        rng = np.random.default_rng(10 * rx + rt)
+        for density in (0.0005, 0.005, 0.2):
+            defined = rng.random((97, 65)) >= density
+            defined[40:43, 20:22] = False  # a hole wider than one point
+            plus, clear = _usable(defined, rx, rt)
+            assert plus.shape == clear.shape == (97 - 2 * rx, 65 - 2 * rt)
+            if rx == rt:
+                ref_plus, standoff = reference_pde_masks(defined, rx)
+                assert np.array_equal(plus, ref_plus)
+                assert np.array_equal(clear, ~standoff)
+            else:
+                assert np.array_equal(plus & clear, reference_potential_valid(defined))
+            assert plus.any() and not clear.all()
 
 
 class TestPdeResidual:
@@ -248,6 +291,11 @@ class TestOdeResidual:
     def test_all_masked_raises(self):
         with pytest.raises(VerificationImpossibleError):
             ode_residual(phi_chain(0), np.zeros(5))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_clean_samples_need_a_positive_count(self, n):
+        with pytest.raises(ValueError, match="at least one sample"):
+            clean_chain_samples(2, n)
 
 
 class TestPropositionSuite:
