@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,29 +47,32 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_json(path: Path, payload: dict, outputs: list[Path]) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _emit(path: Path, text: str, outputs: list[Path]) -> None:
+    """Write one output file atomically and record it for the command's manifest."""
+    _atomic_write(path, text)
     outputs.append(path)
 
 
+def _json_text(payload: dict) -> str:
+    """The JSON text of a report, manifest or listing: payload under schema, sorted keys."""
+    return json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True) + "\n"
+
+
 def _write_manifest(base: Path, command: str, parameters: dict, outputs: list[Path]) -> None:
-    manifest = {
-        "schema": SCHEMA,
+    _atomic_write(base, _json_text({
         "command": command,
         "parameters": parameters,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "outputs": sorted(str(p) for p in outputs),
-    }
-    _atomic_write(base, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    }))
 
 
 def _write_report(out: str | None, command: str, payload: dict, parameters: dict) -> None:
     """JSON report at out and its manifest beside it; nothing when out is unset."""
     if out:
         outputs: list[Path] = []
-        _write_json(Path(out), payload, outputs)
+        _emit(Path(out), _json_text(payload), outputs)
         _write_manifest(Path(out).with_suffix(".manifest.json"), command, parameters, outputs)
 
 
@@ -150,7 +154,7 @@ def _build(args) -> Sampler:
 
 
 def cmd_list(args) -> int:
-    print(json.dumps({"schema": SCHEMA, "families": family_info()}, indent=2, sort_keys=True))
+    print(_json_text({"families": family_info()}), end="")
     return 0
 
 
@@ -165,12 +169,10 @@ def cmd_sample(args) -> int:
               file=sys.stderr)
     outputs: list[Path] = []
     out = Path(args.out)
-    _atomic_write(out, _grid_csv(grid.x, grid.t, u, defined))
-    outputs.append(out)
+    _emit(out, _grid_csv(grid.x, grid.t, u, defined), outputs)
     if args.gnuplot:
-        gp = out.with_suffix(".gp")
-        _atomic_write(gp, _gnuplot_script(out, f"{args.family} {sampler.params}"))
-        outputs.append(gp)
+        _emit(out.with_suffix(".gp"), _gnuplot_script(out, f"{args.family} {sampler.params}"),
+              outputs)
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "sample",
                     {"family": args.family, "params": sampler.params,
                      "grid": args.grid, "defined_fraction": frac}, outputs)
@@ -188,7 +190,7 @@ def cmd_verify(args) -> int:
         "equation": spec_to_json(sampler.equation),
         "residual_clean_expected": sampler.residual_clean,
         "grid": [grid.x_min, grid.x_max, grid.n_x, grid.t_min, grid.t_max, grid.n_t],
-        "report": report.to_json(),
+        "report": asdict(report),
     }
     _write_report(args.out, "verify", payload, {"family": args.family, "params": sampler.params})
     order = f"{report.order_estimate:.2f}" if report.order_estimate is not None else "n/a"
@@ -216,8 +218,8 @@ def cmd_ode_check(args) -> int:
               f"(max deviation {r.max_deviation:.2e})")
     _write_report(args.out, "ode-check", {
         "chain_index": args.chain_index,
-        "ode_residual": rep.to_json(),
-        "propositions": [r.to_json() for r in rows],
+        "ode_residual": asdict(rep),
+        "propositions": [asdict(r) for r in rows],
     }, {"chain_index": args.chain_index})
     return 0 if all(r.passed for r in rows) else 1
 
@@ -233,20 +235,17 @@ def cmd_simulate(args) -> int:
                         registration=args.registration)
     outputs: list[Path] = []
     prefix = Path(args.out)
-    for i, (t, u) in enumerate(zip(hist.times, hist.fields)):
-        p = prefix.parent / f"{prefix.name}_ck{i}.csv"
-        _atomic_write(p, _profile_csv(hist.x, u))
-        outputs.append(p)
-    report_path = prefix.parent / f"{prefix.name}_report.json"
-    _write_json(report_path, {
+    for i, u in enumerate(hist.fields):
+        _emit(prefix.parent / f"{prefix.name}_ck{i}.csv", _profile_csv(hist.x, u), outputs)
+    _emit(prefix.parent / f"{prefix.name}_report.json", _json_text({
         "family": args.family,
         "params": sampler.params,
         "config": {"x_min": cfg.x_min, "x_max": cfg.x_max, "n_x": cfg.n_x,
                    "t0": cfg.t0, "t1": cfg.t1, "safety": cfg.safety,
                    "space_order": cfg.space_order},
         "steps": hist.steps_taken,
-        "report": rep.to_json(),
-    }, outputs)
+        "report": asdict(rep),
+    }), outputs)
     _write_manifest(prefix.parent / f"{prefix.name}_manifest.json", "simulate",
                     {"family": args.family, "params": sampler.params}, outputs)
     print(f"simulated {hist.steps_taken} steps; max checkpoint error "
@@ -308,18 +307,17 @@ def cmd_velocity(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    _usage("--depth", phi_chain, args.depth)
+    state = _usage("--depth", phi_chain, args.depth)
     y = np.linspace(1e-4, 2 * CHAIN_K - 1e-4, 200001)
     rows = []
     # poles of element n are the base sn = 0 points plus every zero of the
     # elements below it (each division by phi promotes zeros to poles)
     singular = [0.0, float(round(2 * CHAIN_K, 6))]
     print("index  C_n             zeros (one period)                 singular points")
-    for n in range(args.depth + 1):
-        phi, _, ok = phi_chain(n).eval(y)
-        moderate = ok & (np.abs(phi) < 1e3)
-        prod = np.where(moderate[:-1] & moderate[1:], phi[:-1] * phi[1:], 1.0)
-        zeros = [float(round(y[i], 6)) for i in np.where(prod < 0)[0]]
+    for n, (phi, _, ok) in enumerate(state.levels(y)):
+        # sign changes between neighbours where both values are moderate
+        phi = np.where(ok & (np.abs(phi) < 1e3), phi, 0.0)
+        zeros = [float(round(y[i], 6)) for i in np.where(phi[:-1] * phi[1:] < 0)[0]]
         rows.append({"index": n, "c_n": chain_constant(n), "zeros": zeros,
                      "singular": sorted(singular)})
         print(f"{n:5d}  {chain_constant(n):+12.6f}   {str(zeros):34s} {sorted(singular)}")
@@ -405,14 +403,12 @@ def cmd_figures(args) -> int:
         sampler, X, T, u, defined, spec = figure_data(fig_id)
         gate = _gate(fig_id, sampler, u, defined)
         csv_path = outdir / f"figure{fig_id}.csv"
-        _atomic_write(csv_path, _grid_csv(X[:, 0], T[0, :], u, defined))
-        outputs.append(csv_path)
-        _write_json(outdir / f"figure{fig_id}.json",
-                    {"caption": spec["caption"], **gate}, outputs)
+        _emit(csv_path, _grid_csv(X[:, 0], T[0, :], u, defined), outputs)
+        _emit(outdir / f"figure{fig_id}.json", _json_text({"caption": spec["caption"], **gate}),
+              outputs)
         if args.gnuplot:
-            gp = outdir / f"figure{fig_id}.gp"
-            _atomic_write(gp, _gnuplot_script(csv_path, spec["caption"]))
-            outputs.append(gp)
+            _emit(outdir / f"figure{fig_id}.gp", _gnuplot_script(csv_path, spec["caption"]),
+                  outputs)
         ok = (gate["defined_fraction"] >= 0.9 and gate["finite"]
               and (gate["residual_order"] or 0.0) >= 3.5)
         all_ok &= ok

@@ -12,7 +12,7 @@ values, and the scalar rhs_eval turns such a nan into an EquationError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -86,13 +86,9 @@ class EquationSpec:
         raise NotImplementedError
 
     def params(self) -> dict:
-        out = {}
-        for name in getattr(self, "__dataclass_fields__", {}):
-            val = getattr(self, name)
-            if callable(val):
-                continue
-            out[name] = val
-        return out
+        """Field values by name, leaving out callables (KPPGeneric's f)."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: val for name, val in values.items() if not callable(val)}
 
     def describe(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params().items())
@@ -280,11 +276,12 @@ class KPPReport:
         return self.f0_zero and self.f1_zero and self.fprime0_positive and self.interior_bound_ok
 
 
-def kpp_check(spec: EquationSpec, tol: float = 1e-9, n_interior: int = 199) -> KPPReport:
+def kpp_check(spec: EquationSpec) -> KPPReport:
     """Check the front-supporting conditions on [0, 1] numerically.
 
-    f'(0) uses a one-sided second-order difference (h = 1e-6) since several
-    families are undefined for u < 0.
+    f(0) and f(1) count as zero below 1e-9; f'(0) uses a one-sided
+    second-order difference (h = 1e-6) since several families are undefined
+    for u < 0, and the bound on f' is checked at 199 interior points.
     """
     h = 1e-6
 
@@ -296,7 +293,7 @@ def kpp_check(spec: EquationSpec, tol: float = 1e-9, n_interior: int = 199) -> K
 
     f0, f1 = f(0.0), f(1.0)
     fprime0 = (-3.0 * f(0.0) + 4.0 * f(h) - f(2.0 * h)) / (2.0 * h)
-    us = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
+    us = np.linspace(0.0, 1.0, 201)[1:-1]
     fu = spec.rhs(us)
     dfu = np.gradient(fu, us)
     interior_ok = bool(np.all(np.isfinite(dfu)) and np.all(dfu < fprime0 + 1e-6))
@@ -304,8 +301,8 @@ def kpp_check(spec: EquationSpec, tol: float = 1e-9, n_interior: int = 199) -> K
         f0=f0,
         f1=f1,
         fprime0=fprime0,
-        f0_zero=abs(f0) < tol,
-        f1_zero=abs(f1) < tol,
+        f0_zero=abs(f0) < 1e-9,
+        f1_zero=abs(f1) < 1e-9,
         fprime0_positive=fprime0 > 0.0,
         interior_bound_ok=interior_ok,
     )
@@ -352,29 +349,17 @@ def build_eq47(n: float, c1: float, lambda2: float) -> Eq47Build:
     )
 
 
-_VARIANTS = {
-    "Fisher": Fisher,
-    "CubicPolynomial": CubicPolynomial,
-    "PowerLaw": PowerLaw,
-    "GeneralFamily": GeneralFamily,
-    "SigmaFamily": SigmaFamily,
-    "PerturbedFisher": PerturbedFisher,
-    "GeneralizedFisher": GeneralizedFisher,
-    "QuadraticDecay": QuadraticDecay,
-}
-
-
 def spec_to_json(spec: EquationSpec) -> dict:
     """JSON form {variant, params}; KPPGeneric carries a label only."""
-    if isinstance(spec, KPPGeneric):
-        return {"variant": "KPPGeneric", "params": {"label": spec.label}}
     return {"variant": spec.variant, "params": spec.params()}
 
 
 def spec_from_json(obj: dict) -> EquationSpec:
+    """Inverse of spec_to_json over the EquationSpec subclasses, KPPGeneric excepted."""
     variant = obj.get("variant")
     if variant == "KPPGeneric":
         raise EquationError("KPPGeneric carries a Python callable and cannot be deserialized")
-    if variant not in _VARIANTS:
-        raise EquationError(f"unknown equation variant {variant!r}; valid: {sorted(_VARIANTS)}")
-    return _VARIANTS[variant](**obj.get("params", {}))
+    variants = {cls.__name__: cls for cls in EquationSpec.__subclasses__() if cls is not KPPGeneric}
+    if variant not in variants:
+        raise EquationError(f"unknown equation variant {variant!r}; valid: {sorted(variants)}")
+    return variants[variant](**obj.get("params", {}))

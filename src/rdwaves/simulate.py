@@ -110,16 +110,6 @@ class SimReport:
     velocity_fit_r2: float | None
     velocity_method: str = "none"
 
-    def to_json(self) -> dict:
-        return {
-            "times": list(self.times),
-            "max_abs_errors": list(self.max_abs_errors),
-            "l2_errors": list(self.l2_errors),
-            "measured_velocity": self.measured_velocity,
-            "velocity_fit_r2": self.velocity_fit_r2,
-            "velocity_method": self.velocity_method,
-        }
-
 
 def integrate(eq: EquationSpec, init: Sampler, cfg: SimConfig) -> SimHistory:
     """March u_t = u_xx + f(u) with four-stage Runge-Kutta.
@@ -245,13 +235,11 @@ def front_velocity(history: SimHistory, level: float = 0.5) -> tuple[float, floa
     return _line_fit(np.asarray(times), np.asarray(positions))
 
 
-def register_shift(x: np.ndarray, u_ref: np.ndarray, u: np.ndarray,
-                   max_shift: float | None = None) -> float:
+def register_shift(x: np.ndarray, u_ref: np.ndarray, u: np.ndarray) -> float:
     """Shift s minimizing sum (u(x) - u_ref(x - s))^2, by golden-section search
-    over interpolated profiles."""
+    over interpolated profiles; |s| stays within a quarter of the window."""
     h = x[1] - x[0]
-    if max_shift is None:
-        max_shift = 0.25 * (x[-1] - x[0])
+    max_shift = 0.25 * (x[-1] - x[0])
 
     def cost(s: float) -> float:
         shifted = np.interp(x, x + s, u_ref)

@@ -98,18 +98,6 @@ class ResidualReport:
     worst: tuple[tuple[float, float, float], ...] = ()
     stencil_order: int = 4
 
-    def to_json(self) -> dict:
-        return {
-            "max_abs": self.max_abs,
-            "l2": self.l2,
-            "defined_fraction": self.defined_fraction,
-            "order_estimate": self.order_estimate,
-            "level_max_abs": list(self.level_max_abs),
-            "orders": list(self.orders),
-            "worst": [list(w) for w in self.worst],
-            "stencil_order": self.stencil_order,
-        }
-
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Chebyshev dilation of a boolean mask by whole grid steps; nothing wraps at the edges."""
@@ -252,14 +240,6 @@ class OdeResidualReport:
     c_estimate: float
     n_valid: int
 
-    def to_json(self) -> dict:
-        return {
-            "second_order_max": self.second_order_max,
-            "first_integral_std": self.first_integral_std,
-            "c_estimate": self.c_estimate,
-            "n_valid": self.n_valid,
-        }
-
 
 def _fd_second(f, y: np.ndarray, h: float) -> np.ndarray:
     """Richardson-extrapolated 4th-order second derivative (net 6th order)."""
@@ -276,16 +256,14 @@ def _chain_scale(c_n: float) -> float:
     return abs(c_n) ** 0.25
 
 
-def ode_residual(state: PhiState, y_samples, h: float | None = None) -> OdeResidualReport:
+def ode_residual(state: PhiState, y_samples) -> OdeResidualReport:
     """Chain-element check: phi'' = 2 phi^3 by finite differences, plus the
     first integral (phi')^2 - phi^4 from the analytic pair.
 
-    The default step follows the element's oscillation length 1/|C_n|^(1/4),
+    The step follows the element's oscillation length 1/|C_n|^(1/4),
     balancing truncation against the rounding noise of the chain values.
     """
-    s = _chain_scale(state.c_n)
-    if h is None:
-        h = 0.012 / s
+    h = 0.012 / _chain_scale(state.c_n)
     y = np.asarray(y_samples, dtype=float)
     phi, dphi, ok = state.eval(y)
     # drop samples whose finite-difference neighborhood touches a pole
@@ -305,12 +283,11 @@ def ode_residual(state: PhiState, y_samples, h: float | None = None) -> OdeResid
     )
 
 
-def clean_chain_samples(max_index: int, n: int, seed: int = 77,
-                        cap: float = 2.5) -> np.ndarray:
+def clean_chain_samples(max_index: int, n: int, seed: int = 77) -> np.ndarray:
     """Sample y on one period with every element up to max_index moderate.
 
     Conditioning filter only: each element's magnitude must stay below
-    cap * |C_j|^(1/4) (its natural scale), which keeps the whole ladder away
+    2.5 |C_j|^(1/4) (its natural scale), which keeps the whole ladder away
     from pole neighborhoods - an element blowing up is exactly what flags
     proximity to a zero of its predecessor.  n must be positive (ValueError).
     """
@@ -319,9 +296,8 @@ def clean_chain_samples(max_index: int, n: int, seed: int = 77,
     rng = np.random.default_rng(seed)
     y = rng.uniform(0.05, 2 * CHAIN_K - 0.05, 200 * n)
     keep = np.ones_like(y, dtype=bool)
-    for j in range(max_index + 1):
-        phi, _, ok = phi_chain(j).eval(y)
-        keep &= ok & (np.abs(phi) <= cap * _chain_scale(chain_constant(j)))
+    for j, (phi, _, ok) in enumerate(phi_chain(max_index).levels(y)):
+        keep &= ok & (np.abs(phi) <= 2.5 * _chain_scale(chain_constant(j)))
     y = y[keep]
     if y.size < n:
         raise VerificationImpossibleError(
@@ -337,17 +313,8 @@ class PropositionRow:
     max_deviation: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "proposition": self.proposition,
-            "max_deviation": self.max_deviation,
-            "passed": self.passed,
-        }
 
-
-def proposition_suite(max_index: int = 6, n_samples: int = 200, tol: float = 1e-7,
-                      seed: int = 77) -> list[PropositionRow]:
+def proposition_suite(max_index: int = 6, n_samples: int = 200) -> list[PropositionRow]:
     """Numerical checks of the three chain assertions at indices 0..max_index.
 
     1: each element solves phi'' = 2 phi^3 (finite differences);
@@ -361,11 +328,13 @@ def proposition_suite(max_index: int = 6, n_samples: int = 200, tol: float = 1e-
     Finite-difference identities are evaluated in first-integral-normalized
     variables (phi and y scaled by |C_n|^(1/4)), where the tolerance keeps
     the same meaning at every depth; C_n itself grows like 4^n, so raw
-    deviations of deep elements would measure magnitude, not correctness.
+    deviations of deep elements would measure magnitude, not correctness;
+    every check passes at a normalized deviation of at most 1e-7.
     """
+    tol = 1e-7
     rows: list[PropositionRow] = []
     for index in range(max_index + 1):
-        y = clean_chain_samples(index, n_samples, seed=seed + index)
+        y = clean_chain_samples(index, n_samples, seed=77 + index)
         state = phi_chain(index)
         phi, dphi, _ = state.eval(y)
         c_n = chain_constant(index)

@@ -8,6 +8,7 @@ import pytest
 from rdwaves.catalog import (
     FAMILIES,
     CatalogError,
+    _masked_pow,
     build_family,
     chain_constant,
     closed_forms,
@@ -28,7 +29,13 @@ from rdwaves.catalog import (
     z_from_phi,
     z_plane_wave,
 )
-from rdwaves.elliptic import MODULUS_INV_SQRT2, POLE_EPS, complete_elliptic_K, jacobi_sn_cn_dn
+from rdwaves.elliptic import (
+    MODULUS_INV_SQRT2,
+    POLE_EPS,
+    _masked_div,
+    complete_elliptic_K,
+    jacobi_sn_cn_dn,
+)
 
 K = complete_elliptic_K(MODULUS_INV_SQRT2)
 SQRT6 = math.sqrt(6.0)
@@ -74,6 +81,17 @@ class TestPhiChain:
         assert chain_constant(3) == 16.0
         for n in range(6):
             assert chain_constant(n + 1) == -4.0 * chain_constant(n)
+
+    def test_constant_overflow_names_the_index(self):
+        assert math.isfinite(chain_constant(511))
+        with pytest.raises(CatalogError, match="chain index 512"):
+            chain_constant(512)
+        with pytest.raises(CatalogError, match="chain index 600"):
+            chain_constant(np.int64(600))
+        with pytest.raises(CatalogError, match="chain index 600"):
+            phi_chain(600)
+        with pytest.raises(CatalogError, match="chain index 600"):
+            build_family("chain", {"index": 600})
 
     @pytest.mark.parametrize("index", range(7))
     def test_first_integral_along_chain(self, index):
@@ -526,3 +544,47 @@ class TestPhiStateMasking:
         assert not got[2].all()
         for a, b in zip(got[:2], expected[:2]):
             assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("depth", [0, 3, 8])
+    def test_levels_match_eval(self, depth):
+        y = np.r_[np.linspace(-2 * K - 0.3, 4 * K + 0.3, 4001), np.arange(-16, 33) * K / 8.0]
+        levels = list(phi_chain(depth).levels(y))
+        assert len(levels) == depth + 1
+        for j, (phi, dphi, defined) in enumerate(levels):
+            expected = phi_chain(j).eval(y)
+            assert np.array_equal(defined, expected[2])
+            for a, b in zip((phi, dphi), expected[:2]):
+                # values under the mask are unspecified: compare the blanked arrays
+                assert np.array_equal(np.where(defined, a, np.nan), b, equal_nan=True)
+
+
+def reference_masked_pow(base, p: float):
+    """The masked power as written before it took its values from equations._frac_pow."""
+    base = np.asarray(base, dtype=float)
+    if abs(p - round(p)) < 1e-12:
+        ip = int(round(p))
+        if ip >= 0:
+            return np.power(base, ip), np.isfinite(base)
+        defined = np.abs(base) >= POLE_EPS
+        return _masked_div(defined, 1.0, base, -ip), defined
+    defined = base > POLE_EPS if p < 0 else base >= 0.0
+    with np.errstate(invalid="ignore"):
+        val = np.where(defined, np.power(np.maximum(base, 0.0), p), np.nan)
+    return val, defined
+
+
+class TestMaskedPow:
+    BASES = np.r_[np.linspace(-3.0, 3.0, 6001), 0.0, -0.0, 1e-8, -1e-8, np.inf, -np.inf,
+                  np.nan, 1e200, -1e200, POLE_EPS, -POLE_EPS, 2 * POLE_EPS]
+
+    @pytest.mark.parametrize("p", [-3, -2, -1, 0, 1, 2, 3, 2 + 1e-13, -1 - 1e-13, -2.5, -1.5,
+                                   -0.5, -1 / 3, 1 / 3, 0.5, 2 / 3, 1.5, 2.5])
+    def test_matches_reference(self, p):
+        with np.errstate(all="ignore"):
+            ref, ref_defined = reference_masked_pow(self.BASES, p)
+        # the power may overflow at 1e200, but a masked point never warns
+        with np.errstate(over="ignore", divide="raise", invalid="raise"):
+            got, defined = _masked_pow(self.BASES, p)
+        assert np.array_equal(defined, ref_defined)
+        assert np.array_equal(got[defined], ref[defined], equal_nan=True)
+        assert np.isnan(got[~defined]).all()

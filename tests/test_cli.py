@@ -1,14 +1,24 @@
 """CLI surface: determinism, schemas, exit codes, figure gates."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import rdwaves.catalog as catalog
 import rdwaves.cli as cli
-from rdwaves.catalog import build_family
+from rdwaves.catalog import build_family, phi_chain, z_from_phi
 from rdwaves.cli import FIGURES, figure_data, figure_gate, main
-from rdwaves.verify import Grid2D
+from rdwaves.simulate import SimConfig, SimReport, compare_exact, integrate
+from rdwaves.verify import (
+    Grid2D,
+    clean_chain_samples,
+    ode_residual,
+    pde_residual,
+    potential_residual,
+    proposition_suite,
+)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -152,8 +162,11 @@ class TestSample:
     def test_wrong_param_type_usage_error(self, capsys, tmp_path):
         # a bool index would verify index 1; a string one failed in the arithmetic
         out = tmp_path / "v.json"
-        for raw in ('{"index": "a"}', '{"index": true}'):
-            with pytest.raises(SystemExit, match="'index' must be a number"):
+        for raw, match in (('{"index": "a"}', "'index' must be a number"),
+                           ('{"index": true}', "'index' must be a number"),
+                           ('{"index": 600}', "cannot build family 'chain': chain index 600"),
+                           ('{"kind": "inverse", "index": 2.5}', "non-negative integer")):
+            with pytest.raises(SystemExit, match=match):
                 main(["verify", "--family", "chain", "--params", raw, "--out", str(out)])
         assert not out.exists()
 
@@ -191,6 +204,8 @@ class TestMalformedFlags:
         ("--checkpoints", ["simulate", "--family", "fisher-front", "--window=-6,8,141",
                            "--time", "0,0.5", "--checkpoints", "0", "--out", "run"]),
         ("--depth", ["chain", "--depth=-1", "--out", "c.json"]),
+        ("--chain-index", ["ode-check", "--chain-index", "600", "--out", "o.json"]),
+        ("--depth", ["chain", "--depth", "600", "--out", "c.json"]),
     ])
     def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
         monkeypatch.chdir(tmp_path)
@@ -280,6 +295,19 @@ class TestChainOdeCheck:
         assert elements[1]["zeros"][0] == pytest.approx(1.854075, abs=1e-5)
         assert any(abs(s - 1.854075) < 1e-5 for s in elements[2]["singular"])
 
+    def test_chain_walks_the_ladder_once(self, capsys, monkeypatch):
+        calls = []
+        real = catalog.jacobi_sn_cn_dn
+
+        def counted(*args):
+            calls.append(np.size(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(catalog, "jacobi_sn_cn_dn", counted)
+        code, _ = run(capsys, "chain", "--depth", "6")
+        assert code == 0
+        assert calls == [200001]
+
     def test_ode_check(self, capsys):
         code, text = run(capsys, "ode-check", "--chain-index", "1",
                          "--samples", "100")
@@ -326,3 +354,56 @@ class TestFigures:
         assert gate["defined_fraction"] >= 0.9
         assert gate["finite"]
         assert gate["residual_order"] >= 3.5
+
+
+# The hand-written to_json methods the reports had before they serialized from
+# their dataclass fields: the byte reference for every report payload.
+REFERENCE_TO_JSON = {
+    "ResidualReport": lambda r: {
+        "max_abs": r.max_abs, "l2": r.l2, "defined_fraction": r.defined_fraction,
+        "order_estimate": r.order_estimate, "level_max_abs": list(r.level_max_abs),
+        "orders": list(r.orders), "worst": [list(w) for w in r.worst],
+        "stencil_order": r.stencil_order},
+    "OdeResidualReport": lambda r: {
+        "second_order_max": r.second_order_max, "first_integral_std": r.first_integral_std,
+        "c_estimate": r.c_estimate, "n_valid": r.n_valid},
+    "PropositionRow": lambda r: {
+        "index": r.index, "proposition": r.proposition, "max_deviation": r.max_deviation,
+        "passed": r.passed},
+    "SimReport": lambda r: {
+        "times": list(r.times), "max_abs_errors": list(r.max_abs_errors),
+        "l2_errors": list(r.l2_errors), "measured_velocity": r.measured_velocity,
+        "velocity_fit_r2": r.velocity_fit_r2, "velocity_method": r.velocity_method},
+}
+
+
+def _simulated_report():
+    front = build_family("fisher-front")
+    hist = integrate(front.equation, front, SimConfig(-8.0, 10.0, 91, 0.0, 0.5, n_checkpoints=4))
+    return compare_exact(hist, front, level=0.5)
+
+
+def _pde_report():
+    chain = build_family("chain", {"index": 2})
+    return pde_residual(chain, chain.equation, Grid2D(0.25, 0.6, 17, 0.05, 0.1, 9), 2)
+
+
+# name -> reports of every serialized type, built when the test runs
+REPORTS = {
+    "pde": lambda: [_pde_report()],
+    "potential": lambda: [potential_residual(z_from_phi(1), {"k": 1.0},
+                                             Grid2D(0.3, 0.5, 9, 0.02, 0.04, 9))],
+    "ode": lambda: [ode_residual(phi_chain(3), clean_chain_samples(3, 50))],
+    "propositions": lambda: proposition_suite(max_index=2, n_samples=50),
+    "simulate": lambda: [_simulated_report()],
+    "no-velocity": lambda: [SimReport((0.0, 1.0), (1e-8, 2e-8), (1e-9, 2e-9), None, None)],
+}
+
+
+class TestReportSerialization:
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_asdict_matches_hand_written_json(self, name):
+        for rep in REPORTS[name]():
+            expected = REFERENCE_TO_JSON[type(rep).__name__](rep)
+            assert (json.dumps(asdict(rep), indent=2, sort_keys=True)
+                    == json.dumps(expected, indent=2, sort_keys=True))

@@ -1,6 +1,7 @@
 """Equation registry: right-hand sides, derived constants, KPP checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,9 +164,13 @@ class TestSerialization:
 
     def test_kpp_generic_not_deserializable(self):
         obj = spec_to_json(KPPGeneric(f=lambda u: u, label="ident"))
+        assert obj == {"variant": "KPPGeneric", "params": {"label": "ident"}}
         with pytest.raises(EquationError):
             spec_from_json(obj)
 
     def test_unknown_variant(self):
-        with pytest.raises(EquationError):
+        # the valid list is every EquationSpec subclass except KPPGeneric
+        names = ["CubicPolynomial", "Fisher", "GeneralFamily", "GeneralizedFisher",
+                 "PerturbedFisher", "PowerLaw", "QuadraticDecay", "SigmaFamily"]
+        with pytest.raises(EquationError, match=re.escape(f"valid: {names!r}")):
             spec_from_json({"variant": "Nope", "params": {}})

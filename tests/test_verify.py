@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ class TestPdeResidual:
         s = fisher_front("tanh")
         g = Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17)
         rep = pde_residual(s, s.equation, g, 4)
-        obj = rep.to_json()
+        obj = asdict(rep)
         assert obj["stencil_order"] == 4
         assert len(obj["level_max_abs"]) == 3
 
