@@ -230,9 +230,9 @@ def cmd_simulate(args) -> int:
     tspan = _parse_flag("--time", args.time, "t0,t1")
     cfg = _usage("--window/--time/--safety/--checkpoints", SimConfig, *window, *tspan,
                  safety=args.safety, space_order=args.space_order, n_checkpoints=args.checkpoints)
-    hist = integrate(sampler.equation, sampler, cfg)
-    rep = compare_exact(hist, sampler, level=args.level,
-                        registration=args.registration)
+    hist = _usage("--window/--time/--safety", integrate, sampler.equation, sampler, cfg)
+    rep = _usage("--window/--time/--level", compare_exact, hist, sampler, level=args.level,
+                 registration=args.registration)
     outputs: list[Path] = []
     prefix = Path(args.out)
     for i, u in enumerate(hist.fields):
@@ -283,8 +283,8 @@ def cmd_velocity(args) -> int:
     cfg, level, registration = _usage("--h", _velocity_setup, sampler, args.h)
     if args.level is not None:
         level = args.level
-    hist = integrate(sampler.equation, sampler, cfg)
-    rep = compare_exact(hist, sampler, level=level, registration=registration)
+    hist = _usage("--h", integrate, sampler.equation, sampler, cfg)
+    rep = _usage("--level", compare_exact, hist, sampler, level=level, registration=registration)
     predicted = sampler.predicted_velocity
     measured = rep.measured_velocity
     # a front predicted to stand still has no relative error: judge the absolute one

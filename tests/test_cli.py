@@ -206,6 +206,10 @@ class TestMalformedFlags:
         ("--depth", ["chain", "--depth=-1", "--out", "c.json"]),
         ("--chain-index", ["ode-check", "--chain-index", "600", "--out", "o.json"]),
         ("--depth", ["chain", "--depth", "600", "--out", "c.json"]),
+        ("--window/--time", ["simulate", "--family", "bell", "--window=1.2,9.5,81",
+                             "--time", "0,400", "--out", "run"]),
+        ("--level", ["velocity", "--family", "fisher-front", "--level", "5",
+                     "--out", "v.json"]),
     ])
     def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
         monkeypatch.chdir(tmp_path)

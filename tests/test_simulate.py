@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rdwaves import simulate
 from rdwaves.catalog import (
     Sampler,
     fisher_front,
@@ -14,6 +15,7 @@ from rdwaves.catalog import (
 )
 from rdwaves.equations import Fisher, KPPGeneric
 from rdwaves.simulate import (
+    BLOCK_STEPS,
     AmbiguousFrontError,
     InstabilityError,
     SimConfig,
@@ -54,6 +56,13 @@ class TestConfig:
         # one checkpoint integrated 0 steps, none indexed past the end
         with pytest.raises(SimulationError, match="at least 2 checkpoints"):
             SimConfig(-1, 1, 64, 0, 1, n_checkpoints=n)
+
+    def test_stalled_time_step_rejected(self):
+        # 1e17 + 1.125e-3 == 1e17: a march from there would never advance t
+        with pytest.raises(SimulationError, match="does not advance"):
+            SimConfig(-10.0, 14.0, 481, 1e17, 1.0000000000000001e17)
+        with pytest.raises(SimulationError, match="does not advance"):
+            SimConfig(-10.0, 14.0, 481, -1e17, -1e17 + 16.0)
 
     def test_dt_bound(self):
         cfg = SimConfig(-1, 1, 101, 0, 1, safety=0.5)
@@ -185,36 +194,113 @@ def reference_rk4(eq, init: Sampler, cfg: SimConfig) -> tuple[np.ndarray, int]:
     return np.array(fields), steps
 
 
+def recording(base: Sampler) -> tuple[Sampler, list]:
+    """base with every fn call's (x, t) grids appended to the returned list."""
+    calls = []
+
+    def fn(x, t):
+        calls.append((np.array(x), np.array(t)))
+        return base.fn(x, t)
+
+    return Sampler(fn=fn, equation=base.equation, family_id="recorded", params={}), calls
+
+
+def reference_stage_times(eq, base: Sampler, cfg: SimConfig) -> list[float]:
+    """t + dt/2, t + dt of every step of the reference loop, in step order.
+
+    The loop pins each stage and the step's end with its own calls; dropping
+    repeats of the previous time leaves t0 and then the two stage times a step.
+    """
+    s, calls = recording(base)
+    reference_rk4(eq, s, cfg)
+    times = [float(t.flat[0]) for _, t in calls[1:]]
+    distinct = [t for prev, t in zip([None] + times, times) if t != prev]
+    assert distinct[0] == cfg.t0
+    return distinct[1:]
+
+
+def masked_from(base: Sampler, t_bad: float) -> Sampler:
+    def fn(x, t):
+        u, defined = base.fn(x, t)
+        return u, defined & (t < t_bad)
+
+    return Sampler(fn=fn, equation=base.equation, family_id="masked-late", params={})
+
+
 class TestHotPath:
-    def test_one_boundary_sample_per_stage_time(self):
-        # after the full-window initial sample: one pin at t0, then two
-        # calls a step (t + dt/2 and t + dt), each covering both sides
+    @pytest.mark.parametrize("block", [BLOCK_STEPS, 7])
+    @pytest.mark.parametrize("space_order", [2, 4])
+    def test_stage_times_sampled_in_whole_step_blocks(self, monkeypatch, space_order, block):
+        # after the full-window initial sample and the pin at t0, each call
+        # covers both boundary layers at t + dt/2 and t + dt of whole steps,
+        # at most one block of them, and together they are the reference
+        # loop's stage times in order
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
         base = fisher_front("tanh")
-        sizes = []
+        s, calls = recording(base)
+        cfg = SimConfig(-6.0, 6.0, 81, 0.0, 0.3, space_order=space_order, n_checkpoints=4)
+        hist = integrate(s.equation, s, cfg)
+        nb = 1 if space_order == 2 else 2
+        x_edges = np.r_[cfg.x[:nb], cfg.x[-nb:]]
+        (x_init, t_init), (x_pin, t_pin), *blocks = calls
+        assert np.array_equal(x_init, cfg.x) and np.all(t_init == cfg.t0)
+        assert np.array_equal(x_pin, x_edges) and np.all(t_pin == cfg.t0)
+        seen = []
+        for x, t in blocks:
+            rows = t.shape[0]
+            assert rows % 2 == 0 and 2 <= rows <= 2 * block
+            assert x.shape == t.shape == (rows, 2 * nb)
+            assert np.all(x == x_edges) and np.all(t == t[:, :1])
+            seen += t[:, 0].tolist()
+        assert len(seen) == 2 * hist.steps_taken
+        assert seen == reference_stage_times(s.equation, base, cfg)
+        if block < BLOCK_STEPS:
+            assert len(blocks) > len(cfg.checkpoints) - 1  # some interval spans blocks
 
-        def fn(x, t):
-            sizes.append(np.size(x))
-            return base.fn(x, t)
+    @pytest.mark.parametrize("block", [BLOCK_STEPS, 4])
+    @pytest.mark.parametrize("stage", [0, 1, 6, 13])
+    def test_masked_boundary_names_the_reference_time(self, monkeypatch, stage, block):
+        # masked from the reference loop's stage time number `stage` on: the
+        # march stops there and names that time, whichever block holds it
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
+        base = fisher_front("tanh")
+        cfg = SimConfig(-6.0, 6.0, 81, 0.0, 0.3, n_checkpoints=4)
+        t_bad = reference_stage_times(base.equation, base, cfg)[stage]
+        s = masked_from(base, t_bad)
+        with pytest.raises(SimulationError) as exc:
+            integrate(s.equation, s, cfg)
+        assert str(exc.value) == f"boundary values masked at t={t_bad}"
 
-        s = Sampler(fn=fn, equation=base.equation, family_id="counted", params={})
-        for order, nb in ((2, 1), (4, 2)):
-            sizes.clear()
-            cfg = SimConfig(-6.0, 6.0, 81, 0.0, 0.2, space_order=order, n_checkpoints=3)
-            hist = integrate(s.equation, s, cfg)
-            assert sizes[0] == cfg.n_x
-            assert len(sizes) - 1 == 1 + 2 * hist.steps_taken
-            assert set(sizes[1:]) == {2 * nb}
+    def test_instability_reported_before_a_later_masked_boundary(self):
+        s = heat_kernel_sampler()
+        eq = KPPGeneric(f=lambda u: 1e7 * u, label="stiff")
+        cfg = SimConfig(-5.0, 5.0, 64, 0.0, 0.5, n_checkpoints=2)
+        with pytest.raises(InstabilityError) as exc:
+            integrate(eq, s, cfg)
+        blown_at = int(str(exc.value).split("step ")[1].split(",")[0])
+        times = reference_stage_times(eq, s, cfg)
+        assert 2 * blown_at < len(times) <= 2 * BLOCK_STEPS  # one block holds both
+        late = masked_from(s, times[2 * blown_at])  # masked from the next step on
+        with pytest.raises(InstabilityError, match=f"step {blown_at},"):
+            integrate(eq, late, cfg)
 
     @pytest.mark.parametrize("space_order", [2, 4])
-    @pytest.mark.parametrize("sampler, window", [
-        (fisher_front("tanh"), (-6.0, 8.0)),
-        (perturbed_fisher_bell(0.3), (1.2, 9.5)),
-    ], ids=["fisher-front", "bell"])
-    def test_fields_match_reference_loop(self, sampler, window, space_order):
-        cfg = SimConfig(*window, 81, 0.0, 0.5, space_order=space_order, n_checkpoints=5)
+    @pytest.mark.parametrize("sampler, window, n_x, t1, n_checkpoints", [
+        (fisher_front("tanh"), (-6.0, 8.0), 81, 0.5, 5),
+        (perturbed_fisher_bell(0.3), (1.2, 9.5), 81, 0.5, 5),
+        # one interval of more than BLOCK_STEPS steps
+        (fisher_front("tanh"), (-6.0, 8.0), 161, 1.0, 2),
+        (perturbed_fisher_bell(0.3), (1.2, 9.5), 161, 0.4, 2),
+    ], ids=["fisher-front", "bell", "fisher-front-long", "bell-long"])
+    def test_fields_match_reference_loop(self, sampler, window, n_x, t1, n_checkpoints,
+                                         space_order):
+        cfg = SimConfig(*window, n_x, 0.0, t1, space_order=space_order,
+                        n_checkpoints=n_checkpoints)
         hist = integrate(sampler.equation, sampler, cfg)
         ref_fields, ref_steps = reference_rk4(sampler.equation, sampler, cfg)
         assert hist.steps_taken == ref_steps
+        if n_checkpoints == 2:
+            assert ref_steps > BLOCK_STEPS
         for got, want in zip(hist.fields, ref_fields, strict=True):
             assert np.array_equal(got, want)
 
