@@ -484,6 +484,15 @@ def solitary_wave(n: float, nu: float, sigma: float, branch: str, C: float = 0.0
     )
 
 
+def _tanh_or_coth(form: str, theta):
+    """(tanh or coth of theta, defined); coth is masked where |tanh| < POLE_EPS."""
+    th = np.tanh(theta)
+    if form == "tanh":
+        return th, np.ones_like(theta, dtype=bool)
+    defined = np.abs(th) >= POLE_EPS
+    return _masked_div(defined, 1.0, th), defined
+
+
 def fisher_front(form: str = "tanh", complement: bool = False, c: float = 0.0,
                  reflect_y: bool = False) -> Sampler:
     """Hyperbolic Fisher fronts u = (1 -+ tanh/coth(theta))^2 / 4.
@@ -500,13 +509,7 @@ def fisher_front(form: str = "tanh", complement: bool = False, c: float = 0.0,
 
     def fn(y, tau):
         theta = sgn_y * y / (2.0 * SQRT6) - 5.0 * tau / 12.0 - c
-        th = np.tanh(theta)
-        if form == "coth":
-            defined = np.abs(th) >= POLE_EPS
-            h = _masked_div(defined, 1.0, th)
-        else:
-            defined = np.ones_like(theta, dtype=bool)
-            h = th
+        h, defined = _tanh_or_coth(form, theta)
         u = 0.25 * (1.0 - h) ** 2
         if complement:
             u = 1.0 - u
@@ -609,15 +612,9 @@ def generalized_fisher(c1: float, form: str = "tanh", c: float = 0.0,
 
     def fn(y, tau):
         theta = c1 * sgn_y * y / (2.0 * SQRT6) + c1 * (2.0 * c1 - 3.0) * tau / 12.0 - c
-        th = np.tanh(theta)
+        h, defined = _tanh_or_coth(form, theta)
         if form == "coth":
-            defined = np.abs(th) >= POLE_EPS
-            h = _masked_div(defined, 1.0, th)
-            valid = theta > 0.0  # coth < -1 side rides the flipped sqrt branch
-            defined = defined & valid
-        else:
-            defined = np.ones_like(theta, dtype=bool)
-            h = th
+            defined = defined & (theta > 0.0)  # coth < -1 side rides the flipped sqrt branch
         return 0.25 * c1**2 * (1.0 + h) ** 2, defined
 
     v = -(2.0 * c1 - 3.0) / SQRT6 * sgn_y

@@ -32,6 +32,7 @@ from .equations import spec_to_json
 from .simulate import SimConfig, SimulationError, compare_exact, integrate
 from .verify import (
     Grid2D,
+    VerificationImpossibleError,
     clean_chain_samples,
     ode_residual,
     pde_residual,
@@ -117,7 +118,7 @@ def _usage(flag: str, build, *args, **kwargs):
     """build(*args, **kwargs); a value it rejects ends in SystemExit naming flag."""
     try:
         return build(*args, **kwargs)
-    except (ValueError, SimulationError) as exc:
+    except (ValueError, SimulationError, VerificationImpossibleError) as exc:
         raise SystemExit(f"{flag}: {exc}") from None
 
 
@@ -183,7 +184,7 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     sampler = _build(args)
     grid = _parse_grid(args.grid, sampler)
-    report = pde_residual(sampler, sampler.equation, grid, args.order)
+    report = _usage("--grid", pde_residual, sampler, sampler.equation, grid, args.order)
     payload = {
         "family": args.family,
         "params": sampler.params,
@@ -268,6 +269,9 @@ def _velocity_setup(sampler, h: float):
     # locate the mid-level crossing of the initial profile near the origin
     probe = np.linspace(-30.0, 30.0, 4001)
     u0, ok = sampler.sample(probe, 0.0)
+    if not ok.any():
+        raise SystemExit("the initial profile is masked on the whole probe window "
+                         "x in [-30, 30]; no front to locate")
     lo, hi = u0[ok][0], u0[ok][-1]
     level = 0.5 * (lo + hi)
     idx = np.where(np.sign(u0 - level)[:-1] * np.sign(u0 - level)[1:] < 0)[0]

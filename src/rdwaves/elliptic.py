@@ -81,18 +81,13 @@ MODULUS_INV_SQRT2 = EllipticModulus(1.0 / math.sqrt(2.0))
 
 
 def complete_elliptic_K(m: EllipticModulus) -> float:
-    """Complete elliptic integral of the first kind K(k) via the AGM.
+    """Complete elliptic integral of the first kind K(k) = pi / (2 AGM(1, k')).
 
     Raises UnboundedPeriodError at k = 1; strictly increasing on [0, 1).
     """
     if m.k == 1.0:
         raise UnboundedPeriodError("K(k) diverges as k -> 1")
-    a, b = 1.0, m.k_comp
-    for _ in range(60):
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * _agm_scheme(m)[0][-1])
 
 
 def _agm_scheme(m: EllipticModulus) -> tuple[list[float], list[float]]:
@@ -123,7 +118,7 @@ def jacobi_sn_cn_dn(y, m: EllipticModulus):
         sech = 1.0 / np.cosh(y)
         return np.tanh(y), sech, sech
     a, c = _agm_scheme(m)
-    K = math.pi / (2.0 * a[-1])
+    K = complete_elliptic_K(m)
     # reduce to [-2K, 2K]; the backward recursion then stays well conditioned
     y_red = y - 4.0 * K * np.round(y / (4.0 * K))
     n_last = len(a) - 1

@@ -258,16 +258,21 @@ def front_velocity(history: SimHistory, level: float = 0.5) -> tuple[float, floa
     return _line_fit(np.asarray(times), np.asarray(positions))
 
 
+def _shift_misfit(x: np.ndarray, u_ref: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
+    """u(x) - u_ref(x - s) by interpolation, on the core that stays clear of
+    the points the shift pulls in from outside the window."""
+    margin = int(np.ceil(abs(s) / (x[1] - x[0]))) + 1
+    core = slice(margin, len(x) - margin)
+    return u[core] - np.interp(x, x + s, u_ref)[core]
+
+
 def register_shift(x: np.ndarray, u_ref: np.ndarray, u: np.ndarray) -> float:
     """Shift s minimizing sum (u(x) - u_ref(x - s))^2, by golden-section search
     over interpolated profiles; |s| stays within a quarter of the window."""
-    h = x[1] - x[0]
     max_shift = 0.25 * (x[-1] - x[0])
 
     def cost(s: float) -> float:
-        shifted = np.interp(x, x + s, u_ref)
-        core = slice(int(np.ceil(abs(s) / h)) + 1, len(x) - int(np.ceil(abs(s) / h)) - 1)
-        d = u[core] - shifted[core]
+        d = _shift_misfit(x, u_ref, u, s)
         return float(np.mean(d * d))
 
     # coarse scan then golden-section refinement
@@ -309,11 +314,7 @@ def registration_velocity(history: SimHistory) -> tuple[float, float, float]:
     for u in history.fields[1:]:
         s = register_shift(x, u0, u)
         shifts.append(s)
-        shifted = np.interp(x, x + s, u0)
-        h = x[1] - x[0]
-        margin = int(np.ceil(abs(s) / h)) + 1
-        core = slice(margin, len(x) - margin)
-        errs.append(float(np.max(np.abs(u[core] - shifted[core]))))
+        errs.append(float(np.max(np.abs(_shift_misfit(x, u0, u, s)))))
     tt = np.asarray(history.times, dtype=float)
     slope, r2 = _line_fit(tt - tt[0], np.asarray(shifts))
     return slope, r2, float(np.max(errs))

@@ -82,11 +82,10 @@ class Grid2D:
 class ResidualReport:
     """Residual statistics at the finest level of the refinement triple.
 
-    defined_fraction is the finest level's share of usable stencils, but the
-    two studies count it differently: pde_residual counts stencils before the
-    standoff exclusion around masked points, potential_residual after it.
-    The same number can therefore describe different grids, and the > 0.5
-    gate on order_estimate reads each as reported.
+    defined_fraction is the finest level's share of stencils whose plus-shaped
+    neighbourhood is defined, counted before the standoff exclusion around
+    masked points; max_abs, l2 and worst cover the stencils that also clear
+    the standoff.
     """
 
     max_abs: float
@@ -132,31 +131,36 @@ def _refinement_study(sample, grid: Grid2D, level_residual, radius: tuple[int, i
                       stencil_order: int, masked_where: str) -> ResidualReport:
     """ResidualReport of a residual over the nested (h, h/2, h/4) triple.
 
-    sample(X, T) runs once, on the finest grid, and returns a tuple of arrays.
+    sample(X, T) runs once, on the finest grid, and returns (defined, *fields).
     refined() keeps every coarse point and divides the spacing by a power of
     two, so the h and h/2 levels are the exact [::4, ::4] and [::2, ::2]
-    strides of that sample.  level_residual(fields, h_x, h_t) returns
-    (residual, valid, defined_fraction) on the level's interior, radius =
-    (r_x, r_t) points inside its grid.  masked_where ends the message of the
-    VerificationImpossibleError raised below a finest defined fraction of 0.1;
-    a usable stencil whose residual is not finite (its products overflowed)
-    raises the same error, naming the level.
+    strides of that sample.  level_residual(defined, fields, h_x, h_t)
+    returns the residual on the level's interior, radius = (r_x, r_t) points
+    inside its grid; _usable turns defined into that interior's stencil masks.
+    The order estimate needs a plus share above 0.5 on every level.  Below a
+    finest usable share (plus and clear) of 0.1 the study raises
+    VerificationImpossibleError, its message ending in masked_where; a usable
+    stencil whose residual is not finite (its products overflowed) raises the
+    same error, naming the level.
     """
     grids = [grid, grid.refined(), grid.refined().refined()]
     X, T = np.meshgrid(grids[-1].x, grids[-1].t, indexing="ij")
-    fields = sample(X, T)
+    defined, *fields = sample(X, T)
     rx, rt = radius
     maxima: list[float] = []
     fractions: list[float] = []
     for lvl, g in enumerate(grids):
         stride = 2 ** (len(grids) - 1 - lvl)
-        res, valid, frac = level_residual([a[::stride, ::stride] for a in fields], g.h_x, g.h_t)
+        level_defined = defined[::stride, ::stride]
+        res = level_residual(level_defined, [a[::stride, ::stride] for a in fields], g.h_x, g.h_t)
+        plus, clear = _usable(level_defined, rx, rt)
+        valid = plus & clear
         nonfinite = int(np.count_nonzero(valid & ~np.isfinite(res)))
         if nonfinite:
             raise VerificationImpossibleError(
                 f"{nonfinite} usable stencils give a non-finite residual on the "
                 f"{('h', 'h/2', 'h/4')[lvl]} level (overflow in the stencil arithmetic)")
-        fractions.append(frac)
+        fractions.append(float(plus.mean()))
         # points shared with the coarse level: residual index r(2^lvl - 1)
         # mod 2^lvl accounts for the interior offset by the stencil radius
         step = 2**lvl
@@ -165,9 +169,11 @@ def _refinement_study(sample, grid: Grid2D, level_residual, radius: tuple[int, i
         sel = valid & common
         maxima.append(float(np.max(np.abs(res[sel]))) if sel.any() else math.nan)
 
-    # res, valid and frac now belong to the finest level
-    if frac < 0.1:
-        raise VerificationImpossibleError(f"defined fraction {frac:.3f} < 0.1 {masked_where}")
+    # res, valid and fractions[-1] now belong to the finest level
+    if valid.mean() < 0.1:
+        raise VerificationImpossibleError(
+            f"usable fraction {valid.mean():.3f} < 0.1 (defined {fractions[-1]:.3f}) "
+            + masked_where)
     vals = res[valid]
     orders = [math.log2(a / b) if (a > 0 and b > 0) else math.nan
               for a, b in zip(maxima[:-1], maxima[1:])]
@@ -183,9 +189,9 @@ def _refinement_study(sample, grid: Grid2D, level_residual, radius: tuple[int, i
         if valid[i, j]:
             worst.append((float(Xc[i, j]), float(Tc[i, j]), float(res[i, j])))
     return ResidualReport(
-        max_abs=float(np.max(np.abs(vals))) if vals.size else math.nan,
-        l2=float(np.sqrt(np.mean(vals**2))) if vals.size else math.nan,
-        defined_fraction=frac,
+        max_abs=float(np.max(np.abs(vals))),
+        l2=float(np.sqrt(np.mean(vals**2))),
+        defined_fraction=fractions[-1],
         order_estimate=order_estimate,
         level_max_abs=tuple(maxima),
         orders=tuple(orders),
@@ -212,10 +218,10 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
         u, defined = sampler.sample(X, T)
         with np.errstate(all="ignore"):
             f = eq.rhs(u)
-        return u, defined & np.isfinite(u) & np.isfinite(f), f
+        return defined & np.isfinite(u) & np.isfinite(f), u, f
 
-    def level_residual(fields, hx, ht):
-        u, defined, f = fields
+    def level_residual(defined, fields, hx, ht):
+        u, f = fields
         u0 = np.where(defined, u, 0.0)
         if stencil_order == 2:
             u_t = (u0[:, 2:] - u0[:, :-2])[1:-1, :] / (2 * ht)
@@ -224,9 +230,7 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
             u_t = (u0[:, :-4] - 8 * u0[:, 1:-3] + 8 * u0[:, 3:-1] - u0[:, 4:])[2:-2, :] / (12 * ht)
             u_xx = (-u0[:-4, :] + 16 * u0[1:-3, :] - 30 * u0[2:-2, :] + 16 * u0[3:-1, :]
                     - u0[4:, :])[:, 2:-2] / (12 * hx**2)
-        res = u_t - u_xx - f[core]
-        plus, clear = _usable(defined, r, r)
-        return res, plus & clear, float(plus.mean()) if plus.size else 0.0
+        return u_t - u_xx - f[core]
 
     return _refinement_study(
         sample, grid, level_residual, (r, r), stencil_order,
@@ -317,7 +321,7 @@ class PropositionRow:
 def proposition_suite(max_index: int = 6, n_samples: int = 200) -> list[PropositionRow]:
     """Numerical checks of the three chain assertions at indices 0..max_index.
 
-    1: each element solves phi'' = 2 phi^3 (finite differences);
+    1: each element solves phi'' = 2 phi^3 (ode_residual's finite differences);
     2: for odd index (C_n > 0), sqrt(C_n)/phi satisfies the same first
        integral with the same constant;
     3: for even index (C_n = -B_n < 0), sqrt(B_n)/phi satisfies
@@ -341,8 +345,7 @@ def proposition_suite(max_index: int = 6, n_samples: int = 200) -> list[Proposit
         s = _chain_scale(c_n)
         h = 0.012 / s
 
-        d2 = _fd_second(lambda q: state.eval(q)[0], y, h)
-        dev1 = float(np.max(np.abs(d2 - 2.0 * phi**3))) / s**3
+        dev1 = ode_residual(state, y).second_order_max / s**3
         rows.append(PropositionRow(index, "chain element solves phi''=2phi^3",
                                    dev1, dev1 <= tol))
 
@@ -393,10 +396,10 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
 
     def sample(X, T):
         zv, _, ok = z.fn(X, T)
-        return np.where(ok, zv, 0.0), ok
+        return ok, np.where(ok, zv, 0.0)
 
-    def level_residual(fields, hx, ht):
-        zfill, ok = fields
+    def level_residual(defined, fields, hx, ht):
+        (zfill,) = fields
         # far from the origin the products overflow; the study names the
         # non-finite stencils in its error, so numpy's warnings add nothing
         with np.errstate(over="ignore", invalid="ignore"):
@@ -422,10 +425,6 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
                                   + np.abs((k - 1.0) * z_xxc**2))
             scale += z_xc**2 * (np.abs(z_t) + np.abs(l1 * zc) + np.abs(l2 * z_xc)
                                 + np.abs((2.0 * k + 1.0) * z_xxc))
-            res = (lhs - rhs) / np.maximum(scale, 1e-12)
-
-        plus, clear = _usable(ok, 3, 2)
-        valid = plus & clear
-        return res, valid, float(valid.mean()) if valid.size else 0.0
+            return (lhs - rhs) / np.maximum(scale, 1e-12)
 
     return _refinement_study(sample, grid, level_residual, (3, 2), 4, "for the potential")

@@ -210,6 +210,12 @@ class TestMalformedFlags:
                              "--time", "0,400", "--out", "run"]),
         ("--level", ["velocity", "--family", "fisher-front", "--level", "5",
                      "--out", "v.json"]),
+        # every stencil masked, and stencils defined but none clear of the standoff
+        ("--grid", ["verify", "--family", "bell", "--grid=-10,-5,20,0,1,20",
+                    "--out", "v.json"]),
+        ("--grid", ["verify", "--family", "solitary",
+                    "--params", '{"nu": 0.8, "branch": "tan", "C": -1.2}',
+                    "--grid=-50,50,64,0,0.25,9", "--out", "v.json"]),
     ])
     def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
         monkeypatch.chdir(tmp_path)
@@ -285,6 +291,17 @@ class TestSimulateVelocity:
         assert "relative_error" not in payload
         assert payload["absolute_error"] < 0.01
         assert "absolute error" in payload["method"]
+
+
+    def test_velocity_masked_probe_usage_error(self, capsys, tmp_path, monkeypatch):
+        # the rational solitary wave at C = -40 is masked on all of x in [-30, 30]
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["velocity", "--family", "solitary",
+                  "--params", '{"nu": 0.0, "branch": "rational", "C": -40.0}',
+                  "--out", "v.json"])
+        assert "x in [-30, 30]" in str(exc.value.code)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestChainOdeCheck:

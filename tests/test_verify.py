@@ -214,11 +214,15 @@ class TestPdeResidual:
             ok = np.abs(x) < 0.05
             return u, ok
 
-        s = Sampler(fn=fn, equation=Fisher(), family_id="sliver", params={},
-                    domain_note="almost everything masked")
-        g = Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17)
-        with pytest.raises(VerificationImpossibleError, match="masked"):
-            pde_residual(s, Fisher(), g, 4)
+        sliver = Sampler(fn=fn, equation=Fisher(), family_id="sliver", params={},
+                         domain_note="almost everything masked")
+        # 18% of the tan stencils are defined, but every one sits inside the
+        # standoff of a pole: no usable stencil is left to report on
+        tan = build_family("solitary", {"nu": 0.8, "branch": "tan", "C": -1.2})
+        for s, g in [(sliver, Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17)),
+                     (tan, Grid2D(-50.0, 50.0, 64, 0.0, 0.25, 9))]:
+            with pytest.raises(VerificationImpossibleError, match="masked"):
+                pde_residual(s, s.equation, g, 4)
 
     def test_translation_covariance(self):
         # autonomous equations: shifted samplers still verify
@@ -359,6 +363,24 @@ class TestPotentialResidual:
             with pytest.raises(VerificationImpossibleError,
                                match=r"usable stencils give a non-finite residual"):
                 potential_residual(z, {"k": 2, "lambda1": 3}, g)
+
+    def test_defined_fraction_counts_before_the_standoff(self):
+        # the same meaning as pde_residual's: the finest level's plus share,
+        # not the smaller share that also clears the standoff around the hole
+        base = z_plane_wave(2.0, -1.0, 0.8, 0.0)
+
+        def fn(x, t):
+            zv, zt, ok = base.fn(x, t)
+            return zv, zt, ok & ~((np.abs(x) < 0.2) & (t > 0.1) & (t < 0.15))
+
+        g = Grid2D(-2.0, 2.0, 33, 0.0, 0.3, 17)
+        rep = potential_residual(ZSampler(fn=fn, label="holed"),
+                                 {"k": 2.0, "lambda1": 3.0, "lambda2": 0.0}, g)
+        fine = g.refined().refined()
+        X, T = np.meshgrid(fine.x, fine.t, indexing="ij")
+        plus, clear = _usable(fn(X, T)[2], 3, 2)
+        assert rep.defined_fraction == float(plus.mean())
+        assert rep.defined_fraction > float((plus & clear).mean())
 
     def test_constant_z_identically_zero(self):
         z = ZSampler(fn=lambda x, t: (np.ones_like(x), np.zeros_like(x), np.ones_like(x, bool)),
