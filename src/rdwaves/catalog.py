@@ -254,9 +254,11 @@ _CHAIN_WINDOWS = {
 
 
 def _chain_xt_window(index: int) -> tuple[float, float, float, float]:
-    # split the clean y-interval between the x- and t-extents so that
-    # x^2 + 6t stays inside it across the whole rectangle
-    y_lo, y_hi = _CHAIN_WINDOWS.get(index, (0.54, 0.85))
+    # the pole lattice halves every two indices: past 6, scale the index-5/6
+    # y-window by 2^(3 - ceil(n/2)); split it between the x- and t-extents
+    # so that x^2 + 6t stays inside it across the whole rectangle
+    scale = 2.0 ** min(0, 3 - (index + 1) // 2)
+    y_lo, y_hi = (scale * y for y in _CHAIN_WINDOWS[min(index, 6)])
     x0 = 0.25
     x1 = math.sqrt(x0 * x0 + 0.45 * (y_hi - y_lo))
     t0 = (y_lo - x0 * x0) / 6.0

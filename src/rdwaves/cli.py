@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
         "params": sampler.params,
         "equation": spec_to_json(sampler.equation),
         "residual_clean_expected": sampler.residual_clean,
-        "grid": [grid.x_min, grid.x_max, grid.n_x, grid.t_min, grid.t_max, grid.n_t],
+        "grid": list(astuple(grid)),
         "report": asdict(report),
     }
     _write_report(args.out, "verify", payload, {"family": args.family, "params": sampler.params})
@@ -241,9 +241,7 @@ def cmd_simulate(args) -> int:
     _emit(prefix.parent / f"{prefix.name}_report.json", _json_text({
         "family": args.family,
         "params": sampler.params,
-        "config": {"x_min": cfg.x_min, "x_max": cfg.x_max, "n_x": cfg.n_x,
-                   "t0": cfg.t0, "t1": cfg.t1, "safety": cfg.safety,
-                   "space_order": cfg.space_order},
+        "config": {k: v for k, v in asdict(cfg).items() if k != "n_checkpoints"},
         "steps": hist.steps_taken,
         "report": asdict(rep),
     }), outputs)

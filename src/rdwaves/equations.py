@@ -11,6 +11,7 @@ values, and the scalar rhs_eval turns such a nan into an EquationError.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -20,6 +21,7 @@ import numpy as np
 __all__ = [
     "EquationError",
     "EquationSpec",
+    "central_difference",
     "Fisher",
     "KPPGeneric",
     "CubicPolynomial",
@@ -48,16 +50,37 @@ class EquationError(ValueError):
 
 
 def _frac_pow(u, p: float):
-    """u**p with integer fast path; fractional power of u < 0 yields nan."""
-    if abs(p - round(p)) < _INT_TOL:
-        ip = int(round(p))
-        with np.errstate(divide="ignore"):
+    """u**p with integer fast path; fractional power of u < 0 yields nan.  Only
+    a negative power can divide by zero (at u = 0), so only it enters np.errstate."""
+    ip = int(round(p))
+    with np.errstate(divide="ignore") if p < 0 else contextlib.nullcontext():
+        if abs(p - ip) < _INT_TOL:
             return np.power(u, ip) if ip >= 0 else 1.0 / np.power(u, -ip)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        val = np.power(np.maximum(u, 0.0), p)
-        if p < 0:
-            return np.where(u > 0.0, val, np.nan)
-        return np.where(u >= 0.0, val, np.nan)
+        return np.where(u > 0.0 if p < 0 else u >= 0.0, np.power(np.maximum(u, 0.0), p), np.nan)
+
+
+def central_difference(a, h: float, derivative: int, order: int) -> np.ndarray:
+    """Central-difference derivative of a along axis 0 at grid spacing h.
+
+    Derivatives 1 and 2 at orders 2 and 4, and derivative 3 at order 4, with
+    the standard weights (Fornberg, Math. Comp. 51 (1988) 699-706).  The
+    result loses the stencil radius at each end of axis 0; transpose a to
+    difference along another axis.  Terms are summed in ascending offset order.
+    """
+    match derivative, order:
+        case 1, 2:
+            return (a[2:] - a[:-2]) / (2.0 * h)
+        case 1, 4:
+            return (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
+        case 2, 2:
+            return (a[:-2] - 2.0 * a[1:-1] + a[2:]) / h**2
+        case 2, 4:
+            return (-a[:-4] + 16.0 * a[1:-3] - 30.0 * a[2:-2] + 16.0 * a[3:-1]
+                    - a[4:]) / (12.0 * h**2)
+        case 3, 4:
+            return (a[:-6] - 8.0 * a[1:-5] + 13.0 * a[2:-4] - 13.0 * a[4:-2] + 8.0 * a[5:-1]
+                    - a[6:]) / (8.0 * h**3)
+    raise ValueError(f"no central stencil for derivative {derivative} at order {order}")
 
 
 @dataclass(frozen=True)
@@ -220,8 +243,7 @@ class PerturbedFisher(EquationSpec):
 
     def rhs(self, u):
         u = np.asarray(u, dtype=float)
-        with np.errstate(invalid="ignore"):
-            root = np.sqrt(np.where(u <= 1.5, 1.5 - u, np.nan))
+        root = np.sqrt(np.where(u <= 1.5, 1.5 - u, np.nan))
         return u * (u - 1.0 + self.epsilon * root)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Sampler
-from .equations import EquationSpec
+from .equations import EquationSpec, central_difference
 
 __all__ = [
     "SimulationError",
@@ -105,7 +105,6 @@ class SimHistory:
     x: np.ndarray = field(compare=False)
     times: np.ndarray = field(compare=False)
     fields: np.ndarray = field(compare=False)  # (n_checkpoints, n_x)
-    config: SimConfig = None
     steps_taken: int = 0
 
 
@@ -152,11 +151,7 @@ def integrate(eq: EquationSpec, init: Sampler, cfg: SimConfig) -> SimHistory:
         out = eq.rhs(values)
         if out.shape != values.shape or np.may_share_memory(out, values):
             out = np.broadcast_to(out, values.shape).copy()
-        if cfg.space_order == 2:
-            out[1:-1] += (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h**2
-        else:
-            out[2:-2] += (-values[:-4] + 16.0 * values[1:-3] - 30.0 * values[2:-2]
-                          + 16.0 * values[3:-1] - values[4:]) / (12.0 * h**2)
+        out[nb:-nb] += central_difference(values, h, 2, cfg.space_order)
         return out
 
     checkpoints = cfg.checkpoints
@@ -207,7 +202,7 @@ def integrate(eq: EquationSpec, init: Sampler, cfg: SimConfig) -> SimHistory:
                 raise SimulationError(
                     f"boundary values masked at t={stage_times[first_masked]}")
         fields[k] = u
-    return SimHistory(x=x, times=checkpoints, fields=fields, config=cfg, steps_taken=steps)
+    return SimHistory(x=x, times=checkpoints, fields=fields, steps_taken=steps)
 
 
 def _crossing(x: np.ndarray, u: np.ndarray, level: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CHAIN_K, PhiState, Sampler, ZSampler, chain_constant, phi_chain
-from .equations import EquationSpec
+from .equations import EquationSpec, central_difference
 
 __all__ = [
     "VerificationImpossibleError",
@@ -98,10 +98,12 @@ class ResidualReport:
     stencil_order: int = 4
 
 
-def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Chebyshev dilation of a boolean mask by whole grid steps; nothing wraps at the edges."""
+def _dilate(mask: np.ndarray, radius: int, axes=(0, 1)) -> np.ndarray:
+    """Dilation of a boolean mask by radius grid steps along each of axes in
+    turn (Chebyshev distance over both axes); nothing wraps at the edges."""
     out = mask.copy()
-    for view in (out, out.T):
+    for axis in axes:
+        view = np.moveaxis(out, axis, 0)
         # one step along the view's first axis a pass; numpy buffers overlapping operands
         for _ in range(min(radius, view.shape[0] - 1)):
             view[1:] |= view[:-1]
@@ -116,27 +118,23 @@ def _usable(defined: np.ndarray, rx: int, rt: int) -> tuple[np.ndarray, np.ndarr
     rt along t) is defined; clear marks points farther than _STANDOFF_FACTOR
     * rx grid steps (Chebyshev distance) from every masked point.
     """
-    ok = defined.copy()
-    for shift in range(1, rx + 1):
-        ok[shift:, :] &= defined[:-shift, :]
-        ok[:-shift, :] &= defined[shift:, :]
-    for shift in range(1, rt + 1):
-        ok[:, shift:] &= defined[:, :-shift]
-        ok[:, :-shift] &= defined[:, shift:]
+    masked = ~defined
+    plus = ~(_dilate(masked, rx, (0,)) | _dilate(masked, rt, (1,)))
     core = np.s_[rx:-rx, rt:-rt]
-    return ok[core], ~_dilate(~defined, _STANDOFF_FACTOR * rx)[core]
+    return plus[core], ~_dilate(masked, _STANDOFF_FACTOR * rx)[core]
 
 
-def _refinement_study(sample, grid: Grid2D, level_residual, radius: tuple[int, int],
-                      stencil_order: int, masked_where: str) -> ResidualReport:
+def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
+                      masked_where: str) -> ResidualReport:
     """ResidualReport of a residual over the nested (h, h/2, h/4) triple.
 
     sample(X, T) runs once, on the finest grid, and returns (defined, *fields).
     refined() keeps every coarse point and divides the spacing by a power of
     two, so the h and h/2 levels are the exact [::4, ::4] and [::2, ::2]
     strides of that sample.  level_residual(defined, fields, h_x, h_t)
-    returns the residual on the level's interior, radius = (r_x, r_t) points
-    inside its grid; _usable turns defined into that interior's stencil masks.
+    returns the residual on the level's interior; the margin of that interior,
+    r_x points along x and r_t along t, is the stencil radius, from which
+    _usable turns defined into the interior's stencil masks.
     The order estimate needs a plus share above 0.5 on every level.  Below a
     finest usable share (plus and clear) of 0.1 the study raises
     VerificationImpossibleError, its message ending in masked_where; a usable
@@ -146,13 +144,13 @@ def _refinement_study(sample, grid: Grid2D, level_residual, radius: tuple[int, i
     grids = [grid, grid.refined(), grid.refined().refined()]
     X, T = np.meshgrid(grids[-1].x, grids[-1].t, indexing="ij")
     defined, *fields = sample(X, T)
-    rx, rt = radius
     maxima: list[float] = []
     fractions: list[float] = []
     for lvl, g in enumerate(grids):
         stride = 2 ** (len(grids) - 1 - lvl)
         level_defined = defined[::stride, ::stride]
         res = level_residual(level_defined, [a[::stride, ::stride] for a in fields], g.h_x, g.h_t)
+        rx, rt = ((n - m) // 2 for n, m in zip(level_defined.shape, res.shape))
         plus, clear = _usable(level_defined, rx, rt)
         valid = plus & clear
         nonfinite = int(np.count_nonzero(valid & ~np.isfinite(res)))
@@ -212,7 +210,6 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
     if stencil_order not in (2, 4):
         raise ValueError("stencil_order must be 2 or 4")
     r = stencil_order // 2
-    core = np.s_[r:-r, r:-r]
 
     def sample(X, T):
         u, defined = sampler.sample(X, T)
@@ -223,17 +220,12 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
     def level_residual(defined, fields, hx, ht):
         u, f = fields
         u0 = np.where(defined, u, 0.0)
-        if stencil_order == 2:
-            u_t = (u0[:, 2:] - u0[:, :-2])[1:-1, :] / (2 * ht)
-            u_xx = (u0[:-2, :] - 2 * u0[1:-1, :] + u0[2:, :])[:, 1:-1] / hx**2
-        else:
-            u_t = (u0[:, :-4] - 8 * u0[:, 1:-3] + 8 * u0[:, 3:-1] - u0[:, 4:])[2:-2, :] / (12 * ht)
-            u_xx = (-u0[:-4, :] + 16 * u0[1:-3, :] - 30 * u0[2:-2, :] + 16 * u0[3:-1, :]
-                    - u0[4:, :])[:, 2:-2] / (12 * hx**2)
-        return u_t - u_xx - f[core]
+        u_t = central_difference(u0[r:-r].T, ht, 1, stencil_order).T
+        u_xx = central_difference(u0[:, r:-r], hx, 2, stencil_order)
+        return u_t - u_xx - f[r:-r, r:-r]
 
     return _refinement_study(
-        sample, grid, level_residual, (r, r), stencil_order,
+        sample, grid, level_residual, stencil_order,
         f"on the finest grid; mask cause: {sampler.domain_note or 'sampler mask'}")
 
 
@@ -245,12 +237,14 @@ class OdeResidualReport:
     n_valid: int
 
 
-def _fd_second(f, y: np.ndarray, h: float) -> np.ndarray:
-    """Richardson-extrapolated 4th-order second derivative (net 6th order)."""
+def _fd_second(f, y: np.ndarray, c_n: float) -> np.ndarray:
+    """Richardson-extrapolated 4th-order second derivative (net 6th order) at
+    chain element C_n's step 0.012 / |C_n|^(1/4): its oscillation length,
+    balancing truncation against the rounding noise of the chain values."""
+    h = 0.012 / _chain_scale(c_n)
 
     def stencil(hh):
-        return (-f(y - 2 * hh) + 16 * f(y - hh) - 30 * f(y) + 16 * f(y + hh)
-                - f(y + 2 * hh)) / (12 * hh**2)
+        return central_difference(np.stack([f(y + j * hh) for j in range(-2, 3)]), hh, 2, 4)[0]
 
     return (16.0 * stencil(h / 2) - stencil(h)) / 15.0
 
@@ -264,19 +258,16 @@ def ode_residual(state: PhiState, y_samples) -> OdeResidualReport:
     """Chain-element check: phi'' = 2 phi^3 by finite differences, plus the
     first integral (phi')^2 - phi^4 from the analytic pair.
 
-    The step follows the element's oscillation length 1/|C_n|^(1/4),
-    balancing truncation against the rounding noise of the chain values.
+    The samples must be well conditioned, as clean_chain_samples gives: with
+    every element up to this one moderate, no pole lies within the stencil's
+    reach.  Samples on a pole (masked by the chain) are dropped.
     """
-    h = 0.012 / _chain_scale(state.c_n)
     y = np.asarray(y_samples, dtype=float)
     phi, dphi, ok = state.eval(y)
-    # drop samples whose finite-difference neighborhood touches a pole
-    for off in (-2.5 * h, 2.5 * h):
-        ok = ok & state.eval(y + off)[2]
     y, phi, dphi = y[ok], phi[ok], dphi[ok]
     if y.size == 0:
-        raise VerificationImpossibleError("all samples masked near chain poles")
-    d2 = _fd_second(lambda q: state.eval(q)[0], y, h)
+        raise VerificationImpossibleError("all samples masked at chain poles")
+    d2 = _fd_second(lambda q: state.eval(q)[0], y, state.c_n)
     second_order_max = float(np.max(np.abs(d2 - 2.0 * phi**3)))
     first = dphi**2 - phi**4
     return OdeResidualReport(
@@ -343,7 +334,6 @@ def proposition_suite(max_index: int = 6, n_samples: int = 200) -> list[Proposit
         phi, dphi, _ = state.eval(y)
         c_n = chain_constant(index)
         s = _chain_scale(c_n)
-        h = 0.012 / s
 
         dev1 = ode_residual(state, y).second_order_max / s**3
         rows.append(PropositionRow(index, "chain element solves phi''=2phi^3",
@@ -369,7 +359,7 @@ def proposition_suite(max_index: int = 6, n_samples: int = 200) -> list[Proposit
                 p, _, _ = state.eval(q)
                 return root / p
 
-            d2h = _fd_second(hat, y, h)
+            d2h = _fd_second(hat, y, c_n)
             dev3a = float(np.max(np.abs(d2h + 2.0 * hphi**3))) / s**3
             dev3b = float(np.max(np.abs(hdphi**2 + hphi**4 - b_n))) / s**4
             dev3 = max(dev3a, dev3b)
@@ -403,28 +393,19 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
         # far from the origin the products overflow; the study names the
         # non-finite stencils in its error, so numpy's warnings add nothing
         with np.errstate(over="ignore", invalid="ignore"):
-            z_x = (-zfill[5:-1, :] + 8 * zfill[4:-2, :] - 8 * zfill[2:-4, :]
-                   + zfill[1:-5, :]) / (12 * hx)
-            z_xx = (-zfill[5:-1, :] + 16 * zfill[4:-2, :] - 30 * zfill[3:-3, :]
-                    + 16 * zfill[2:-4, :] - zfill[1:-5, :]) / (12 * hx**2)
-            z_xxx = (-zfill[6:, :] + 8 * zfill[5:-1, :] - 13 * zfill[4:-2, :]
-                     + 13 * zfill[2:-4, :] - 8 * zfill[1:-5, :] + zfill[:-6, :]) / (8 * hx**3)
-
-            def dt4(a):
-                return (a[:, :-4] - 8 * a[:, 1:-3] + 8 * a[:, 3:-1] - a[:, 4:]) / (12 * ht)
-
+            # x-derivatives on the x-interior 3 points in, kept whole along t
+            z_x = central_difference(zfill, hx, 1, 4)[1:-1]
+            z_xx = central_difference(zfill, hx, 2, 4)[1:-1]
+            z_xxx = central_difference(zfill, hx, 3, 4)
             zc = zfill[3:-3, 2:-2]
-            z_t = dt4(zfill[3:-3, :])
-            z_tx = dt4(z_x)
+            z_t = central_difference(zfill[3:-3].T, ht, 1, 4).T
+            z_tx = central_difference(z_x.T, ht, 1, 4).T
             z_xc, z_xxc, z_xxxc = z_x[:, 2:-2], z_xx[:, 2:-2], z_xxx[:, 2:-2]
-            lhs = zc * (z_xc * z_tx - z_xc * z_xxxc - l3 * zc * z_xc - l4 * zc**2
-                        - (k - 1.0) * z_xxc**2)
-            rhs = z_xc**2 * (z_t + l1 * zc + l2 * z_xc - (2.0 * k + 1.0) * z_xxc)
-            scale = np.abs(zc) * (np.abs(z_xc * z_tx) + np.abs(z_xc * z_xxxc)
-                                  + np.abs(l3 * zc * z_xc) + np.abs(l4 * zc**2)
-                                  + np.abs((k - 1.0) * z_xxc**2))
-            scale += z_xc**2 * (np.abs(z_t) + np.abs(l1 * zc) + np.abs(l2 * z_xc)
-                                + np.abs((2.0 * k + 1.0) * z_xxc))
-            return (lhs - rhs) / np.maximum(scale, 1e-12)
+            # the form zc * sum(lhs) = z_x^2 * sum(rhs); scale sums the magnitudes of its terms
+            lhs = (z_xc * z_tx, -z_xc * z_xxxc, -l3 * zc * z_xc, -l4 * zc**2,
+                   -(k - 1.0) * z_xxc**2)
+            rhs = (z_t, l1 * zc, l2 * z_xc, -(2.0 * k + 1.0) * z_xxc)
+            scale = np.abs(zc) * sum(map(np.abs, lhs)) + z_xc**2 * sum(map(np.abs, rhs))
+            return (zc * sum(lhs) - z_xc**2 * sum(rhs)) / np.maximum(scale, 1e-12)
 
-    return _refinement_study(sample, grid, level_residual, (3, 2), 4, "for the potential")
+    return _refinement_study(sample, grid, level_residual, 4, "for the potential")

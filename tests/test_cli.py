@@ -268,12 +268,15 @@ class TestSimulateVelocity:
         x, u = np.array([row.split(",") for row in text.splitlines()[1:]], float).T
         assert_same_rows(text, reference_profile_csv(x, u))
 
-    def test_velocity_fisher(self, capsys, tmp_path):
+    @pytest.mark.parametrize("family", ["fisher-front", "bell"])
+    def test_velocity_fisher(self, capsys, tmp_path, family):
+        # the bell measures its speed by shift registration, the front by level crossing
         out = tmp_path / "vel.json"
-        code, text = run(capsys, "velocity", "--family", "fisher-front",
+        code, text = run(capsys, "velocity", "--family", family,
                          "--out", str(out))
         assert code == 0
         payload = json.loads(out.read_text())
+        assert payload["method"].startswith("registration" if family == "bell" else "level")
         assert payload["relative_error"] < 0.01
         assert payload["measured_velocity"] == pytest.approx(
             payload["predicted_velocity"], rel=0.01)

@@ -18,6 +18,7 @@ from rdwaves.equations import (
     QuadraticDecay,
     SigmaFamily,
     build_eq47,
+    central_difference,
     derived_constants,
     kpp_check,
     rhs_eval,
@@ -73,6 +74,20 @@ class TestRhs:
         with pytest.raises(EquationError):
             CubicPolynomial(alpha=2, b=0.0, c=0.0)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_general_family_all_couplings(self, sign):
+        # n = 3/2, k = 4: every coupling on, lambda3 included, against the
+        # written-out k(-(k+1)u^n + l1 u + s l2 u^((n+1)/2) + s l3 u^((3-n)/2) + l4 u^(2-n))
+        l1, l2, l3, l4 = 0.5, 0.7, -1.1, 0.4
+        spec = GeneralFamily(n=1.5, lambda1=l1, lambda2=l2, lambda3=l3, lambda4=l4,
+                             halfpower_sign=sign)
+        u = np.linspace(0.05, 3.0, 200)
+        expected = 4.0 * (-5.0 * u**1.5 + l1 * u + sign * l2 * u**1.25
+                          + sign * l3 * u**0.75 + l4 * u**0.5)
+        assert np.max(np.abs(spec.rhs(u) - expected)) < 1e-12
+        with pytest.raises(EquationError, match="non-positive base"):
+            rhs_eval(spec, -0.5)
+
     def test_sigma_family_factored_form(self):
         # n = 2 rhs equals (u + nu)(-3u + sigma sqrt(u) - nu) pointwise
         nu, sigma = -1.5, 0.7
@@ -90,6 +105,62 @@ class TestRhs:
     def test_kpp_generic_callable(self):
         spec = KPPGeneric(f=lambda u: np.zeros_like(u), label="zero")
         assert rhs_eval(spec, 0.7) == 0.0
+
+
+# (derivative, order); each central stencil is exact on polynomials up to
+# degree order + derivative - 1
+STENCILS = [(1, 2), (1, 4), (2, 2), (2, 4), (3, 4)]
+
+
+class TestCentralDifference:
+    @staticmethod
+    def monomial(x, j, derivative):
+        """d^derivative/dx^derivative of x^j."""
+        if j < derivative:
+            return np.zeros_like(x)
+        return math.perm(j, derivative) * x ** (j - derivative)
+
+    @pytest.mark.parametrize("derivative, order", STENCILS)
+    def test_exact_on_polynomials_up_to_degree(self, derivative, order):
+        h = 0.125
+        x = -1.0 + h * np.arange(17)
+        r = (len(x) - len(central_difference(x, h, derivative, order))) // 2
+        assert r == (derivative + 1) // 2 + order // 2 - 1
+        for j in range(order + derivative):
+            got = central_difference(x**j, h, derivative, order)
+            want = self.monomial(x[r:-r], j, derivative)
+            assert np.max(np.abs(got - want)) < 1e-10, j
+
+    @pytest.mark.parametrize("derivative, order", STENCILS)
+    def test_first_inexact_degree_converges_at_order(self, derivative, order):
+        # on x^(order + derivative) the error at x = 1 is C h^order: halving h
+        # divides it by 2^order
+        j = order + derivative
+        errors = []
+        for h in (0.125, 0.0625):
+            r = (derivative + 1) // 2 + order // 2 - 1
+            x = 1.0 + h * np.arange(-r, r + 1)
+            got = central_difference(x**j, h, derivative, order)[0]
+            errors.append(abs(got - math.perm(j, derivative)))
+        assert errors[1] > 0.0
+        assert math.log2(errors[0] / errors[1]) == pytest.approx(order, abs=0.05)
+
+    def test_differences_along_axis_zero(self):
+        # a(x, t) = x^2 (1 + 3t): a gives a_xx = 2 (1 + 3t), its transpose a_t = 3 x^2
+        h = 0.25
+        x, t = h * np.arange(9), h * np.arange(5)
+        a = np.outer(x**2, 1.0 + 3.0 * t)
+        a_xx = central_difference(a, h, 2, 4)
+        assert a_xx.shape == (5, 5)
+        assert np.allclose(a_xx, np.outer(np.full(5, 2.0), 1.0 + 3.0 * t), rtol=0, atol=1e-12)
+        a_t = central_difference(a.T, h, 1, 2).T
+        assert a_t.shape == (9, 3)
+        assert np.allclose(a_t, np.outer(3.0 * x**2, np.ones(3)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("derivative, order", [(3, 2), (1, 6), (0, 4)])
+    def test_unknown_stencil_rejected(self, derivative, order):
+        with pytest.raises(ValueError, match="no central stencil"):
+            central_difference(np.zeros(9), 0.1, derivative, order)
 
 
 class TestKPPCheck:

@@ -321,7 +321,7 @@ class TestFrontVelocity:
         cfg = SimConfig(-10.0, 10.0, 401, 0.0, 2.0, n_checkpoints=9)
         x = cfg.x
         fields = np.array([0.5 * (1 - np.tanh(x - v * t)) for t in cfg.checkpoints])
-        return SimHistory(x=x, times=cfg.checkpoints, fields=fields, config=cfg)
+        return SimHistory(x=x, times=cfg.checkpoints, fields=fields)
 
     def test_synthetic_translation(self):
         hist = self.synthetic_history(1.5)
@@ -340,7 +340,7 @@ class TestFrontVelocity:
         cfg = SimConfig(-10.0, 10.0, 401, 0.0, 1.0, n_checkpoints=5)
         x = cfg.x
         fields = np.array([1.5 / np.cosh(0.5 * (x - 0.4 * t)) ** 2 for t in cfg.checkpoints])
-        hist = SimHistory(x=x, times=cfg.checkpoints, fields=fields, config=cfg)
+        hist = SimHistory(x=x, times=cfg.checkpoints, fields=fields)
         with pytest.raises(AmbiguousFrontError):
             front_velocity(hist, 0.75)  # a bell crosses any mid level twice
 

@@ -259,6 +259,20 @@ class TestPdeResidual:
         pde_residual(s, Fisher(), Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17), 4)
         assert shapes == [(129, 65)]
 
+    @pytest.mark.parametrize("kind, index", [("direct", i) for i in range(7, 12)]
+                             + [("inverse", i) for i in (7, 9, 11)]
+                             + [("focusing", i) for i in (8, 10)])
+    def test_deep_chain_window_holds_no_pole(self, kind, index):
+        # past index 6 the suggested window follows the pole lattice, which
+        # halves every two indices; a fixed window would hold a pole (1e16)
+        s = build_family("chain", {"kind": kind, "index": index})
+        (x0, x1, t0, t1), (nx, nt) = s.suggested_window, s.suggested_resolution
+        g = Grid2D(x0, x1, nx, t0, t1, nt)
+        rep = pde_residual(s, s.equation, g, 4)
+        assert rep.max_abs < 0.05
+        assert rep.order_estimate is not None and rep.order_estimate > 3.0
+        assert pde_residual(s.perturbed(), s.equation, g, 4).max_abs > 1.0
+
     def test_report_serializes(self):
         s = fisher_front("tanh")
         g = Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17)
