@@ -1,9 +1,13 @@
 """Every exact solution family, constructed as samplers (x, t) -> value/mask.
 
-The chain families are built from the seed phi = ds(y, 1/sqrt2) by the
+The chain elements are defined from the seed phi = ds(y, 1/sqrt2) by the
 logarithmic-derivative recurrence phi -> phi'/phi, with derivatives
 propagated analytically through the first integral (phi')^2 - phi^4 = C_n
 (C_{n+1} = -4 C_n): no numerical differentiation ever enters the chain.
+The samplers evaluate each element from its closed form, a scaled copy of
+element 0 or 1 (PhiState.eval, one sn/cn/dn evaluation at any depth); the
+recurrence (PhiState.levels) is the independent oracle that the checks in
+verify, the chain inventory and the closed-form cross-check walk.
 Sign conventions follow exact differentiation of the seed; transcribed
 closed forms are matched up to overall sign by the cross-check helpers.
 
@@ -195,9 +199,28 @@ class PhiState:
             yield phi, dphi, defined
 
     def eval(self, y):
-        """(phi, phi', defined) at y; both values are nan where not defined."""
-        *_, (phi, dphi, defined) = self.levels(y)
-        return np.where(defined, phi, np.nan), np.where(defined, dphi, np.nan), defined
+        """(phi, phi', defined) at y from the closed form; both values are nan
+        where not defined.
+
+        With m, r = divmod(index, 2), phi_n(y) = s_n 2^m B_r(2^m y) and
+        phi_n'(y) = s_n 4^m B_r'(2^m y), where B_0 = ds, B_1 = -cn/(sn dn)
+        and s_n = -1 for even n >= 2, +1 otherwise (phi_{n+2}(y) =
+        2 phi_n(2y) for n >= 1; DLMF 22.6, 22.13).  One sn/cn/dn evaluation
+        at any depth; the mask is |sn(2^m y)| >= POLE_EPS.  levels() walks
+        the recurrence and stays the independent oracle for this form.
+        """
+        m, r = divmod(self.index, 2)
+        scale = 2.0**m
+        sign = -1.0 if r == 0 and m > 0 else 1.0
+        sn, cn, dn = jacobi_sn_cn_dn(scale * np.asarray(y, dtype=float), MODULUS_INV_SQRT2)
+        defined = np.abs(sn) >= POLE_EPS
+        if r == 0:
+            phi = _masked_div(defined, dn, sn)
+            dphi = _masked_div(defined, -cn, sn, 2)
+        else:
+            phi = _masked_div(defined, -cn, sn * dn)
+            dphi = _masked_div(defined, 1.0, sn, 2) - cn * cn / (2.0 * dn * dn)
+        return sign * scale * phi, sign * scale * scale * dphi, defined
 
 
 def phi_chain(index: int) -> PhiState:

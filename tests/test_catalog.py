@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rdwaves.catalog import (
     FAMILIES,
@@ -36,6 +38,7 @@ from rdwaves.elliptic import (
     complete_elliptic_K,
     jacobi_sn_cn_dn,
 )
+from rdwaves.verify import _recurrence_eval, _well_conditioned
 
 K = complete_elliptic_K(MODULUS_INV_SQRT2)
 SQRT6 = math.sqrt(6.0)
@@ -533,13 +536,22 @@ def reference_phi_eval(index: int, y):
     return phi, dphi, defined
 
 
+# the y grid crosses poles of ds and the dyadic zeros of every element
+POLE_GRID = np.r_[np.linspace(-2 * K - 0.3, 4 * K + 0.3, 4001), np.arange(-16, 33) * K / 8.0]
+
+# closed form against the recurrence, |eval - ref| / max(1, |ref|), at depths
+# 0..12: measured 1.2e-11 for phi and 1.0e-10 for phi' on POLE_GRID, both
+# set by the recurrence's rounding, which grows with depth (6.7e-10 at 16)
+CLOSED_FORM_RTOL = 1e-9
+
+
 class TestPhiStateMasking:
     @pytest.mark.parametrize("depth", range(8))
     def test_eval_matches_per_level_masking(self, depth):
-        # the y grid crosses poles of ds and the dyadic zeros of every element
-        y = np.r_[np.linspace(-2 * K - 0.3, 4 * K + 0.3, 4001), np.arange(-16, 33) * K / 8.0]
-        got = phi_chain(depth).eval(y)
-        expected = reference_phi_eval(depth, y)
+        # the recurrence, blanked once at its last level, matches the
+        # reference that re-masks every level, bit for bit
+        got = _recurrence_eval(phi_chain(depth), POLE_GRID)
+        expected = reference_phi_eval(depth, POLE_GRID)
         assert np.array_equal(got[2], expected[2])
         assert not got[2].all()
         for a, b in zip(got[:2], expected[:2]):
@@ -547,15 +559,42 @@ class TestPhiStateMasking:
 
     @pytest.mark.parametrize("depth", [0, 3, 8])
     def test_levels_match_eval(self, depth):
-        y = np.r_[np.linspace(-2 * K - 0.3, 4 * K + 0.3, 4001), np.arange(-16, 33) * K / 8.0]
-        levels = list(phi_chain(depth).levels(y))
+        levels = list(phi_chain(depth).levels(POLE_GRID))
         assert len(levels) == depth + 1
         for j, (phi, dphi, defined) in enumerate(levels):
-            expected = phi_chain(j).eval(y)
+            expected = reference_phi_eval(j, POLE_GRID)
             assert np.array_equal(defined, expected[2])
             for a, b in zip((phi, dphi), expected[:2]):
                 # values under the mask are unspecified: compare the blanked arrays
                 assert np.array_equal(np.where(defined, a, np.nan), b, equal_nan=True)
+
+    @pytest.mark.parametrize("depth", range(13))
+    def test_closed_form_matches_recurrence(self, depth):
+        phi, dphi, defined = phi_chain(depth).eval(POLE_GRID)
+        ref_phi, ref_dphi, ref_defined = reference_phi_eval(depth, POLE_GRID)
+        assert np.array_equal(defined, ref_defined)
+        assert np.isnan(phi[~defined]).all() and np.isnan(dphi[~defined]).all()
+        rtol = 0.0 if depth == 0 else CLOSED_FORM_RTOL  # the seed is the same arithmetic
+        for a, b in ((phi, ref_phi), (dphi, ref_dphi)):
+            a, b = a[defined], b[defined]
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= rtol
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(depth=st.integers(0, 12), y=st.floats(0.05, 2 * K - 0.05))
+    def test_closed_form_property(self, depth, y):
+        # any y that clean_chain_samples would keep: the closed form agrees
+        # with the recurrence and keeps the first integral (phi')^2 - phi^4 = C_n
+        state = phi_chain(depth)
+        y = np.array([y])
+        assume(_well_conditioned(state, y)[0])
+        phi, dphi, defined = state.eval(y)
+        ref_phi, ref_dphi, _ = _recurrence_eval(state, y)
+        assert defined[0]
+        for a, b in ((phi, ref_phi), (dphi, ref_dphi)):
+            assert abs(a[0] - b[0]) / max(1.0, abs(b[0])) <= CLOSED_FORM_RTOL
+        c_n = chain_constant(depth)
+        # measured at most 2.8e-14 |C_n| on clean samples at depths 0..12
+        assert abs(dphi[0] ** 2 - phi[0] ** 4 - c_n) <= 1e-12 * abs(c_n)
 
 
 def reference_masked_pow(base, p: float):

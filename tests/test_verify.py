@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from rdwaves.catalog import (
+    CHAIN_K,
     FAMILIES,
     Sampler,
     ZSampler,
     build_family,
+    chain_constant,
     elliptic_solution,
     fisher_front,
     phi_chain,
@@ -315,6 +317,37 @@ class TestOdeResidual:
     def test_clean_samples_need_a_positive_count(self, n):
         with pytest.raises(ValueError, match="at least one sample"):
             clean_chain_samples(2, n)
+
+
+def reference_clean_chain_samples(max_index: int, n: int, seed: int = 77) -> np.ndarray:
+    """clean_chain_samples as it drew all 200 n candidates in one call."""
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(0.05, 2 * CHAIN_K - 0.05, 200 * n)
+    keep = np.ones_like(y, dtype=bool)
+    for j, (phi, _, ok) in enumerate(phi_chain(max_index).levels(y)):
+        keep &= ok & (np.abs(phi) <= 2.5 * abs(chain_constant(j)) ** 0.25)
+    y = y[keep]
+    if y.size < n:
+        raise VerificationImpossibleError(
+            f"only {y.size} well-conditioned samples available for depth {max_index}"
+        )
+    return y[:n]
+
+
+class TestCleanChainSamples:
+    @pytest.mark.parametrize("index", range(13))
+    def test_chunked_draws_match_the_one_shot_draw(self, index):
+        for n in (1, 50, 200):
+            got = clean_chain_samples(index, n, seed=77 + index)
+            assert np.array_equal(got, reference_clean_chain_samples(index, n, seed=77 + index))
+
+    def test_too_few_after_every_candidate_names_the_count(self):
+        with pytest.raises(VerificationImpossibleError,
+                           match="only 119 well-conditioned samples available for depth 40"):
+            reference_clean_chain_samples(40, 200)
+        with pytest.raises(VerificationImpossibleError,
+                           match="only 119 well-conditioned samples available for depth 40"):
+            clean_chain_samples(40, 200)
 
 
 class TestPropositionSuite:
