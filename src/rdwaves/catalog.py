@@ -5,9 +5,9 @@ logarithmic-derivative recurrence phi -> phi'/phi, with derivatives
 propagated analytically through the first integral (phi')^2 - phi^4 = C_n
 (C_{n+1} = -4 C_n): no numerical differentiation ever enters the chain.
 The samplers evaluate each element from its closed form, a scaled copy of
-element 0 or 1 (PhiState.eval, one sn/cn/dn evaluation at any depth); the
-recurrence (PhiState.levels) is the independent oracle that the checks in
-verify, the chain inventory and the closed-form cross-check walk.
+element 0 or 1 (PhiState.eval, one sn/cn/dn evaluation at any depth) with
+an exact dyadic lattice of zeros and poles (PhiState.lattice); the recurrence
+(PhiState.levels) is the oracle that verify and the closed-form cross-check walk.
 Sign conventions follow exact differentiation of the seed; transcribed
 closed forms are matched up to overall sign by the cross-check helpers.
 
@@ -132,12 +132,14 @@ class Sampler:
         return u, defined
 
     def shifted(self, dx: float = 0.0, dt: float = 0.0) -> "Sampler":
-        """Translate: the equations are autonomous, so shifts stay solutions."""
+        """Translate u and its window: the equations are autonomous, so shifts stay solutions."""
         inner = self.fn
+        w = self.suggested_window
         return replace(
             self,
             fn=lambda x, t: inner(x - dx, t - dt),
             params={**self.params, "x_shift": dx, "t_shift": dt},
+            suggested_window=None if w is None else (w[0] + dx, w[1] + dx, w[2] + dt, w[3] + dt),
         )
 
     def perturbed(self, amplitude: float = 0.01) -> "Sampler":
@@ -222,6 +224,19 @@ class PhiState:
             dphi = _masked_div(defined, 1.0, sn, 2) - cn * cn / (2.0 * dn * dn)
         return sign * scale * phi, sign * scale * scale * dphi, defined
 
+    @property
+    def lattice_level(self) -> int:
+        return (self.index + 1) // 2
+
+    def lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """(zeros, poles) on the period [0, 2K], each within one rounding of exact; together
+        they are the multiples of 2K / 2^lattice_level.  With m = index // 2, poles sit where
+        sn(2^m y) = 0 and, for odd index only, zeros where cn(2^m y) = 0 (DLMF 22.4)."""
+        points = np.arange(2**self.lattice_level + 1) * (2.0 * CHAIN_K / 2**self.lattice_level)
+        if self.index % 2:
+            return points[1::2], points[::2]
+        return points[:0], points
+
 
 def phi_chain(index: int) -> PhiState:
     """Chain element of the given depth; index 0 is the ds seed."""
@@ -265,23 +280,20 @@ def _chain_u(kind: str, amp, phi, defined):
 
 
 _CHAIN_WINDOWS = {
-    # pole-free y-windows per max chain depth (bad points at multiples of K/2^j)
+    # pole-free y-windows per lattice level (PhiState.lattice_level)
     0: (0.65, 2.9),
     1: (0.45, 1.5),
-    2: (0.45, 1.5),
-    3: (0.25, 0.68),
-    4: (0.25, 0.68),
-    5: (0.54, 0.85),
-    6: (0.54, 0.85),
+    2: (0.25, 0.68),
+    3: (0.54, 0.85),
 }
 
 
-def _chain_xt_window(index: int) -> tuple[float, float, float, float]:
-    # the pole lattice halves every two indices: past 6, scale the index-5/6
-    # y-window by 2^(3 - ceil(n/2)); split it between the x- and t-extents
+def _chain_xt_window(level: int) -> tuple[float, float, float, float]:
+    # the lattice spacing halves every level: past 3, scale the level-3
+    # y-window by 2^(3 - level); split it between the x- and t-extents
     # so that x^2 + 6t stays inside it across the whole rectangle
-    scale = 2.0 ** min(0, 3 - (index + 1) // 2)
-    y_lo, y_hi = (scale * y for y in _CHAIN_WINDOWS[min(index, 6)])
+    scale = 2.0 ** min(0, 3 - level)
+    y_lo, y_hi = (scale * y for y in _CHAIN_WINDOWS[min(level, 3)])
     x0 = 0.25
     x1 = math.sqrt(x0 * x0 + 0.45 * (y_hi - y_lo))
     t0 = (y_lo - x0 * x0) / 6.0
@@ -315,7 +327,7 @@ def elliptic_solution(kind: str, index: int, sign: int = 1) -> Sampler:
         params={"kind": kind, "index": index, "sign": sign},
         domain_note="poles where sn(y) = 0 or an intermediate chain element vanishes, "
         "y = x^2 + 6t on the dyadic grid of quarter-period fractions",
-        suggested_window=_chain_xt_window(index),
+        suggested_window=_chain_xt_window(state.lattice_level),
         suggested_resolution=(97, 49) if index <= 2 else (65, 33),
     )
 
@@ -846,8 +858,6 @@ def crosscheck_closed_forms(n_samples: int = 100) -> dict:
 
     report = {}
     for name, (closed, ok_c) in forms.items():
-        if name not in chain_vals:
-            continue
         chain, ok_h = chain_vals[name]
         ok = ok_c & ok_h & np.isfinite(closed) & np.isfinite(chain)
         ok = ok & (np.abs(closed) > 1e-6) & (np.abs(closed) < 1e6)

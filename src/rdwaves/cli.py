@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import (CHAIN_K, CatalogError, Sampler, build_family, chain_constant, family_info,
-                      phi_chain)
+from .catalog import CatalogError, Sampler, build_family, chain_constant, family_info, phi_chain
 from .equations import spec_to_json
 from .simulate import SimConfig, SimulationError, compare_exact, integrate
 from .verify import (
@@ -140,8 +139,6 @@ def _parse_flag(flag: str, raw: str, fields: str, build=lambda *values: values):
 def _parse_grid(raw: str, sampler) -> Grid2D:
     if raw:
         return _parse_flag("--grid", raw, "x0,x1,nx,t0,t1,nt", Grid2D)
-    if sampler.suggested_window is None:
-        raise SystemExit("this family has no default window; pass --grid")
     x0, x1, t0, t1 = sampler.suggested_window
     nx, nt = sampler.suggested_resolution
     return Grid2D(x0, x1, nx, t0, t1, nt)
@@ -256,7 +253,7 @@ def _velocity_setup(sampler, h: float):
     """Simulation window, duration and level for a front-speed measurement."""
     v = sampler.predicted_velocity
     if v is None:
-        raise SystemExit("this family carries no predicted velocity")
+        raise SystemExit("--family: this family carries no predicted velocity")
     if not h > 0:
         raise ValueError(f"grid step must be positive, got {h}")
     duration = min(3.0, max(0.5, 1.8 / max(abs(v), 0.6)))
@@ -309,21 +306,14 @@ def cmd_velocity(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    state = _usage("--depth", phi_chain, args.depth)
-    y = np.linspace(1e-4, 2 * CHAIN_K - 1e-4, 200001)
+    if not 0 <= args.depth <= 26:  # row n lists 2^ceil(n/2) + 1 lattice points, 8,193 at 26
+        raise SystemExit(f"--depth: must be between 0 and 26, got {args.depth}")
     rows = []
-    # poles of element n are the base sn = 0 points plus every zero of the
-    # elements below it (each division by phi promotes zeros to poles)
-    singular = [0.0, float(round(2 * CHAIN_K, 6))]
     print("index  C_n             zeros (one period)                 singular points")
-    for n, (phi, _, ok) in enumerate(state.levels(y)):
-        # sign changes between neighbours where both values are moderate
-        phi = np.where(ok & (np.abs(phi) < 1e3), phi, 0.0)
-        zeros = [float(round(y[i], 6)) for i in np.where(phi[:-1] * phi[1:] < 0)[0]]
-        rows.append({"index": n, "c_n": chain_constant(n), "zeros": zeros,
-                     "singular": sorted(singular)})
-        print(f"{n:5d}  {chain_constant(n):+12.6f}   {str(zeros):34s} {sorted(singular)}")
-        singular = sorted(set(singular) | set(zeros))
+    for n in range(args.depth + 1):
+        zeros, poles = ([round(v, 6) for v in a.tolist()] for a in phi_chain(n).lattice())
+        rows.append({"index": n, "c_n": chain_constant(n), "zeros": zeros, "singular": poles})
+        print(f"{n:5d}  {chain_constant(n):+12.6f}   {str(zeros):34s} {poles}")
     _write_report(args.out, "chain", {"depth": args.depth, "elements": rows},
                   {"depth": args.depth})
     return 0

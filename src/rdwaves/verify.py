@@ -180,7 +180,9 @@ def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
         order_estimate = float(np.mean(orders))
 
     Xc, Tc = X[rx:-rx, rt:-rt], T[rx:-rx, rt:-rt]
-    flat = np.argsort(np.abs(np.where(valid, res, 0.0)), axis=None)[::-1][:10]
+    score = np.abs(np.where(valid, res, 0.0)).ravel()
+    top = np.argpartition(score, -10)[-10:]  # Grid2D's 8-point minimum leaves more than 10 cells
+    flat = top[np.argsort(score[top])[::-1]]
     worst = []
     for idx in flat:
         i, j = np.unravel_index(idx, res.shape)

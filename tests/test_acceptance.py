@@ -113,6 +113,8 @@ RESIDUAL_CASES = [
     ("fisher-weierstrass", {"C": 1e2}),
     ("fisher-weierstrass", {"C": 1e4}),
     ("fisher-weierstrass", {"C": 1e6}),
+    ("fisher-weierstrass", {"C": 1e2, "reflect_y": True}),
+    ("fisher-weierstrass", {"C": 1e4, "reflect_y": True}),
     ("bell", {"epsilon": 0.3}),
     ("generalized-fisher", {"c1": 2.0}),
     ("generalized-fisher", {"c1": -2.0}),

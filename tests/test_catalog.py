@@ -1,5 +1,6 @@
 """Catalog construction: chain recurrence, closed-form cross-checks, samplers."""
 
+import functools
 import math
 
 import numpy as np
@@ -364,6 +365,10 @@ class TestSamplers:
         u, _ = s.sample(2.0, 0.5)
         u0, _ = fisher_front("tanh").sample(0.0, 0.0)
         assert float(u) == pytest.approx(float(u0), abs=1e-15)
+        # the window moves with the solution; a sampler without one keeps none
+        assert s.suggested_window == (-6.0, 10.0, 0.5, 1.0)
+        z = potential_transform(z_from_phi(0), 1.0)
+        assert z.suggested_window is None and z.shifted(2.0, 0.5).suggested_window is None
 
 
 class TestPotentialTransform:
@@ -595,6 +600,48 @@ class TestPhiStateMasking:
         c_n = chain_constant(depth)
         # measured at most 2.8e-14 |C_n| on clean samples at depths 0..12
         assert abs(dphi[0] ** 2 - phi[0] ** 4 - c_n) <= 1e-12 * abs(c_n)
+
+
+# the sign-change scan that rdwaves chain ran before it stated the lattice:
+# one step of its grid bounds how far its points sit from the exact ones
+SCAN_Y = np.linspace(1e-4, 2 * K - 1e-4, 200001)
+SCAN_STEP = SCAN_Y[1] - SCAN_Y[0]
+
+
+@functools.cache
+def reference_chain_scan() -> tuple:
+    """(zeros, singular) rows of elements 0..26, as the scan printed them."""
+    rows = []
+    singular = [0.0, float(round(2 * K, 6))]
+    for phi, _, ok in phi_chain(26).levels(SCAN_Y):
+        phi = np.where(ok & (np.abs(phi) < 1e3), phi, 0.0)
+        zeros = [float(round(SCAN_Y[i], 6)) for i in np.where(phi[:-1] * phi[1:] < 0)[0]]
+        rows.append((zeros, sorted(singular)))
+        singular = sorted(set(singular) | set(zeros))
+    return tuple(rows)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("depth", range(27))
+    def test_matches_the_scan(self, depth):
+        # the scan's rounded point is at most one grid step below the exact
+        # one (it reports the left end of the bracketing pair) plus 5e-7
+        for exact, scanned in zip(phi_chain(depth).lattice(), reference_chain_scan()[depth]):
+            assert exact.size == len(scanned)
+            assert np.all(np.abs(exact - scanned) <= SCAN_STEP + 5e-7)
+
+    @pytest.mark.parametrize("depth", range(27))
+    def test_eval_is_singular_at_poles_and_vanishes_at_zeros(self, depth):
+        state = phi_chain(depth)
+        zeros, poles = state.lattice()
+        assert zeros.size == (2 ** (depth // 2) if depth % 2 else 0)
+        assert poles.size == 2 ** (depth // 2) + 1
+        assert poles[0] == 0.0 and poles[-1] == 2 * K
+        assert not state.eval(poles)[2].any()
+        phi, _, defined = state.eval(zeros)
+        assert defined.all()
+        # |phi| / sqrt(C_n) is the distance to the zero in y: measured at most 4.2e-16
+        assert np.all(np.abs(phi) <= 1e-14 * math.sqrt(abs(chain_constant(depth))))
 
 
 def reference_masked_pow(base, p: float):

@@ -216,6 +216,9 @@ class TestMalformedFlags:
         ("--grid", ["verify", "--family", "solitary",
                     "--params", '{"nu": 0.8, "branch": "tan", "C": -1.2}',
                     "--grid=-50,50,64,0,0.25,9", "--out", "v.json"]),
+        # the chain table stops at depth 26 (8,193 points a row)
+        ("--depth", ["chain", "--depth", "27", "--out", "c.json"]),
+        ("--family", ["velocity", "--family", "chain", "--out", "v.json"]),
     ])
     def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
         monkeypatch.chdir(tmp_path)
@@ -319,18 +322,28 @@ class TestChainOdeCheck:
         assert elements[1]["zeros"][0] == pytest.approx(1.854075, abs=1e-5)
         assert any(abs(s - 1.854075) < 1e-5 for s in elements[2]["singular"])
 
-    def test_chain_walks_the_ladder_once(self, capsys, monkeypatch):
-        calls = []
-        real = catalog.jacobi_sn_cn_dn
+    def test_chain_rows_are_the_rounded_lattice(self, capsys, tmp_path):
+        out = tmp_path / "chain.json"
+        code, text = run(capsys, "chain", "--depth", "26", "--out", str(out))
+        assert code == 0
+        assert text.splitlines()[0] == ("index  C_n             zeros (one period)"
+                                        "                 singular points")
+        elements = json.loads(out.read_text())["elements"]
+        assert len(elements) == 27
+        for n, row in enumerate(elements):
+            zeros, poles = phi_chain(n).lattice()
+            assert row["zeros"] == [round(v, 6) for v in zeros.tolist()]
+            assert row["singular"] == [round(v, 6) for v in poles.tolist()]
+            assert len(row["zeros"]) + len(row["singular"]) == 2 ** ((n + 1) // 2) + 1
 
-        def counted(*args):
-            calls.append(np.size(args[0]))
-            return real(*args)
+    def test_chain_states_the_lattice_without_evaluating(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chain evaluated an element")
 
-        monkeypatch.setattr(catalog, "jacobi_sn_cn_dn", counted)
+        monkeypatch.setattr(catalog, "jacobi_sn_cn_dn", refuse)
+        monkeypatch.setattr(catalog.PhiState, "levels", refuse)
         code, _ = run(capsys, "chain", "--depth", "6")
         assert code == 0
-        assert calls == [200001]
 
     def test_ode_check(self, capsys):
         code, text = run(capsys, "ode-check", "--chain-index", "1",

@@ -234,6 +234,25 @@ class TestPdeResidual:
         assert rep.order_estimate is not None and rep.order_estimate >= 3.5
         assert rep.max_abs < 1e-6
 
+    @pytest.mark.parametrize("dx, dt", [(3.0, 0.0), (1.0, 0.5), (-2.0, -1.0)])
+    @pytest.mark.parametrize("family, params", [
+        ("chain", {}), ("chain", {"index": 3}), ("fisher-weierstrass", {}),
+        ("fisher-weierstrass", {"C": 1e4, "reflect_y": True}),
+        ("solitary", {"nu": 0.8, "branch": "tan", "C": -1.2})])
+    def test_shifted_family_verifies_on_its_moved_window(self, family, params, dx, dt):
+        # a shifted sampler judged on the unshifted window read up to 1.3e21
+        x0, x1, t0, t1 = build_family(family, params).suggested_window
+        s = build_family(family, {**params, "x_shift": dx, "t_shift": dt})
+        assert s.suggested_window == (x0 + dx, x1 + dx, t0 + dt, t1 + dt)
+        g = Grid2D(x0 + dx, x1 + dx, s.suggested_resolution[0],
+                   t0 + dt, t1 + dt, s.suggested_resolution[1])
+        rep = pde_residual(s, s.equation, g, 4)
+        assert rep.max_abs <= 1e-6
+        assert rep.order_estimate is not None and rep.order_estimate >= 3.5
+        bad = pde_residual(s.perturbed(), s.equation, g, 4)
+        assert bad.max_abs > 1e-3
+        assert bad.order_estimate is None or bad.order_estimate < 1.0
+
     def test_order_estimate_within_band(self):
         # observed order stays within [stencil_order - 0.5, stencil_order + 1]
         for order in (2, 4):
