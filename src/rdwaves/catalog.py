@@ -31,7 +31,7 @@ from .elliptic import (
     MODULUS_INV_SQRT2,
     POLE_EPS,
     WeierstrassInvariants,
-    _masked_div,
+    _pole_div,
     complete_elliptic_K,
     jacobi_sn_cn_dn,
     weierstrass_p,
@@ -187,9 +187,8 @@ class PhiState:
         """
         y = np.asarray(y, dtype=float)
         sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
-        defined = np.abs(sn) >= POLE_EPS
-        phi = _masked_div(defined, dn, sn)
-        dphi = _masked_div(defined, -cn, sn, 2)
+        phi, defined = _pole_div(dn, sn)
+        dphi = _pole_div(-cn, sn, 2)[0]
         yield phi, dphi, defined
         c = -0.25
         for _ in range(self.index):
@@ -215,13 +214,13 @@ class PhiState:
         scale = 2.0**m
         sign = -1.0 if r == 0 and m > 0 else 1.0
         sn, cn, dn = jacobi_sn_cn_dn(scale * np.asarray(y, dtype=float), MODULUS_INV_SQRT2)
-        defined = np.abs(sn) >= POLE_EPS
         if r == 0:
-            phi = _masked_div(defined, dn, sn)
-            dphi = _masked_div(defined, -cn, sn, 2)
+            phi, defined = _pole_div(dn, sn)
+            dphi = _pole_div(-cn, sn, 2)[0]
         else:
-            phi = _masked_div(defined, -cn, sn * dn)
-            dphi = _masked_div(defined, 1.0, sn, 2) - cn * cn / (2.0 * dn * dn)
+            dphi, defined = _pole_div(1.0, sn, 2)
+            phi = _pole_div(-cn, sn * dn, ok=defined)[0]
+            dphi = dphi - cn * cn / (2.0 * dn * dn)
         return sign * scale * phi, sign * scale * scale * dphi, defined
 
     @property
@@ -275,8 +274,7 @@ def _chain_u(kind: str, amp, phi, defined):
     """(u, defined) of amp * phi (direct) or amp / phi (inverse/focusing), nan where masked."""
     if kind == "direct":
         return amp * phi, defined
-    defined = defined & (np.abs(phi) >= POLE_EPS)
-    return _masked_div(defined, amp, phi), defined
+    return _pole_div(amp, phi, ok=defined)
 
 
 _CHAIN_WINDOWS = {
@@ -409,7 +407,7 @@ def plane_wave(n: float, c1: float, c2: float, lambda2: float) -> Sampler:
         theta = -c1 * x - rate * t
         with np.errstate(over="ignore"):
             den = 1.0 + c2 * np.exp(theta)
-        base = _masked_div(np.abs(den) >= POLE_EPS, c1, den)
+        base = _pole_div(c1, den)[0]
         u, defined = _masked_pow(base, k)
         return u, defined & np.isfinite(base)
 
@@ -526,8 +524,7 @@ def _tanh_or_coth(form: str, theta):
     th = np.tanh(theta)
     if form == "tanh":
         return th, np.ones_like(theta, dtype=bool)
-    defined = np.abs(th) >= POLE_EPS
-    return _masked_div(defined, 1.0, th), defined
+    return _pole_div(1.0, th)
 
 
 def fisher_front(form: str = "tanh", complement: bool = False, c: float = 0.0,
@@ -579,9 +576,7 @@ def fisher_exponential(c2: float) -> Sampler:
     def fn(y, tau):
         with np.errstate(over="ignore"):
             den = 1.0 + c2 * np.exp(y / SQRT6 - 5.0 * tau / 6.0)
-        defined = np.abs(den) >= POLE_EPS
-        u = _masked_div(defined, 1.0, den, 2)
-        return u, defined
+        return _pole_div(1.0, den, 2)
 
     return Sampler(
         fn=fn,
@@ -722,9 +717,8 @@ def quadratic_rational(sign: int = 1) -> Sampler:
 
     def fn(x, t):
         den = x * x + beta * t
-        defined = np.abs(den) >= 1e-6 * (1.0 + x * x + np.abs(beta * t))
-        u = _masked_div(defined, a * x * x + b * t, den, 2)
-        return u, defined
+        ok = np.abs(den) >= 1e-6 * (1.0 + x * x + np.abs(beta * t))
+        return _pole_div(a * x * x + b * t, den, 2, ok=ok)
 
     return Sampler(
         fn=fn,
@@ -755,10 +749,8 @@ def potential_transform(z: ZSampler, k: float) -> Sampler:
 
     def fn(x, t):
         zv, zx, ok = z.fn(x, t)
-        ok = ok & (np.abs(zv) >= POLE_EPS)
-        base = _masked_div(ok, zx, zv)
-        u, defined = _masked_pow(base, k)
-        return u, ok & defined
+        base = _pole_div(zx, zv, ok=ok)[0]
+        return _masked_pow(base, k)  # the nan base of a masked point stays masked
 
     return Sampler(
         fn=fn,
@@ -816,18 +808,15 @@ def closed_forms(y):
     out["u2"] = ((cd - dc) / safe_sn - safe_cn * ds, ok)
     c_printed = 2.25 * SQRT2
     den_printed = dn * cs * (c_printed * safe_cn**2 - ds**2)
-    ok3p = ok & (np.abs(den_printed) >= POLE_EPS)
-    out["u3_printed"] = (_masked_div(ok3p, cs**4 - dn**4, den_printed), ok3p)
+    out["u3_printed"] = _pole_div(cs**4 - dn**4, den_printed, ok=ok)
     den_corr = dn * cs * (0.5 * safe_cn**2 - ds**2)
-    ok3c = ok & (np.abs(den_corr) >= POLE_EPS)
-    out["u3_corrected"] = (_masked_div(ok3c, cs**4 - dn**4, den_corr), ok3c)
+    out["u3_corrected"] = _pole_div(cs**4 - dn**4, den_corr, ok=ok)
     out["tilde1"] = (dn / cs, ok)
     num_t3 = 2.0 * dn * cs * (c_printed * safe_cn**2 - ds**2)
     den_t3 = cs**4 - dn**4
-    okt3 = ok & (np.abs(den_t3) >= POLE_EPS)
-    out["tilde3_printed"] = (_masked_div(okt3, num_t3, den_t3), okt3)
+    out["tilde3_printed"] = _pole_div(num_t3, den_t3, ok=ok)
     out["hat0"] = (sd / 2.0, ok)
-    out["hat2"] = (-4.0 * sn * cn * dn / (cn**4 + 1.0), np.isfinite(y))
+    out["hat2"] = (-4.0 * sn * cn * dn / (cn**4 + 1.0), np.isfinite(sn))
     return out
 
 

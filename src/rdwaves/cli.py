@@ -257,8 +257,10 @@ def _velocity_setup(sampler, h: float):
     if not h > 0:
         raise ValueError(f"grid step must be positive, got {h}")
     duration = min(3.0, max(0.5, 1.8 / max(abs(v), 0.6)))
-    if sampler.family_id == "bell":
-        x0 = max(0.0, v * duration) + 0.7
+    if sampler.family_id == "bell":  # masked for x <= v (t - t_shift) + x_shift - 2C
+        p = sampler.params
+        edge = p.get("x_shift", 0.0) - v * p.get("t_shift", 0.0) - 2.0 * p["C"]
+        x0 = max(0.0, v * duration) + max(0.0, edge) + 0.7
         return SimConfig(x0, x0 + 8.0, int(8.0 / h) + 1, 0.0, duration,
                          n_checkpoints=9), None, True
     # locate the mid-level crossing of the initial profile near the origin
@@ -435,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--grid", default=None)
     p.add_argument("--order", type=int, default=4, choices=(2, 4))
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="max residual of a converging verdict; the default is meant for --order 4")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("ode-check", help="chain-element checks and the assertion suite")

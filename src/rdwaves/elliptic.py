@@ -2,12 +2,12 @@
 
 Jacobi sn/cn/dn are evaluated by the descending Landen (AGM) transformation
 with argument reduction modulo the real period 4K.  The twelve quotient
-functions (ds, cs, sd, ...) are formed from the base triple with explicit
-pole masking.  The Weierstrass function is evaluated from its Laurent series
-(terms through z^10) followed by repeated application of the duplication
-formula, propagating the (P, P') pair so no square-root sign choices are
-needed.  Everything accepts numpy arrays and is pure: safe to evaluate
-concurrently over grids.
+functions (ds, cs, sd, ...) are formed from the base triple by _pole_div, the
+package's one pole rule: a denominator within POLE_EPS of zero masks the point.
+The Weierstrass function is evaluated from its Laurent series (terms through
+z^10) followed by repeated application of the duplication formula, propagating
+the (P, P') pair so no square-root sign choices are needed.  Everything accepts
+numpy arrays and is pure: safe to evaluate concurrently over grids.
 """
 
 from __future__ import annotations
@@ -38,15 +38,16 @@ POLE_EPS = 1e-8  # a quotient/pole is declared undefined below this threshold
 _OMEGA_G3_UNIT = 1.5299540370571927
 
 
-def _masked_div(ok, num, den, power: int = 1):
-    """num / den**power where ok, nan elsewhere.
+def _pole_div(num, den, power: int = 1, ok=True):
+    """The one pole rule: (num / den**power, defined), defined = ok & (|den| >= POLE_EPS).
 
-    Masked denominators are replaced by 1 before the division, so neither
-    the division nor the power warns about points that are discarded.
+    The value is nan where not defined.  Masked denominators are replaced by 1
+    first, so neither the division nor the power warns about discarded points.
     """
-    safe = np.where(ok, den, 1.0)
+    defined = ok & (np.abs(den) >= POLE_EPS)
+    safe = np.where(defined, den, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(ok, num / (safe if power == 1 else safe**power), np.nan)
+        return np.where(defined, num / (safe if power == 1 else safe**power), np.nan), defined
 
 
 class EllipticError(ValueError):
@@ -109,7 +110,8 @@ def jacobi_sn_cn_dn(y, m: EllipticModulus):
 
     k = 0 and k = 1 use the exact circular/hyperbolic branches; otherwise the
     amplitude is recovered by the backward Landen recursion after reducing y
-    modulo the real period 4K.
+    modulo the real period 4K, and is nan where |y| eps > POLE_EPS: there the
+    rounding of y alone exceeds the pole threshold, so the reduction is noise.
     """
     y = np.asarray(y, dtype=float)
     if m.k == 0.0:
@@ -119,6 +121,7 @@ def jacobi_sn_cn_dn(y, m: EllipticModulus):
         return np.tanh(y), sech, sech
     a, c = _agm_scheme(m)
     K = complete_elliptic_K(m)
+    y = np.where(np.abs(y) <= POLE_EPS / np.finfo(float).eps, y, np.nan)
     # reduce to [-2K, 2K]; the backward recursion then stays well conditioned
     y_red = y - 4.0 * K * np.round(y / (4.0 * K))
     n_last = len(a) - 1
@@ -161,9 +164,7 @@ def jacobi_quotient(name: str, y, m: EllipticModulus):
     sn, cn, dn = jacobi_sn_cn_dn(y, m)
     parts = {"sn": sn, "cn": cn, "dn": dn, "1": np.ones_like(sn)}
     num_name, den_name = QUOTIENT_NAMES[name]
-    num, den = parts[num_name], parts[den_name]
-    defined = np.abs(den) >= POLE_EPS
-    return _masked_div(defined, num, den), defined
+    return _pole_div(parts[num_name], parts[den_name])
 
 
 @dataclass(frozen=True)
@@ -236,8 +237,8 @@ def weierstrass_p(z, inv: WeierstrassInvariants):
     z = np.asarray(z, dtype=float)
     defined = np.isfinite(z) & (z > 0.0)
     if inv.g3 == 0.0:  # the degenerate lattice: P collapses to 1/z^2
-        defined = defined & (np.abs(z) >= POLE_EPS)
-        return _masked_div(defined, 1.0, z, 2), _masked_div(defined, -2.0, z, 3), defined
+        p, defined = _pole_div(1.0, z, 2, ok=defined)
+        return p, _pole_div(-2.0, z, 3, ok=defined)[0], defined
 
     omega = weierstrass_real_half_period(inv)
     period = 2.0 * omega

@@ -274,7 +274,8 @@ class QuadraticDecay(EquationSpec):
 def rhs_eval(spec: EquationSpec, u: float) -> float:
     """Scalar f(u); raises EquationError where f(u) is nan for a non-nan u,
     which every out-of-domain term yields: nan survives each coefficient."""
-    val = float(spec.rhs(float(u)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the nan is named below
+        val = float(spec.rhs(float(u)))
     if math.isnan(val) and not math.isnan(u):
         raise EquationError(f"{spec.describe()} undefined at u={u}: fractional power of a "
                             "non-positive base or argument outside the domain")

@@ -35,7 +35,6 @@ from rdwaves.catalog import (
 from rdwaves.elliptic import (
     MODULUS_INV_SQRT2,
     POLE_EPS,
-    _masked_div,
     complete_elliptic_K,
     jacobi_sn_cn_dn,
 )
@@ -150,6 +149,11 @@ class TestClosedForms:
         assert rep["hat0"]["max_abs_deviation"] < 1e-9
         assert rep["u2"]["max_abs_deviation"] < 1e-9
 
+    def test_unreducible_argument_masked_in_every_form(self):
+        # |y| eps > POLE_EPS: jacobi_sn_cn_dn returns nan, and no form may call it defined
+        forms = closed_forms(np.array([1.0, 1e9, -1e9]))
+        assert all(list(ok) == [True, False, False] for _, ok in forms.values())
+
     def test_hat2_corrected_matches(self):
         rep = crosscheck_closed_forms(100)
         assert rep["hat2"]["max_abs_deviation"] < 1e-9
@@ -198,6 +202,26 @@ class TestEllipticSolution:
         assert (ok & okc).all()
         assert np.max(np.abs(np.abs(u) - np.abs(2 * x * closed))) < 1e-9
 
+    def test_sign_and_k1_guards(self):
+        with pytest.raises(CatalogError, match="sign must be"):
+            elliptic_solution("direct", 1, sign=2)
+        with pytest.raises(CatalogError, match="sign must be"):
+            cosh_cos_solution(2, 0.5, 0.0, "direct", 0)
+        with pytest.raises(CatalogError, match="k1 must be nonzero"):
+            cosh_cos_solution(-1, 0.0, 0.0, "direct", 0)
+
+    @pytest.mark.parametrize("index", [0, 3, 9])
+    def test_chain_exp_masks_unreducible_arguments(self, index):
+        # w = k1 cosh(x) e^(3t) reaches 1e260 by t = 200; once the argument
+        # 2^m w of sn/cn/dn has rounding |2^m w| eps > POLE_EPS, its
+        # reduction modulo 4K means nothing, so those cells are masked
+        X, T = np.meshgrid(np.linspace(-3.0, 3.0, 61), np.linspace(0.0, 200.0, 41),
+                           indexing="ij")
+        u, ok = cosh_cos_solution(-1, 0.5, 0.0, "direct", index).sample(X, T)
+        y = 2.0 ** (index // 2) * 0.5 * np.cosh(X) * np.exp(3.0 * T)
+        assert ok.any() and np.isfinite(u[ok]).all()
+        assert not (ok & (y * np.finfo(float).eps > POLE_EPS)).any()
+
     def test_sign_flag(self):
         sp = elliptic_solution("direct", 1, sign=1)
         sm = elliptic_solution("direct", 1, sign=-1)
@@ -239,6 +263,11 @@ class TestSamplers:
     def test_plane_wave_fractional_k_guard(self):
         with pytest.raises(CatalogError):
             plane_wave(2.5, -1.0, 1.0, 0.0)
+        with pytest.raises(CatalogError, match="c1 must be nonzero"):
+            plane_wave(2.0, 0.0, 1.0, 0.0)
+        # n = -1 gives k = -1, and c1^k = 1e9 from a base below POLE_EPS
+        with pytest.raises(CatalogError, match="not a real number"):
+            plane_wave(-1.0, 1e-9, 1.0, 0.0)
 
     def test_plane_wave_singular_line_masked(self):
         s = plane_wave(2.0, -1.0, -1.0, 0.0)  # c2 < 0: denominator crosses 0
@@ -291,6 +320,14 @@ class TestSamplers:
         assert not s.residual_clean
         u, _ = s.sample(0.0, 0.0)
         assert float(u) == pytest.approx(0.75, abs=1e-15)
+
+    def test_form_and_sign_guards(self):
+        with pytest.raises(CatalogError, match="form must be"):
+            fisher_front("sech")
+        with pytest.raises(CatalogError, match="form must be"):
+            generalized_fisher(2.0, "sech")
+        with pytest.raises(CatalogError, match="sign must be"):
+            quadratic_rational(0)
 
     def test_fisher_coth_singular_line(self):
         s = fisher_front("coth", c=0.0)
@@ -652,7 +689,7 @@ def reference_masked_pow(base, p: float):
         if ip >= 0:
             return np.power(base, ip), np.isfinite(base)
         defined = np.abs(base) >= POLE_EPS
-        return _masked_div(defined, 1.0, base, -ip), defined
+        return np.where(defined, 1.0 / np.where(defined, base, 1.0) ** -ip, np.nan), defined
     defined = base > POLE_EPS if p < 0 else base >= 0.0
     with np.errstate(invalid="ignore"):
         val = np.where(defined, np.power(np.maximum(base, 0.0), p), np.nan)

@@ -219,6 +219,7 @@ class TestMalformedFlags:
         # the chain table stops at depth 26 (8,193 points a row)
         ("--depth", ["chain", "--depth", "27", "--out", "c.json"]),
         ("--family", ["velocity", "--family", "chain", "--out", "v.json"]),
+        ("--params", ["sample", "--family", "bell", "--params", "[1]", "--out", "g.csv"]),
     ])
     def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
         monkeypatch.chdir(tmp_path)
@@ -283,6 +284,23 @@ class TestSimulateVelocity:
         assert payload["relative_error"] < 0.01
         assert payload["measured_velocity"] == pytest.approx(
             payload["predicted_velocity"], rel=0.01)
+
+    @pytest.mark.parametrize("params", [{"x_shift": 1.0}, {"t_shift": -2.0}, {"C": -0.5},
+                                        {"x_shift": 1.0, "t_shift": -1.0, "C": -0.5}])
+    def test_velocity_bell_window_follows_the_masked_edge(self, capsys, tmp_path, params):
+        # the bell is masked for x <= v (t - t_shift) + x_shift - 2C; a window
+        # placed from v alone let that edge reach its left boundary
+        out = tmp_path / "vel.json"
+        code, _ = run(capsys, "velocity", "--family", "bell", "--params", json.dumps(params),
+                      "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["relative_error"] <= 0.01
+
+    @pytest.mark.parametrize("C", [0.0, 0.2, 0.4])
+    def test_velocity_bell_window_unshifted(self, C):
+        cfg = cli._velocity_setup(build_family("bell", {"C": C}), 0.05)[0]
+        v = build_family("bell").predicted_velocity
+        assert (cfg.x_min, cfg.x_max) == (3.0 * v + 0.7, 3.0 * v + 0.7 + 8.0)
 
     def test_velocity_stationary_front_absolute_error(self, capsys, tmp_path):
         # c1 = 3/2 gives predicted speed 0: no relative error exists, so the

@@ -14,6 +14,7 @@ from rdwaves.elliptic import (
     EllipticModulus,
     UnboundedPeriodError,
     WeierstrassInvariants,
+    _pole_div,
     complete_elliptic_K,
     jacobi_quotient,
     jacobi_sn_cn_dn,
@@ -122,6 +123,15 @@ class TestJacobiTriple:
         assert np.max(np.abs(d_dy(1, y) + sn * dn)) < 1e-8
         assert np.max(np.abs(d_dy(2, y) + m.k2 * sn * cn)) < 1e-8
 
+    def test_unreducible_arguments_are_nan(self):
+        # past |y| eps = POLE_EPS the rounding of y exceeds the pole threshold
+        bound = POLE_EPS / np.finfo(float).eps
+        y = np.array([1.0, -bound, bound, np.nextafter(bound, np.inf), -2.0 * bound, 1e300,
+                      np.inf, -np.inf, np.nan])
+        for m in MODULI:
+            finite = np.isfinite(np.array(jacobi_sn_cn_dn(y, m))).all(axis=0)
+            assert list(finite) == [True, True, True] + [False] * 6
+
     def test_periodicity(self):
         for m in MODULI:
             K = complete_elliptic_K(m)
@@ -211,6 +221,8 @@ class TestWeierstrass:
         assert ok.all()
         assert np.allclose(p, 1.0 / z**2, rtol=1e-14)
         assert np.allclose(dp, -2.0 / z**3, rtol=1e-14)
+        with pytest.raises(EllipticError, match="g3 != 0"):
+            weierstrass_real_half_period(inv)
 
     @pytest.mark.parametrize("g3", [1.0, 100.0, 1e4, 1e6, -4.0])
     def test_defining_identity(self, g3):
@@ -273,3 +285,38 @@ class TestWeierstrass:
             assert bool(ok)
             assert abs(p - (g3 / 4.0) ** (1.0 / 3.0)) < 1e-10 * max(1.0, abs(p))
             assert abs(dp) < 1e-6 * max(1.0, g3 ** 0.5)
+
+
+class TestPoleDiv:
+    DEN = np.array([-2.5, -1.0, -3e-8, -POLE_EPS, -np.nextafter(POLE_EPS, 0.0), -POLE_EPS / 2,
+                    -0.0, 0.0, POLE_EPS / 2, np.nextafter(POLE_EPS, 0.0), POLE_EPS,
+                    np.nextafter(POLE_EPS, 1.0), 0.3, 7.0, np.inf, -np.inf, np.nan])
+    OUTSIDE = np.array([1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0], dtype=bool)
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_value_is_the_division_where_defined(self, power):
+        num = np.linspace(-2.0, 3.0, self.DEN.size)
+        val, defined = _pole_div(num, self.DEN, power)
+        assert np.array_equal(defined, self.OUTSIDE)
+        with np.errstate(all="ignore"):
+            expected = num / self.DEN**power
+        # bitwise: the same IEEE operations on the defined points
+        assert np.array_equal(val[defined].view(np.int64), expected[defined].view(np.int64))
+        assert np.isnan(val[~defined]).all()
+
+    def test_mask_flips_exactly_at_pole_eps_and_combines_with_ok(self):
+        den = np.array([POLE_EPS, np.nextafter(POLE_EPS, 0.0), -POLE_EPS,
+                        -np.nextafter(POLE_EPS, 0.0), 1.0, 1.0])
+        ok = np.array([True, True, True, True, True, False])
+        assert list(_pole_div(1.0, den)[1]) == [True, False, True, False, True, True]
+        val, defined = _pole_div(1.0, den, ok=ok)
+        assert list(defined) == [True, False, True, False, True, False]
+        assert np.isnan(val[~defined]).all() and np.isfinite(val[defined]).all()
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_masked_denominators_never_raise(self, power):
+        den = np.array([0.0, -0.0, POLE_EPS / 2, -POLE_EPS / 2, np.nan, np.inf, -np.inf])
+        with np.errstate(all="raise"):
+            val, defined = _pole_div(np.ones_like(den), den, power)
+        assert list(defined) == [False] * 4 + [False, True, True]
+        assert np.isnan(val[:5]).all() and (val[5:] == 0.0).all()

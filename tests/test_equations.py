@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,10 @@ class TestRhs:
     def test_cubic_alpha_validation(self):
         with pytest.raises(EquationError):
             CubicPolynomial(alpha=2, b=0.0, c=0.0)
+
+    def test_halfpower_sign_validation(self):
+        with pytest.raises(EquationError, match="halfpower_sign"):
+            GeneralFamily(n=2.0, halfpower_sign=0)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_general_family_all_couplings(self, sign):
@@ -173,6 +178,16 @@ class TestKPPCheck:
         c = 0.4
         rep = kpp_check(CubicPolynomial(alpha=-1, b=-c - 1.0, c=c))
         assert rep.f0_zero and rep.f1_zero
+
+    def test_undefined_rhs_reads_nan_without_a_warning(self):
+        # f(0) = (1 + 1/u) * 0 is inf * 0: rhs_eval names the nan itself, so no
+        # numpy warning may escape ahead of it (CI runs with warnings as errors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = kpp_check(SigmaFamily(n=2.0, nu=1.0, sigma=0.0))
+        assert math.isnan(rep.f0) and math.isnan(rep.fprime0)
+        assert rep.f1 == pytest.approx(-8.0, abs=1e-12)
+        assert not rep.f0_zero and not rep.fprime0_positive and not rep.all_ok
 
     def test_power_law_fails_at_one(self):
         rep = kpp_check(PowerLaw(3))

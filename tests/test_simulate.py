@@ -146,6 +146,9 @@ class TestIntegrate:
         wrong = generalized_fisher(2.0, "tanh")
         rep = compare_exact(hist, wrong)
         assert max(rep.max_abs_errors) > 0.5
+        # the bell is masked on x <= 0, inside this window
+        with pytest.raises(SimulationError, match="masked inside the comparison window"):
+            compare_exact(hist, perturbed_fisher_bell(0.3))
 
 
 def reference_rk4(eq, init: Sampler, cfg: SimConfig) -> tuple[np.ndarray, int]:

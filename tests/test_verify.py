@@ -193,6 +193,8 @@ class TestPdeResidual:
         g = Grid2D(-10.0, 10.0, 41, 0.0, 0.5, 17)
         rep = pde_residual(s, s.equation, g, 2)
         assert rep.order_estimate == pytest.approx(2.0, abs=0.3)
+        with pytest.raises(ValueError, match="stencil_order must be 2 or 4"):
+            pde_residual(s, s.equation, g, 3)
 
     def test_masked_hole_does_not_leak(self):
         # garbage values under the mask must never touch any used stencil
