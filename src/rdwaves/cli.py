@@ -197,20 +197,20 @@ def cmd_verify(args) -> int:
     if not sampler.residual_clean:
         print("note: this variant is cataloged as failing verification "
               "(see its domain note)")
-    ok = (report.order_estimate or 0.0) >= args.order - 0.5 and report.max_abs <= args.tol
+    ok = report.converges(args.tol)
     print("verdict:", "converges" if ok else "DOES NOT CONVERGE")
     return 0 if ok == sampler.residual_clean else 1
 
 
 def cmd_ode_check(args) -> int:
     state = _usage("--chain-index", phi_chain, args.chain_index)
+    rows = _usage("--chain-index", proposition_suite, max_index=args.chain_index)
     y = _usage("--samples", clean_chain_samples, args.chain_index, args.samples)
     rep = ode_residual(state, y)
     print(f"chain element {args.chain_index}: C_estimate {rep.c_estimate:+.9f} "
           f"(expected {chain_constant(args.chain_index):+.9f}), "
           f"first-integral std {rep.first_integral_std:.2e}, "
           f"second-order residual {rep.second_order_max:.2e} on {rep.n_valid} samples")
-    rows = proposition_suite(max_index=args.chain_index)
     for r in rows:
         print(f"  [{'pass' if r.passed else 'FAIL'}] index {r.index}: {r.proposition} "
               f"(max deviation {r.max_deviation:.2e})")
@@ -365,11 +365,12 @@ def figure_gate(fig_id: int) -> dict:
     """Finiteness/defined-fraction of the plot data plus a residual probe
     of the family on its clean verification window."""
     sampler, _, _, u, defined, _ = figure_data(fig_id)
-    return _gate(fig_id, sampler, u, defined)
+    return _gate(fig_id, sampler, u, defined)[0]
 
 
-def _gate(fig_id: int, sampler, u, defined) -> dict:
-    """figure_gate's checks on plot data that is already sampled."""
+def _gate(fig_id: int, sampler, u, defined) -> tuple[dict, bool]:
+    """figure_gate's checks on plot data that is already sampled, and whether they
+    pass: defined share at least 0.9, finite values and the probe's verify verdict."""
     frac = float(defined.mean())
     finite = bool(np.all(np.isfinite(u[defined])))
     probe = pde_residual(sampler, sampler.equation, _parse_grid(None, sampler), 4)
@@ -379,7 +380,7 @@ def _gate(fig_id: int, sampler, u, defined) -> dict:
         "finite": finite,
         "residual_order": probe.order_estimate,
         "residual_max": probe.max_abs,
-    }
+    }, frac >= 0.9 and finite and probe.converges()
 
 
 def cmd_figures(args) -> int:
@@ -395,7 +396,7 @@ def cmd_figures(args) -> int:
     all_ok = True
     for fig_id in ids:
         sampler, X, T, u, defined, spec = figure_data(fig_id)
-        gate = _gate(fig_id, sampler, u, defined)
+        gate, ok = _gate(fig_id, sampler, u, defined)
         csv_path = outdir / f"figure{fig_id}.csv"
         _emit(csv_path, _grid_csv(X[:, 0], T[0, :], u, defined), outputs)
         _emit(outdir / f"figure{fig_id}.json", _json_text({"caption": spec["caption"], **gate}),
@@ -403,8 +404,6 @@ def cmd_figures(args) -> int:
         if args.gnuplot:
             _emit(outdir / f"figure{fig_id}.gp", _gnuplot_script(csv_path, spec["caption"]),
                   outputs)
-        ok = (gate["defined_fraction"] >= 0.9 and gate["finite"]
-              and (gate["residual_order"] or 0.0) >= 3.5)
         all_ok &= ok
         print(f"figure {fig_id}: defined {gate['defined_fraction']:.4f}, "
               f"finite {gate['finite']}, residual order "
@@ -437,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--grid", default=None)
     p.add_argument("--order", type=int, default=4, choices=(2, 4))
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="max residual of a converging verdict; the default is meant for --order 4")
+    p.add_argument("--tol", type=float, default=None,
+                   help="max residual of a converging verdict (default: RESIDUAL_TOL[order])")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("ode-check", help="chain-element checks and the assertion suite")

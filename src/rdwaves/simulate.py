@@ -158,10 +158,6 @@ def integrate(eq: EquationSpec, init: Sampler, cfg: SimConfig) -> SimHistory:
     fields = np.empty((len(checkpoints), cfg.n_x))
     fields[0] = u
     t = cfg.t0
-    pin, pin_ok = init.sample(x_edges, t)
-    if not pin_ok.all():
-        raise SimulationError(f"boundary values masked at t={t}")
-    u[edges] = pin
     steps = 0
     for k, target in enumerate(checkpoints[1:], start=1):
         while t < target - 1e-13:

@@ -22,6 +22,7 @@ from .equations import EquationSpec, central_difference
 __all__ = [
     "VerificationImpossibleError",
     "Grid2D",
+    "RESIDUAL_TOL",
     "ResidualReport",
     "pde_residual",
     "OdeResidualReport",
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 _STANDOFF_FACTOR = 5  # stencils within 5 x-radii of a masked point are skipped
+# finest max residual of a converging verdict by stencil order; at 2 the order alone decides
+RESIDUAL_TOL = {2: math.inf, 4: 1e-6}
 
 
 class VerificationImpossibleError(RuntimeError):
@@ -96,6 +99,12 @@ class ResidualReport:
     orders: tuple[float, ...]
     worst: tuple[tuple[float, float, float], ...] = ()
     stencil_order: int = 4
+
+    def converges(self, tol: float | None = None) -> bool:
+        """Roache's observed-order verdict: order estimate within 0.5 of the stencil order
+        and max_abs at most tol (RESIDUAL_TOL of the stencil order when None)."""
+        tol = RESIDUAL_TOL[self.stencil_order] if tol is None else tol
+        return (self.order_estimate or 0.0) >= self.stencil_order - 0.5 and self.max_abs <= tol
 
 
 def _dilate(mask: np.ndarray, radius: int, axes=(0, 1)) -> np.ndarray:
@@ -353,9 +362,13 @@ def proposition_suite(max_index: int = 6, n_samples: int = 200) -> list[Proposit
     the same meaning at every depth; C_n itself grows like 4^n, so raw
     deviations of deep elements would measure magnitude, not correctness.
     Through index 17 every check passes at a normalized deviation of at most
-    1e-7; at index 18 and from 20 on, the recurrence's own rounding, which
-    grows with depth, takes proposition 1 past it (1.5e-7 at index 18).
+    1e-7; past it the recurrence's own rounding, which grows with depth,
+    takes proposition 1 past it (1.5e-7 at index 18), so a max_index above
+    17 raises VerificationImpossibleError before any work.
     """
+    if max_index > 17:
+        raise VerificationImpossibleError(f"max index {max_index} > 17: past 17 the recurrence's "
+                                          "own rounding exceeds the suite's 1e-7 tolerance")
     tol = 1e-7
     rows: list[PropositionRow] = []
     for index in range(max_index + 1):

@@ -220,6 +220,7 @@ class TestMalformedFlags:
         ("--depth", ["chain", "--depth", "27", "--out", "c.json"]),
         ("--family", ["velocity", "--family", "chain", "--out", "v.json"]),
         ("--params", ["sample", "--family", "bell", "--params", "[1]", "--out", "g.csv"]),
+        ("--chain-index", ["ode-check", "--chain-index", "18", "--out", "o.json"]),
     ])
     def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
         monkeypatch.chdir(tmp_path)
@@ -252,6 +253,18 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--family", "fisher-exp",
                       "--grid=-6,6,33,0,0.4,17")
         assert code == 0
+
+    def test_order_two_judges_by_order(self, capsys):
+        # second-order truncation of chain direct 6 is 1.4e-1, far above the
+        # order-4 tolerance; at order 2 the observed order decides
+        code, text = run(capsys, "verify", "--family", "chain",
+                         "--params", '{"index": 6}', "--order", "2")
+        assert code == 0
+        assert "verdict: converges" in text
+        code, text = run(capsys, "verify", "--family", "chain",
+                         "--params", '{"index": 6}', "--order", "2", "--tol", "1e-6")
+        assert code == 1
+        assert "DOES NOT CONVERGE" in text
 
 
 class TestSimulateVelocity:

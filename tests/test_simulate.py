@@ -234,10 +234,10 @@ class TestHotPath:
     @pytest.mark.parametrize("block", [BLOCK_STEPS, 7])
     @pytest.mark.parametrize("space_order", [2, 4])
     def test_stage_times_sampled_in_whole_step_blocks(self, monkeypatch, space_order, block):
-        # after the full-window initial sample and the pin at t0, each call
-        # covers both boundary layers at t + dt/2 and t + dt of whole steps,
-        # at most one block of them, and together they are the reference
-        # loop's stage times in order
+        # after the full-window initial sample, each call covers both
+        # boundary layers at t + dt/2 and t + dt of whole steps, at most one
+        # block of them, and together they are the reference loop's stage
+        # times in order
         monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
         base = fisher_front("tanh")
         s, calls = recording(base)
@@ -245,9 +245,8 @@ class TestHotPath:
         hist = integrate(s.equation, s, cfg)
         nb = 1 if space_order == 2 else 2
         x_edges = np.r_[cfg.x[:nb], cfg.x[-nb:]]
-        (x_init, t_init), (x_pin, t_pin), *blocks = calls
+        (x_init, t_init), *blocks = calls
         assert np.array_equal(x_init, cfg.x) and np.all(t_init == cfg.t0)
-        assert np.array_equal(x_pin, x_edges) and np.all(t_pin == cfg.t0)
         seen = []
         for x, t in blocks:
             rows = t.shape[0]

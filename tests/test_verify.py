@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import rdwaves.verify as verify
 from rdwaves.catalog import (
     CHAIN_K,
     FAMILIES,
@@ -22,7 +23,9 @@ from rdwaves.catalog import (
 )
 from rdwaves.equations import Fisher, QuadraticDecay
 from rdwaves.verify import (
+    RESIDUAL_TOL,
     Grid2D,
+    ResidualReport,
     VerificationImpossibleError,
     _dilate,
     _usable,
@@ -305,6 +308,63 @@ class TestPdeResidual:
         assert len(obj["level_max_abs"]) == 3
 
 
+def default_reports(family: str, order: int) -> tuple[ResidualReport, ResidualReport]:
+    """pde_residual of the family's defaults and of their perturbed() control
+    on the suggested grid, at the given stencil order."""
+    s = build_family(family, {})
+    (x0, x1, t0, t1), (nx, nt) = s.suggested_window, s.suggested_resolution
+    g = Grid2D(x0, x1, nx, t0, t1, nt)
+    return (pde_residual(s, s.equation, g, order),
+            pde_residual(s.perturbed(), s.equation, g, order))
+
+
+def report_with(order_estimate, max_abs, stencil_order=4) -> ResidualReport:
+    return ResidualReport(max_abs=max_abs, l2=max_abs, defined_fraction=1.0,
+                          order_estimate=order_estimate, level_max_abs=(max_abs,) * 3,
+                          orders=(0.0, 0.0), stencil_order=stencil_order)
+
+
+class TestConverges:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_the_inline_rule(self, family, order):
+        # the order-and-max rule written out, as the method's reference
+        for rep in default_reports(family, order):
+            inline = (rep.order_estimate or 0.0) >= order - 0.5 and rep.max_abs <= 1e-6
+            assert rep.converges(1e-6) == inline
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_order_two_decides_by_order_alone(self, family):
+        # second-order truncation (up to 1.4e-1) overlaps the controls'
+        # residuals (down to 1.6e-2): the default tolerance leaves the order
+        # to tell a solution from its perturbed control
+        clean, control = default_reports(family, 2)
+        assert RESIDUAL_TOL[2] == math.inf
+        assert clean.converges()
+        assert not control.converges()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_order_four_default_is_1e_6(self, family):
+        assert RESIDUAL_TOL[4] == 1e-6
+        for rep in default_reports(family, 4):
+            assert rep.converges() == rep.converges(1e-6)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_order_boundary(self, p):
+        assert report_with(p - 0.5, 1e-9, p).converges()
+        assert not report_with(math.nextafter(p - 0.5, 0.0), 1e-9, p).converges()
+
+    def test_max_boundary(self):
+        assert report_with(4.0, 1e-6).converges(1e-6)
+        assert not report_with(4.0, math.nextafter(1e-6, 1.0)).converges(1e-6)
+        assert report_with(4.0, 2e-3).converges(2e-3)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_no_order_estimate_never_converges(self, p):
+        assert not report_with(None, 0.0, p).converges()
+        assert not report_with(None, 0.0, p).converges(math.inf)
+
+
 class TestOdeResidual:
     def test_seed_constant(self):
         y = clean_chain_samples(0, 300)
@@ -377,6 +437,17 @@ class TestPropositionSuite:
         assert all(r.passed for r in rows), [
             (r.index, r.proposition, r.max_deviation) for r in rows if not r.passed
         ]
+
+    @pytest.mark.parametrize("max_index", [18, 40])
+    def test_refuses_indices_past_its_oracle(self, monkeypatch, max_index):
+        # past index 17 the recurrence's rounding exceeds the 1e-7 tolerance;
+        # the suite says so before drawing a single sample
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite drew samples before refusing")
+
+        monkeypatch.setattr(verify, "clean_chain_samples", no_work)
+        with pytest.raises(VerificationImpossibleError, match=r"> 17: .*rounding"):
+            proposition_suite(max_index=max_index)
 
     def test_structure(self):
         rows = proposition_suite(max_index=3, n_samples=50)

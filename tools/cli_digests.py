@@ -2,9 +2,10 @@
 
 Runs each command in-process through rdwaves.cli.main inside a fresh
 temporary directory and prints one ``<sha256>  <name>`` line for its
-stdout, its exit code and every file it wrote, in a fixed order.  Manifest
-timestamps are blanked first, so two trees that produce the same outputs
-print the same lines: diff the output of two checkouts to see which
+stdout, its exit code and every file it wrote, in a fixed order; a command
+refused with a usage error (SystemExit) gets a line for its message too.
+Manifest timestamps are blanked first, so two trees that produce the same
+outputs print the same lines: diff the output of two checkouts to see which
 commands changed what.  Takes no options:
 
     PYTHONPATH=src python tools/cli_digests.py > digests.txt
@@ -43,6 +44,11 @@ def commands() -> list[tuple[str, list[str]]]:
                                             "--out", f"velocity-{family}.json"]))
     runs.append(("chain", ["chain", "--depth", "6", "--out", "chain.json"]))
     runs.append(("figures", ["figures", "--outdir", "figures", "--gnuplot"]))
+    # new commands go last, so the lines of an older command list keep their order
+    runs.append(("verify-chain-6-order-2", ["verify", "--family", "chain",
+                                            "--params", '{"index": 6}', "--order", "2"]))
+    runs.append(("ode-check-18", ["ode-check", "--chain-index", "18"]))
+    runs.append(("chain-27", ["chain", "--depth", "27"]))
     return runs
 
 
@@ -56,14 +62,20 @@ def run_all() -> list[str]:
         with tempfile.TemporaryDirectory() as work:
             cwd = os.getcwd()
             os.chdir(work)
+            refusal = None
             try:
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
                     code = main(argv)
+            except SystemExit as exc:  # a refusal: a message exits 1, argparse exits 2
+                refusal = exc.code
+                code = refusal if isinstance(refusal, int) else 1
             finally:
                 os.chdir(cwd)
             lines.append(f"{digest(stdout.getvalue().encode())}  {name} stdout")
             lines.append(f"{digest(str(code).encode())}  {name} exit")
+            if refusal is not None:
+                lines.append(f"{digest(str(refusal).encode())}  {name} usage error")
             for path in sorted(p for p in Path(work).rglob("*") if p.is_file()):
                 data = path.read_bytes()
                 if "manifest" in path.name:
