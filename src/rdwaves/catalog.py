@@ -38,6 +38,7 @@ from .elliptic import (
     weierstrass_real_half_period,
 )
 from .equations import (
+    EquationError,
     EquationSpec,
     Fisher,
     GeneralFamily,
@@ -954,7 +955,11 @@ def _json_type(value) -> str:
 
 
 def build_family(family_id: str, params: dict | None = None) -> Sampler:
-    """Instantiate a registry family, defaults merged under params (and x_shift, t_shift)."""
+    """Instantiate a registry family, defaults merged under params (and x_shift, t_shift).
+
+    A builder's EquationError, or an OverflowError of its scalar math, is
+    raised as a CatalogError that names the given parameters.
+    """
     if family_id not in FAMILIES:
         raise CatalogError(f"unknown family {family_id!r}; valid families: {sorted(FAMILIES)}")
     info = FAMILIES[family_id]
@@ -972,7 +977,12 @@ def build_family(family_id: str, params: dict | None = None) -> Sampler:
             raise CatalogError(f"parameter {key!r} must be finite, got {value}")
     shift_x = merged.pop("x_shift")
     shift_t = merged.pop("t_shift")
-    sampler = info.builder(**merged)
+    try:
+        sampler = info.builder(**merged)
+    except (EquationError, OverflowError) as exc:  # the equation's domain, scalar math range
+        given = ", ".join(f"{k}={v!r}" for k, v in sorted((params or {}).items()))
+        cause = "overflows in floating point" if isinstance(exc, OverflowError) else exc
+        raise CatalogError(f"{given or 'the default parameters'} rejected: {cause}") from None
     if shift_x or shift_t:
         sampler = sampler.shifted(shift_x, shift_t)
     return sampler

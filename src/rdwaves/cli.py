@@ -141,7 +141,7 @@ def _parse_grid(raw: str, sampler) -> Grid2D:
         return _parse_flag("--grid", raw, "x0,x1,nx,t0,t1,nt", Grid2D)
     x0, x1, t0, t1 = sampler.suggested_window
     nx, nt = sampler.suggested_resolution
-    return Grid2D(x0, x1, nx, t0, t1, nt)
+    return _usage("--grid", Grid2D, x0, x1, nx, t0, t1, nt)
 
 
 def _build(args) -> Sampler:

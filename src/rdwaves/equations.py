@@ -14,13 +14,15 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
 __all__ = [
     "EquationError",
     "EquationSpec",
+    "STENCILS",
     "central_difference",
     "Fisher",
     "KPPGeneric",
@@ -59,28 +61,55 @@ def _frac_pow(u, p: float):
         return np.where(u > 0.0 if p < 0 else u >= 0.0, np.power(np.maximum(u, 0.0), p), np.nan)
 
 
+# (derivative, order) -> (integer weights at offsets -r..r, denominator, power
+# of h): the derivative is sum_j w_j a[i + j] / (denominator h^power)
+STENCILS: Mapping[tuple[int, int], tuple[tuple[int, ...], int, int]] = MappingProxyType({
+    (1, 2): ((-1, 0, 1), 2, 1),
+    (1, 4): ((1, -8, 0, 8, -1), 12, 1),
+    (2, 2): ((1, -2, 1), 1, 2),
+    (2, 4): ((-1, 16, -30, 16, -1), 12, 2),
+    (3, 4): ((1, -8, 13, 0, -13, 8, -1), 8, 3),
+})
+# the weights as np.correlate's float kernel, for the stencils without a zero weight
+_KERNELS = MappingProxyType({key: np.array(weights, dtype=float)
+                             for key, (weights, _, _) in STENCILS.items() if all(weights)})
+
+
 def central_difference(a, h: float, derivative: int, order: int) -> np.ndarray:
     """Central-difference derivative of a along axis 0 at grid spacing h.
 
     Derivatives 1 and 2 at orders 2 and 4, and derivative 3 at order 4, with
-    the standard weights (Fornberg, Math. Comp. 51 (1988) 699-706).  The
-    result loses the stencil radius at each end of axis 0; transpose a to
-    difference along another axis.  Terms are summed in ascending offset order.
+    the weights of STENCILS (Fornberg, Math. Comp. 51 (1988) 699-706).  The
+    result loses the stencil radius r at each end of axis 0; transpose a to
+    difference along another axis.  A 1-D a at least as long as the stencil,
+    with no zero weight, is one np.correlate call, whose sum may round
+    differently in the last bits.  Any other a sums the weighted slices
+    a[r + j : n - r + j] in ascending offset j, skipping zero weights, so an
+    inf or nan under a zero weight stays out of the result.  Either way the
+    sum is divided by denominator * h**power last.
     """
-    match derivative, order:
-        case 1, 2:
-            return (a[2:] - a[:-2]) / (2.0 * h)
-        case 1, 4:
-            return (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
-        case 2, 2:
-            return (a[:-2] - 2.0 * a[1:-1] + a[2:]) / h**2
-        case 2, 4:
-            return (-a[:-4] + 16.0 * a[1:-3] - 30.0 * a[2:-2] + 16.0 * a[3:-1]
-                    - a[4:]) / (12.0 * h**2)
-        case 3, 4:
-            return (a[:-6] - 8.0 * a[1:-5] + 13.0 * a[2:-4] - 13.0 * a[4:-2] + 8.0 * a[5:-1]
-                    - a[6:]) / (8.0 * h**3)
-    raise ValueError(f"no central stencil for derivative {derivative} at order {order}")
+    entry = STENCILS.get((derivative, order))
+    if entry is None:
+        raise ValueError(f"no central stencil for derivative {derivative} at order {order}")
+    weights, den, power = entry
+    a = np.asarray(a, dtype=float)
+    width = len(weights)
+    kernel = _KERNELS.get((derivative, order))
+    if a.ndim == 1 and len(a) >= width and kernel is not None:
+        out = np.correlate(a, kernel, "valid")
+    else:
+        terms = [(float(w), a[j:j + 1 - width or None]) for j, w in enumerate(weights) if w]
+        (w0, s0), *rest = terms
+        out = w0 * s0
+        for w, s in rest:  # a unit weight adds or subtracts its slice unscaled
+            if w == 1:
+                out += s
+            elif w == -1:
+                out -= s
+            else:
+                out += w * s
+    out /= den * h**power
+    return out
 
 
 @dataclass(frozen=True)

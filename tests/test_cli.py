@@ -221,6 +221,11 @@ class TestMalformedFlags:
         ("--family", ["velocity", "--family", "chain", "--out", "v.json"]),
         ("--params", ["sample", "--family", "bell", "--params", "[1]", "--out", "g.csv"]),
         ("--chain-index", ["ode-check", "--chain-index", "18", "--out", "o.json"]),
+        # the suggested window collapses in floating point: the default grid is empty
+        ("--grid", ["verify", "--family", "fisher-weierstrass", "--params", '{"k_shift": 1e300}',
+                    "--out", "v.json"]),
+        ("--grid", ["sample", "--family", "solitary", "--params", '{"C": -1e300}',
+                    "--out", "g.csv"]),
     ])
     def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
         monkeypatch.chdir(tmp_path)
@@ -228,6 +233,28 @@ class TestMalformedFlags:
             main(argv)
         assert flag in str(exc.value.code)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestBuilderRefusals:
+    # the equation rejects n = 1; c1 = -1e300 overflows the builder's scalar math
+    @pytest.mark.parametrize("family, params, match", [
+        ("solitary", '{"n": 1.0}', r"'solitary': n=1\.0 rejected: n = 1 is excluded"),
+        ("plane-wave", '{"c1": -1e300}', r"'plane-wave': c1=-1e\+300 rejected: overflows"),
+    ], ids=["equation-error", "overflow"])
+    @pytest.mark.parametrize("command, out", [("sample", "f.csv"), ("verify", "f.json"),
+                                              ("velocity", "f.json")])
+    def test_usage_error_names_the_parameter(self, capsys, tmp_path, monkeypatch, family,
+                                             params, match, command, out):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=f"cannot build family {match}"):
+            main([command, "--family", family, "--params", params, "--out", out])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_build_family_raises_catalog_error(self):
+        with pytest.raises(catalog.CatalogError, match="n=1.0 rejected"):
+            build_family("solitary", {"n": 1.0})
+        with pytest.raises(catalog.CatalogError, match="overflows in floating point"):
+            build_family("plane-wave", {"c1": -1e300})
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rdwaves import equations
 from rdwaves.equations import (
     CubicPolynomial,
     EquationError,
@@ -164,8 +165,88 @@ class TestCentralDifference:
 
     @pytest.mark.parametrize("derivative, order", [(3, 2), (1, 6), (0, 4)])
     def test_unknown_stencil_rejected(self, derivative, order):
-        with pytest.raises(ValueError, match="no central stencil"):
-            central_difference(np.zeros(9), 0.1, derivative, order)
+        for shape in ((9,), (9, 4)):
+            with pytest.raises(ValueError, match="no central stencil"):
+                central_difference(np.zeros(shape), 0.1, derivative, order)
+
+
+def reference_central_difference(a, h, derivative, order):
+    """The five stencils written out term by term, summed in ascending offset order."""
+    match derivative, order:
+        case 1, 2:
+            return (a[2:] - a[:-2]) / (2.0 * h)
+        case 1, 4:
+            return (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
+        case 2, 2:
+            return (a[:-2] - 2.0 * a[1:-1] + a[2:]) / h**2
+        case 2, 4:
+            return (-a[:-4] + 16.0 * a[1:-3] - 30.0 * a[2:-2] + 16.0 * a[3:-1]
+                    - a[4:]) / (12.0 * h**2)
+        case 3, 4:
+            return (a[:-6] - 8.0 * a[1:-5] + 13.0 * a[2:-4] - 13.0 * a[4:-2] + 8.0 * a[5:-1]
+                    - a[6:]) / (8.0 * h**3)
+
+
+def scaled_draws(shape, seed):
+    """Normal draws scaled by 10^-3 .. 10^2, so the terms of a stencil differ in size."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)
+
+
+class TestWeightTable:
+    def test_table_holds_every_stencil(self):
+        assert sorted(equations.STENCILS) == STENCILS
+        for (derivative, order), (weights, den, power) in equations.STENCILS.items():
+            assert all(isinstance(w, int) for w in weights) and isinstance(den, int)
+            assert den > 0 and power == derivative
+            # symmetric for even derivatives, antisymmetric for odd ones
+            assert weights == tuple((-1) ** derivative * w for w in reversed(weights))
+
+    @pytest.mark.parametrize("shape", [(385, 193), (193, 385), (97, 49), (9, 3), (7, 1)])
+    @pytest.mark.parametrize("derivative, order", STENCILS)
+    def test_two_dimensional_is_the_written_out_sum(self, derivative, order, shape):
+        # the weighted-slice loop keeps the summation order of the written-out
+        # stencils, so every verify and figure output stays byte-identical
+        a = scaled_draws(shape, 3)
+        a[0, 0], a[shape[0] // 2, -1], a[-1, 0] = np.inf, np.nan, -np.inf
+        for h in (0.05, 0.0123, 3.7):
+            with np.errstate(invalid="ignore"):
+                got = central_difference(a, h, derivative, order)
+                want = reference_central_difference(a, h, derivative, order)
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [7, 8, 161, 481])
+    @pytest.mark.parametrize("derivative, order", STENCILS)
+    def test_one_dimensional_within_rounding(self, derivative, order, n):
+        # any summation order of sum_j w_j a_j lies within width * eps/2 * sum |w_j a_j|
+        # of the exact sum (Higham, Accuracy and Stability, 2nd ed., sec. 3.1), so two
+        # orders differ by at most width * eps * sum |w| max |a|; the shared final
+        # division by den * h^power scales that bound with it
+        weights, den, power = equations.STENCILS[derivative, order]
+        a = scaled_draws(n, n)
+        for h in (0.05, 0.0123, 3.7):
+            got = central_difference(a, h, derivative, order)
+            want = reference_central_difference(a, h, derivative, order)
+            bound = (2 * len(weights) * np.finfo(float).eps * sum(map(abs, weights))
+                     * np.max(np.abs(a)) / (den * h**power))
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= bound
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("derivative, order", STENCILS)
+    def test_one_dimensional_finiteness_pattern(self, derivative, order, bad):
+        # a non-finite entry spoils exactly the outputs whose stencil weighs it; under
+        # the zero centre weight of derivatives 1 and 3 it must not (0 * inf is nan)
+        base = scaled_draws(15, 1)
+        for i in range(len(base)):
+            for j in (i, len(base) - 1 - i):  # one bad entry, or a pair of them
+                a = base.copy()
+                a[i] = bad
+                a[j] = -bad if j != i else bad
+                with np.errstate(invalid="ignore"):
+                    got = central_difference(a, 0.1, derivative, order)
+                    want = reference_central_difference(a, 0.1, derivative, order)
+                assert np.array_equal(np.isfinite(got), np.isfinite(want)), (i, j)
 
 
 class TestKPPCheck:

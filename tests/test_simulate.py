@@ -13,7 +13,7 @@ from rdwaves.catalog import (
     perturbed_fisher_bell,
     plane_wave,
 )
-from rdwaves.equations import Fisher, KPPGeneric
+from rdwaves.equations import Fisher, KPPGeneric, central_difference
 from rdwaves.simulate import (
     BLOCK_STEPS,
     AmbiguousFrontError,
@@ -133,6 +133,18 @@ class TestIntegrate:
         with pytest.raises(InstabilityError, match="step"):
             integrate(eq, s, cfg)
 
+    def test_large_finite_field_is_not_unstable(self):
+        # 101 entries of 5e306 sum to inf in floating point, yet every entry is finite
+        def fn(x, t):
+            shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+            return np.full(shape, 5e306), np.ones(shape, dtype=bool)
+
+        s = Sampler(fn=fn, equation=KPPGeneric(f=np.zeros_like, label="diffusion"),
+                    family_id="constant", params={})
+        cfg = SimConfig(-20.0, 20.0, 101, 0.0, 0.2, n_checkpoints=3)
+        hist = integrate(s.equation, s, cfg)
+        assert hist.steps_taken > 0 and np.all(hist.fields == 5e306)
+
     def test_masked_init_rejected(self):
         s = perturbed_fisher_bell(0.3)
         cfg = SimConfig(-5.0, 5.0, 64, 0.0, 0.5)  # crosses the s <= 0 half
@@ -165,13 +177,11 @@ def reference_rk4(eq, init: Sampler, cfg: SimConfig) -> tuple[np.ndarray, int]:
         return values
 
     def laplacian(v):
+        # the one stencil definition; tests/test_equations.py pins it to the
+        # written-out weights
         d2 = np.zeros_like(v)
         with np.errstate(all="ignore"):
-            if cfg.space_order == 2:
-                d2[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
-            else:
-                d2[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1]
-                            - v[4:]) / (12.0 * h**2)
+            d2[nb:-nb] = central_difference(v, h, 2, cfg.space_order)
         return d2
 
     def rhs(v):
@@ -306,15 +316,44 @@ class TestHotPath:
         for got, want in zip(hist.fields, ref_fields, strict=True):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("f", [lambda u: u, lambda u: 0.0], ids=["aliasing", "scalar"])
+    @pytest.mark.parametrize("f", [lambda u: u, lambda u: 0.0,
+                                   lambda u: np.broadcast_to(0.0, u.shape)],
+                             ids=["aliasing", "scalar", "read-only-broadcast"])
     def test_reaction_not_shaped_like_a_fresh_field(self, f):
         # f(u) = u hands back its argument, which the stencil must not be
-        # added into; a scalar f broadcasts over the field
+        # added into; a scalar f broadcasts over the field, and a read-only
+        # view is read, never written
         s = heat_kernel_sampler()
         eq = KPPGeneric(f=f, label="custom")
         cfg = SimConfig(-20.0, 20.0, 101, 0.0, 0.2, n_checkpoints=3)
         hist = integrate(eq, s, cfg)
         ref_fields, _ = reference_rk4(eq, s, cfg)
+        assert np.array_equal(hist.fields, ref_fields)
+
+    @pytest.mark.parametrize("read_only", [False, True], ids=["cached-buffer", "read-only"])
+    def test_reaction_array_left_as_returned(self, read_only):
+        # f(u) = -u/2 handed back in one reused buffer, or as a read-only array: the
+        # integrator copies it and never adds its stencil into it
+        handed, kept = [], []
+
+        def f(u):
+            assert not handed or np.array_equal(handed[-1], kept[-1])  # untouched since
+            if read_only:
+                out = -0.5 * u
+                out.flags.writeable = False
+            else:
+                out = buffer
+                np.multiply(u, -0.5, out=out)
+            handed.append(out)
+            kept.append(out.copy())
+            return out
+
+        s = heat_kernel_sampler()
+        cfg = SimConfig(-20.0, 20.0, 101, 0.0, 0.2, n_checkpoints=3)
+        buffer = np.empty(cfg.n_x)
+        hist = integrate(KPPGeneric(f=f, label="custom"), s, cfg)
+        assert np.array_equal(handed[-1], kept[-1])
+        ref_fields, _ = reference_rk4(KPPGeneric(f=lambda u: -0.5 * u), s, cfg)
         assert np.array_equal(hist.fields, ref_fields)
 
 

@@ -49,6 +49,17 @@ def commands() -> list[tuple[str, list[str]]]:
                                             "--params", '{"index": 6}', "--order", "2"]))
     runs.append(("ode-check-18", ["ode-check", "--chain-index", "18"]))
     runs.append(("chain-27", ["chain", "--depth", "27"]))
+    runs.append(("simulate-order-2", ["simulate", "--family", "fisher-front",
+                                      "--window=-10,14,481", "--time", "0,2",
+                                      "--space-order", "2", "--out", "simulate"]))
+    runs.append(("sample-solitary-n-1", ["sample", "--family", "solitary",
+                                         "--params", '{"n": 1.0}', "--out", "f.csv"]))
+    runs.append(("verify-plane-wave-c1-overflow", ["verify", "--family", "plane-wave",
+                                                   "--params", '{"c1": -1e300}',
+                                                   "--out", "f.json"]))
+    runs.append(("verify-fisher-weierstrass-collapsed-window",
+                 ["verify", "--family", "fisher-weierstrass", "--params", '{"k_shift": 1e300}',
+                  "--out", "f.json"]))
     return runs
 
 
