@@ -249,6 +249,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_VELOCITY_MAX_POINTS = 1 << 16
+
+
 def _velocity_setup(sampler, h: float):
     """Simulation window, duration and level for a front-speed measurement."""
     v = sampler.predicted_velocity
@@ -261,22 +264,27 @@ def _velocity_setup(sampler, h: float):
         p = sampler.params
         edge = p.get("x_shift", 0.0) - v * p.get("t_shift", 0.0) - 2.0 * p["C"]
         x0 = max(0.0, v * duration) + max(0.0, edge) + 0.7
-        return SimConfig(x0, x0 + 8.0, int(8.0 / h) + 1, 0.0, duration,
-                         n_checkpoints=9), None, True
-    # locate the mid-level crossing of the initial profile near the origin
-    probe = np.linspace(-30.0, 30.0, 4001)
-    u0, ok = sampler.sample(probe, 0.0)
-    if not ok.any():
-        raise SystemExit("the initial profile is masked on the whole probe window "
-                         "x in [-30, 30]; no front to locate")
-    lo, hi = u0[ok][0], u0[ok][-1]
-    level = 0.5 * (lo + hi)
-    idx = np.where(np.sign(u0 - level)[:-1] * np.sign(u0 - level)[1:] < 0)[0]
-    x_front = float(probe[idx[0]]) if idx.size else 0.0
-    x0 = x_front - 7.0 - max(0.0, -v) * duration - 2.0
-    x1 = x_front + 7.0 + max(0.0, v) * duration + 2.0
-    return SimConfig(x0, x1, int((x1 - x0) / h) + 1, 0.0, duration,
-                     n_checkpoints=9), float(level), False
+        x1, width, level, registration = x0 + 8.0, 8.0, None, True
+    else:
+        # locate the mid-level crossing of the initial profile near the origin
+        probe = np.linspace(-30.0, 30.0, 4001)
+        u0, ok = sampler.sample(probe, 0.0)
+        if not ok.any():
+            raise SystemExit("the initial profile is masked on the whole probe window "
+                             "x in [-30, 30]; no front to locate")
+        lo, hi = u0[ok][0], u0[ok][-1]
+        mid = 0.5 * (lo + hi)
+        idx = np.where(np.sign(u0 - mid)[:-1] * np.sign(u0 - mid)[1:] < 0)[0]
+        x_front = float(probe[idx[0]]) if idx.size else 0.0
+        x0 = x_front - 7.0 - max(0.0, -v) * duration - 2.0
+        x1 = x_front + 7.0 + max(0.0, v) * duration + 2.0
+        width, level, registration = x1 - x0, float(mid), False
+    # the window widens with the predicted speed: refuse it before allocating it
+    if not width / h < _VELOCITY_MAX_POINTS:
+        raise ValueError(f"a window {width:.6g} wide at step {h:g} needs more than "
+                         f"{_VELOCITY_MAX_POINTS} points (predicted speed {v:.6g})")
+    return SimConfig(x0, x1, int(width / h) + 1, 0.0, duration,
+                     n_checkpoints=9), level, registration
 
 
 def cmd_velocity(args) -> int:
@@ -489,7 +497,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    # numpy raises where it would warn: a value that overflows or turns invalid
+    # ends the command as a usage error instead of reaching an output as inf or nan
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            return _COMMANDS[args.command](args)
+        except FloatingPointError as exc:
+            raise SystemExit(f"{args.command}: {exc}; the parameters or the grid leave "
+                             "the floating-point range") from None
 
 
 if __name__ == "__main__":

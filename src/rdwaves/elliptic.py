@@ -4,10 +4,10 @@ Jacobi sn/cn/dn are evaluated by the descending Landen (AGM) transformation
 with argument reduction modulo the real period 4K.  The twelve quotient
 functions (ds, cs, sd, ...) are formed from the base triple by _pole_div, the
 package's one pole rule: a denominator within POLE_EPS of zero masks the point.
-The Weierstrass function is evaluated from its Laurent series (terms through
-z^10) followed by repeated application of the duplication formula, propagating
-the (P, P') pair so no square-root sign choices are needed.  Everything accepts
-numpy arrays and is pure: safe to evaluate concurrently over grids.
+The Weierstrass function of the g2 = 0 lattices is the square of one such
+quotient, P = e2 + H2 (cn/(sn dn))^2 (the half-angle form of Abramowitz &
+Stegun 18.9.12), so it shares the Jacobi kernel and its pole rule.  Everything
+accepts numpy arrays and is pure: safe to evaluate concurrently over grids.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 POLE_EPS = 1e-8  # a quotient/pole is declared undefined below this threshold
-
-# Real half-period of P(z; g2=0, g3=1): Gamma(1/3)^3 / (4 pi).
-_OMEGA_G3_UNIT = 1.5299540370571927
 
 
 def _pole_div(num, den, power: int = 1, ok=True):
@@ -170,7 +167,7 @@ def jacobi_quotient(name: str, y, m: EllipticModulus):
 @dataclass(frozen=True)
 class WeierstrassInvariants:
     """Invariants (g2, g3) of P; only the g2 = 0 lattices that the catalog
-    uses are supported, the ones P's period reduction and pole masking cover."""
+    uses are supported, the ones whose P is a square of Jacobi functions."""
 
     g2: float
     g3: float
@@ -180,59 +177,38 @@ class WeierstrassInvariants:
             raise EllipticError(f"g2={self.g2}: only g2 = 0 lattices are supported")
 
 
-def weierstrass_real_half_period(inv: WeierstrassInvariants) -> float:
-    """Half the spacing of the real poles of P for the g2 = 0 lattices.
+def _weierstrass_jacobi(inv: WeierstrassInvariants) -> tuple[float, float, EllipticModulus]:
+    """(e2, H2, k) of the half-angle form of P for g2 = 0 and g3 != 0.
 
-    g3 > 0 gives omega = Gamma(1/3)^3/(4 pi) * g3^(-1/6); for g3 < 0 the real
-    pole spacing picks up an extra factor sqrt(3).
+    e2 = (g3/4)^(1/3) is the real root of 4 t^3 = g3, H2 = sqrt(3) |e2| and
+    k^2 = 1/2 - 3 e2/(4 H2): sin^2 15 deg for g3 > 0, cos^2 15 deg for g3 < 0.
+    """
+    # the cube root before the division, so a subnormal g3/4 loses no bits
+    e2 = math.copysign(abs(inv.g3) ** (1.0 / 3.0) / 4.0 ** (1.0 / 3.0), inv.g3)
+    h2 = math.sqrt(3.0) * abs(e2)
+    return e2, h2, EllipticModulus(math.sqrt(0.5 - 0.75 * e2 / h2))
+
+
+def weierstrass_real_half_period(inv: WeierstrassInvariants) -> float:
+    """Half the spacing of the real poles of P for the g2 = 0 lattices: K(k)/sqrt(H2).
+
+    The real poles are the zeros of sn(z sqrt(H2)), spaced 2K apart in that
+    argument (see _weierstrass_jacobi for H2 and k).
     """
     if inv.g3 == 0.0:
         raise EllipticError("closed-form real half-period needs g3 != 0")
-    base = _OMEGA_G3_UNIT * abs(inv.g3) ** (-1.0 / 6.0)
-    return base if inv.g3 > 0 else math.sqrt(3.0) * base
-
-
-def _laurent_coeffs(inv: WeierstrassInvariants) -> tuple[float, ...]:
-    """Laurent coefficients c2..c9 of P = 1/z^2 + sum c_m z^(2m-2).
-
-    c2 = g2/20, c3 = g3/28, then c_m = 3 sum_{i} c_i c_{m-i} / ((2m+1)(m-3)).
-    """
-    c = [0.0, 0.0, inv.g2 / 20.0, inv.g3 / 28.0]
-    for m_idx in range(4, 10):
-        s = sum(c[i] * c[m_idx - i] for i in range(2, m_idx - 1))
-        c.append(3.0 * s / ((2 * m_idx + 1) * (m_idx - 3)))
-    return tuple(c[2:])
-
-
-def _laurent_pair(z, inv: WeierstrassInvariants):
-    coeffs = _laurent_coeffs(inv)
-    z2 = z * z
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for m_idx, cm in zip(range(9, 1, -1), coeffs[::-1]):
-        p = z2 * (p + cm)
-        dp = z2 * (dp + (2 * m_idx - 2) * cm)
-    p = 1.0 / z2 + p
-    dp = -2.0 / (z2 * z) + dp / z
-    return p, dp
-
-
-def _duplicate_pair(p, dp, inv: WeierstrassInvariants):
-    """(P, P') at 2z from the pair at z; no square roots involved."""
-    ppp = 6.0 * p * p - 0.5 * inv.g2  # P''
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p2 = ppp * ppp / (4.0 * dp * dp) - 2.0 * p
-        dp2 = 3.0 * p * ppp / dp - ppp**3 / (4.0 * dp**3) - dp
-    return p2, dp2
+    _, h2, m = _weierstrass_jacobi(inv)
+    return complete_elliptic_K(m) / math.sqrt(h2)
 
 
 def weierstrass_p(z, inv: WeierstrassInvariants):
     """Vectorized (P, P', defined) on the real ray z > 0.
 
-    The argument is first reduced modulo the real period and reflected into
-    (0, omega], so accuracy is uniform in z; the pair is then seeded from
-    the Laurent series and pushed out by the duplication formula.
-    Points within POLE_EPS of a real pole (and non-positive z) are masked.
+    For g3 != 0, P is the half-angle form of Abramowitz & Stegun 18.9.12
+    (DLMF 23.6): P = e2 + H2 B^2 with B = cn/(sn dn) at v = z sqrt(H2), and
+    P' = 2 H2 sqrt(H2) B B' with B' = k^2 cn^2/dn^2 - 1/sn^2.  The poles are
+    the zeros of sn dn, masked by _pole_div; non-positive and non-finite z
+    and arguments too large for jacobi_sn_cn_dn's reduction are masked too.
     """
     z = np.asarray(z, dtype=float)
     defined = np.isfinite(z) & (z > 0.0)
@@ -240,24 +216,12 @@ def weierstrass_p(z, inv: WeierstrassInvariants):
         p, defined = _pole_div(1.0, z, 2, ok=defined)
         return p, _pole_div(-2.0, z, 3, ok=defined)[0], defined
 
-    omega = weierstrass_real_half_period(inv)
-    period = 2.0 * omega
-    z_red = np.mod(z, period)
-    pole_dist = np.minimum(z_red, period - z_red)
-    defined = defined & (pole_dist >= POLE_EPS)
-    # reflect into (0, omega]: P is even about omega, P' odd
-    reflect = z_red > omega
-    z_eff = np.where(reflect, period - z_red, z_red)
-    sign = np.where(reflect, -1.0, 1.0)
-    z_eff = np.where(defined, z_eff, 0.1 * omega)
-    # fixed two duplications: every seed z0 = z_eff/4 <= omega/4 sits well
-    # inside the series radius, and the branch-free path keeps the
-    # amplification of rounding error to a minimum
-    p, dp = _laurent_pair(z_eff / 4.0, inv)
-    for _ in range(2):
-        p, dp = _duplicate_pair(p, dp, inv)
-    dp = sign * dp
-    defined = defined & np.isfinite(p) & np.isfinite(dp)
-    p = np.where(defined, p, np.nan)
-    dp = np.where(defined, dp, np.nan)
-    return p, dp, defined
+    e2, h2, m = _weierstrass_jacobi(inv)
+    rt = math.sqrt(h2)
+    with np.errstate(over="ignore"):  # an infinite argument comes back nan
+        v = z * rt
+    sn, cn, dn = jacobi_sn_cn_dn(v, m)
+    q, defined = _pole_div(1.0, sn * dn, ok=defined)
+    b = cn * q
+    db = (m.k2 * (sn * cn) ** 2 - dn * dn) * (q * q)  # k^2 cn^2/dn^2 - 1/sn^2
+    return e2 + h2 * b * b, (2.0 * h2 * rt) * b * db, defined

@@ -1,10 +1,17 @@
 """CLI surface: determinism, schemas, exit codes, figure gates."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdwaves.catalog as catalog
 import rdwaves.cli as cli
@@ -255,6 +262,72 @@ class TestBuilderRefusals:
             build_family("solitary", {"n": 1.0})
         with pytest.raises(catalog.CatalogError, match="overflows in floating point"):
             build_family("plane-wave", {"c1": -1e300})
+
+
+class TestOutOfRangeRefusals:
+    # the family formula overflows or turns invalid at these parameters
+    @pytest.mark.parametrize("argv, match", [
+        (["verify", "--family", "chain-exp", "--params", '{"k2": 7.9e207}'], "overflow"),
+        (["sample", "--family", "bell", "--params", '{"epsilon": -5.8e16}'], "overflow"),
+        (["verify", "--family", "generalized-fisher", "--params", '{"c1": -1e300}'], "invalid"),
+    ])
+    def test_usage_error_names_the_floating_point_error(self, tmp_path, monkeypatch, argv, match):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=f"{argv[0]}: {match} .*floating-point range"):
+            main(argv + ["--out", "o.csv"])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("c1", ["1e4", "1e8", "1.6e16"])
+    def test_velocity_window_is_capped_before_allocation(self, tmp_path, monkeypatch, c1):
+        # at c1 = 1.6e16 the window once asked numpy for 5.6 EiB
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=r"--h: a window .* needs more than 65536 points"):
+            main(["velocity", "--family", "plane-wave", "--params", f'{{"c1": {c1}}}',
+                  "--out", "v.json"])
+        assert list(tmp_path.iterdir()) == []
+
+
+# every JSON type, with the edge magnitudes drawn as often as the rest
+_EDGE_NUMBERS = st.sampled_from([0, 1, -1, 0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300])
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _EDGE_NUMBERS, st.integers(), st.floats(),
+              st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def _family_argv(draw):
+    """(command, family, --params value): the value is an object keyed by the
+    family's own parameters, or any JSON text at all."""
+    command = draw(st.sampled_from(["sample", "verify", "velocity"]))
+    family = draw(st.sampled_from(sorted(catalog.FAMILIES)))
+    keys = st.sampled_from(sorted(catalog.FAMILIES[family].defaults) + ["x_shift", "t_shift"])
+    params = draw(st.one_of(st.dictionaries(keys, _EDGE_NUMBERS | st.floats(), max_size=3),
+                            st.dictionaries(keys, _JSON, max_size=3), _JSON))
+    return command, family, json.dumps(params)
+
+
+class TestArgvProperty:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_family_argv())
+    def test_returns_or_exits_with_a_message(self, drawn):
+        command, family, params = drawn
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as work:
+            out = Path(work) / ("g.csv" if command == "sample" else "r.json")
+            argv = [command, "--family", family, "--params", params, "--out", str(out)]
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+            except SystemExit as exc:
+                # a refusal carries its message; argparse prints its own and exits 2
+                message = exc.code if isinstance(exc.code, str) else stderr.getvalue()
+                assert exc.code != 0 and message.strip(), argv
+                assert os.listdir(work) == [], argv
+            else:
+                assert code in (0, 1), argv
 
 
 class TestVerify:

@@ -258,6 +258,22 @@ class TestPdeResidual:
         assert bad.max_abs > 1e-3
         assert bad.order_estimate is None or bad.order_estimate < 1.0
 
+    def test_fisher_weierstrass_verdict_is_scale_invariant(self):
+        # the suggested window scales with C, so every C sees the same field
+        # and the residual may not depend on C beyond rounding
+        reps = []
+        for C in (1e2, 1e4, 1e6):
+            for reflect_y in (False, True):
+                s = build_family("fisher-weierstrass", {"C": C, "reflect_y": reflect_y})
+                x0, x1, t0, t1 = s.suggested_window
+                g = Grid2D(x0, x1, s.suggested_resolution[0], t0, t1, s.suggested_resolution[1])
+                reps.append(pde_residual(s, s.equation, g, 4))
+        orders = [rep.order_estimate for rep in reps]
+        maxes = [rep.max_abs for rep in reps]
+        assert max(orders) - min(orders) <= 0.01
+        assert max(maxes) <= 1.01 * min(maxes)
+        assert all(rep.converges() for rep in reps)
+
     def test_order_estimate_within_band(self):
         # observed order stays within [stencil_order - 0.5, stencil_order + 1]
         for order in (2, 4):
