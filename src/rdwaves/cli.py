@@ -238,7 +238,8 @@ def cmd_simulate(args) -> int:
     _emit(prefix.parent / f"{prefix.name}_report.json", _json_text({
         "family": args.family,
         "params": sampler.params,
-        "config": {k: v for k, v in asdict(cfg).items() if k != "n_checkpoints"},
+        # simulate always marches RK4, so the report leaves the method out
+        "config": {k: v for k, v in asdict(cfg).items() if k not in ("n_checkpoints", "method")},
         "steps": hist.steps_taken,
         "report": asdict(rep),
     }), outputs)
@@ -250,6 +251,11 @@ def cmd_simulate(args) -> int:
 
 
 _VELOCITY_MAX_POINTS = 1 << 16
+# planned steps times grid points of one velocity run, 3.4e7: up to about 10 s
+# of RKC marching (the bell at h = 0.005 plans 2.8e7 and took 8.4 s on a
+# 2-CPU host).  The default h = 0.05 plans at most 1.9e6 (29 steps of 65,536
+# points); h = 0.01 plans 1.5e6 to 8.3e6 at each family's default parameters
+_VELOCITY_MAX_WORK = 1 << 25
 
 
 def _velocity_setup(sampler, h: float):
@@ -274,7 +280,16 @@ def _velocity_setup(sampler, h: float):
                              "x in [-30, 30]; no front to locate")
         lo, hi = u0[ok][0], u0[ok][-1]
         mid = 0.5 * (lo + hi)
-        idx = np.where(np.sign(u0 - mid)[:-1] * np.sign(u0 - mid)[1:] < 0)[0]
+        d = u0 - mid
+        idx = np.where(np.sign(d)[:-1] * np.sign(d)[1:] < 0)[0]
+        # a front crosses its mid level once and stays between its two end
+        # states; a pole band crosses it again and overshoots them
+        crossings = idx.size + int(np.count_nonzero(d == 0.0))
+        if crossings != 1 or np.max(np.abs(d[ok])) > abs(hi - lo):
+            raise SystemExit(
+                f"--family: {sampler.family_id}: the probe window x in [-30, 30] holds no "
+                f"single bounded front (mid level {mid:.6g} crossed {crossings} times, "
+                f"values {np.min(u0[ok]):.6g} to {np.max(u0[ok]):.6g})")
         x_front = float(probe[idx[0]]) if idx.size else 0.0
         x0 = x_front - 7.0 - max(0.0, -v) * duration - 2.0
         x1 = x_front + 7.0 + max(0.0, v) * duration + 2.0
@@ -283,8 +298,13 @@ def _velocity_setup(sampler, h: float):
     if not width / h < _VELOCITY_MAX_POINTS:
         raise ValueError(f"a window {width:.6g} wide at step {h:g} needs more than "
                          f"{_VELOCITY_MAX_POINTS} points (predicted speed {v:.6g})")
-    return SimConfig(x0, x1, int(width / h) + 1, 0.0, duration,
-                     n_checkpoints=9), level, registration
+    cfg = SimConfig(x0, x1, int(width / h) + 1, 0.0, duration, n_checkpoints=9, method="rkc")
+    # the step count grows as h^-2: refuse a run that would march for hours
+    steps = math.ceil(duration / cfg.dt_max)
+    if steps * cfg.n_x > _VELOCITY_MAX_WORK:
+        raise ValueError(f"{steps} steps of {cfg.n_x} points at step {h:g} exceed the "
+                         f"budget of {_VELOCITY_MAX_WORK} point-steps")
+    return cfg, level, registration
 
 
 def cmd_velocity(args) -> int:

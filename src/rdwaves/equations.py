@@ -53,7 +53,11 @@ class EquationError(ValueError):
 
 def _frac_pow(u, p: float):
     """u**p with integer fast path; fractional power of u < 0 yields nan.  Only
-    a negative power can divide by zero (at u = 0), so only it enters np.errstate."""
+    a negative power can divide by zero (at u = 0), so only it enters np.errstate.
+    A half power of a field with no negative or nan entry is one np.sqrt, which
+    equals np.power(., 0.5) bit for bit; np.maximum still turns -0.0 into 0.0."""
+    if p == 0.5 and u.size and u.min() >= 0.0:
+        return np.sqrt(np.maximum(u, 0.0))
     ip = int(round(p))
     with np.errstate(divide="ignore") if p < 0 else contextlib.nullcontext():
         if abs(p - ip) < _INT_TOL:

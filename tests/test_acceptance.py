@@ -7,6 +7,7 @@ equations, and each also asserts that the transcribed reference value is
 refuted, so the discrepancy stays on record; the printed line shows both.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -151,34 +152,42 @@ def test_criterion_04_residual_convergence():
     assert ok, failures
 
 
+# criteria 5-7 hold under both time steppers: RK4, and the RKC2 that
+# `rdwaves velocity` marches with
+METHODS = ("rk4", "rkc")
+
+
 def test_criterion_05_fisher_velocity():
     s = build_family("fisher-front")
-    cfg = SimConfig(-10.0, 14.0, 481, 0.0, 2.0, n_checkpoints=9)  # h = 0.05
-    hist = integrate(s.equation, s, cfg)
-    rep = compare_exact(hist, s, level=0.5)
     predicted = 5.0 / SQRT6
-    rel = abs(rep.measured_velocity - predicted) / predicted
-    ok = rel <= 0.01
-    report(5, ok, f"front speed {rep.measured_velocity:.6f} vs 5/sqrt6 = "
-                  f"{predicted:.6f} (rel err {rel:.2e} <= 1e-2)")
-    assert ok
+    rels = {}
+    for method in METHODS:
+        cfg = SimConfig(-10.0, 14.0, 481, 0.0, 2.0, n_checkpoints=9, method=method)  # h = 0.05
+        hist = integrate(s.equation, s, cfg)
+        rep = compare_exact(hist, s, level=0.5)
+        rels[method] = abs(rep.measured_velocity - predicted) / predicted
+        report(5, rels[method] <= 0.01, f"{method}: front speed {rep.measured_velocity:.6f} vs "
+                                        f"5/sqrt6 = {predicted:.6f} (rel err "
+                                        f"{rels[method]:.2e} <= 1e-2)")
+    assert max(rels.values()) <= 0.01, rels
 
 
 def test_criterion_06_generalized_fisher_velocities():
     failures = []
-    for c1 in (-2.0, -1.0, 1.0, 2.0):
+    for c1, method in itertools.product((-2.0, -1.0, 1.0, 2.0), METHODS):
         s = build_family("generalized-fisher", {"c1": c1})
         v = s.predicted_velocity
         span = 7.0 + abs(v) * 2.0 + 2.0
         x0 = -span if v < 0 else -7.0
         x1 = 7.0 if v < 0 else span
-        cfg = SimConfig(x0, x1, int((x1 - x0) / 0.05) + 1, 0.0, 2.0, n_checkpoints=9)
+        cfg = SimConfig(x0, x1, int((x1 - x0) / 0.05) + 1, 0.0, 2.0, n_checkpoints=9,
+                        method=method)
         hist = integrate(s.equation, s, cfg)
         rep = compare_exact(hist, s, level=0.5 * c1**2)
         expected = abs(2.0 * c1 - 3.0) / SQRT6
         rel = abs(abs(rep.measured_velocity) - expected) / expected
         if rel > 0.01:
-            failures.append((c1, rep.measured_velocity, expected))
+            failures.append((c1, method, rep.measured_velocity, expected))
     gf = build_family("generalized-fisher", {"c1": -1.0})
     ff = build_family("fisher-front")
     y = np.linspace(-8.0, 8.0, 401)
@@ -187,7 +196,8 @@ def test_criterion_06_generalized_fisher_velocities():
     pointwise = float(np.max(np.abs(ug - uf)))
     ok = not failures and pointwise <= 1e-12
     report(6, ok, f"speeds |2c1-3|/sqrt6 matched within 1% for c1 in "
-                  f"{{-2,-1,1,2}}; c1=-1 equals the Fisher front to {pointwise:.2e}")
+                  f"{{-2,-1,1,2}} under rk4 and rkc; c1=-1 equals the Fisher front to "
+                  f"{pointwise:.2e}")
     assert ok, failures
 
 
@@ -218,25 +228,26 @@ def test_criterion_07_bell_translation():
     # asserted refuted.
     eps = 0.3
     s = build_family("bell", {"epsilon": eps})
-    cfg = SimConfig(1.2, 9.5, 333, 0.0, 2.0, n_checkpoints=9)
-    hist = integrate(s.equation, s, cfg)
-    v, r2, shape_err = registration_velocity(hist)
     derived = _bell_balance_speed(eps)
     transcribed = eps / SQRT6
-    rel_derived = abs(v - derived) / derived
-    rel_transcribed = abs(v - transcribed) / transcribed
-    ok = rel_derived <= 0.01 and shape_err <= 1e-3 and rel_transcribed > 0.5
-    report(7, ok, f"bell speed measured {v:.6f} vs derived 3 eps/sqrt6 = "
-                  f"{derived:.6f} (rel err {rel_derived:.2e} <= 1e-2); shape "
-                  f"error {shape_err:.2e} (<=1e-3); transcribed eps/sqrt6 = "
-                  f"{transcribed:.6f} refuted (rel err {rel_transcribed:.2f} > 0.5)")
-    assert shape_err <= 1e-3
-    assert rel_derived <= 0.01
-    assert rel_transcribed > 0.5, (
-        f"measured speed {v:.6f} matches the transcribed eps/sqrt6 = "
-        f"{transcribed:.6f}, not the traveling-wave balance {derived:.6f} "
-        "(see the perturbed_fisher_bell docstring in src/rdwaves/catalog.py)"
-    )
+    for method in METHODS:
+        cfg = SimConfig(1.2, 9.5, 333, 0.0, 2.0, n_checkpoints=9, method=method)
+        hist = integrate(s.equation, s, cfg)
+        v, r2, shape_err = registration_velocity(hist)
+        rel_derived = abs(v - derived) / derived
+        rel_transcribed = abs(v - transcribed) / transcribed
+        ok = rel_derived <= 0.01 and shape_err <= 1e-3 and rel_transcribed > 0.5
+        report(7, ok, f"{method}: bell speed measured {v:.6f} vs derived 3 eps/sqrt6 = "
+                      f"{derived:.6f} (rel err {rel_derived:.2e} <= 1e-2); shape "
+                      f"error {shape_err:.2e} (<=1e-3); transcribed eps/sqrt6 = "
+                      f"{transcribed:.6f} refuted (rel err {rel_transcribed:.2f} > 0.5)")
+        assert shape_err <= 1e-3, method
+        assert rel_derived <= 0.01, method
+        assert rel_transcribed > 0.5, (
+            f"{method}: measured speed {v:.6f} matches the transcribed eps/sqrt6 = "
+            f"{transcribed:.6f}, not the traveling-wave balance {derived:.6f} "
+            "(see the perturbed_fisher_bell docstring in src/rdwaves/catalog.py)"
+        )
 
 
 def test_criterion_08_plane_wave_velocities():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict
@@ -287,6 +288,41 @@ class TestOutOfRangeRefusals:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestVelocityRefusals:
+    @pytest.fixture(autouse=True)
+    def no_march(self, monkeypatch, tmp_path):
+        # each refusal comes before the march and writes nothing
+        def refuse(*args):
+            raise AssertionError("integrate called")
+
+        monkeypatch.setattr(cli, "integrate", refuse)
+        monkeypatch.chdir(tmp_path)
+        yield
+        assert list(tmp_path.iterdir()) == []
+
+    # the Weierstrass family's mid level sat in its pole bands (8.3e10), and the
+    # march then ended in "--h: non-finite field at step 2, t=0.00225"
+    @pytest.mark.parametrize("family, params", [
+        ("fisher-weierstrass", "{}"),
+        ("fisher-weierstrass", '{"C": -5.0, "k_shift": -10.0}'),
+        ("fisher-front", '{"form": "coth"}'),
+        ("generalized-fisher", '{"c1": 0.0}'),
+        ("solitary", '{"nu": 0.8, "branch": "tan"}'),
+    ])
+    def test_profile_without_a_single_bounded_front(self, family, params):
+        with pytest.raises(SystemExit, match=rf"--family: {family}: the probe window "
+                                             r"x in \[-30, 30\] holds no single bounded front"):
+            main(["velocity", "--family", family, "--params", params, "--out", "v.json"])
+
+    @pytest.mark.parametrize("family, h", [("fisher-front", "0.002"),
+                                           ("generalized-fisher", "0.005"),
+                                           ("bell", "0.001")])
+    def test_work_is_bounded_before_marching(self, family, h):
+        with pytest.raises(SystemExit, match=r"--h: \d+ steps of \d+ points at step .* exceed "
+                                             r"the budget of 33554432 point-steps"):
+            main(["velocity", "--family", family, "--h", h, "--out", "v.json"])
+
+
 # every JSON type, with the edge magnitudes drawn as often as the rest
 _EDGE_NUMBERS = st.sampled_from([0, 1, -1, 0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300])
 _JSON = st.recursive(
@@ -309,25 +345,51 @@ def _family_argv(draw):
     return command, family, json.dumps(params)
 
 
+# --h and --level values: malformed, non-finite, huge, tiny, negative, usable.
+# Steps below 1e-3 are refused by the point cap or the work budget before any
+# march, and steps from 0.05 up march in well under a second
+_MALFORMED = st.sampled_from(["abc", "", "1e", "0x10", "1,2", "--", "nan", "inf", "-inf",
+                              "NaN", "-0.0", "1e309"])
+_H = st.one_of(st.none(), _MALFORMED,
+               st.sampled_from([0.0, -0.05, 1e-300, 5e-324, 1e-3, 0.05, 0.1, 0.3, 7.0, 1e300]),
+               st.floats(max_value=1e-3), st.floats(min_value=0.05))
+_LEVEL = st.one_of(st.none(), _MALFORMED,
+                   st.sampled_from([0.0, 0.5, -0.5, 1e-300, 1e300, -1e300]), st.floats())
+
+
+def _returns_or_exits(argv: list[str], out_name: str) -> None:
+    """main(argv + --out) returns 0 or 1, or exits with a message and writes nothing."""
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        argv = argv + ["--out", str(Path(work) / out_name)]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        except SystemExit as exc:
+            # a refusal carries its message; argparse prints its own and exits 2
+            message = exc.code if isinstance(exc.code, str) else stderr.getvalue()
+            assert exc.code != 0 and message.strip(), argv
+            assert os.listdir(work) == [], argv
+        else:
+            assert code in (0, 1), argv
+
+
 class TestArgvProperty:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(_family_argv())
     def test_returns_or_exits_with_a_message(self, drawn):
         command, family, params = drawn
-        stderr = io.StringIO()
-        with tempfile.TemporaryDirectory() as work:
-            out = Path(work) / ("g.csv" if command == "sample" else "r.json")
-            argv = [command, "--family", family, "--params", params, "--out", str(out)]
-            try:
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                    code = main(argv)
-            except SystemExit as exc:
-                # a refusal carries its message; argparse prints its own and exits 2
-                message = exc.code if isinstance(exc.code, str) else stderr.getvalue()
-                assert exc.code != 0 and message.strip(), argv
-                assert os.listdir(work) == [], argv
-            else:
-                assert code in (0, 1), argv
+        _returns_or_exits([command, "--family", family, "--params", params],
+                          "g.csv" if command == "sample" else "r.json")
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(st.sampled_from(sorted(catalog.FAMILIES)), _H, _LEVEL)
+    def test_velocity_flags_return_or_exit(self, family, h, level):
+        # the = form hands argparse a value that starts with "-" as a value
+        argv = ["velocity", "--family", family]
+        argv += [] if h is None else [f"--h={h}"]
+        argv += [] if level is None else [f"--level={level}"]
+        _returns_or_exits(argv, "r.json")
 
 
 class TestVerify:
@@ -439,6 +501,34 @@ class TestSimulateVelocity:
                   "--out", "v.json"])
         assert "x in [-30, 30]" in str(exc.value.code)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("family, params", [
+        ("fisher-front", {}), ("fisher-exp", {}), ("plane-wave", {}), ("plane-wave", {"c1": 1000.0}),
+        ("generalized-fisher", {}), ("generalized-fisher", {"c1": -2.0}),
+        ("generalized-fisher", {"c1": 1.5}), ("bell", {}), ("bell", {"C": 0.4, "x_shift": 1.0}),
+    ])
+    def test_velocity_work_budget_admits_default_runs(self, family, params):
+        # every default-h run plans at most 29 steps of 65,536 points: far inside the budget
+        cfg = cli._velocity_setup(build_family(family, params), 0.05)[0]
+        assert cfg.method == "rkc"
+        assert math.ceil(cfg.t1 / cfg.dt_max) * cfg.n_x <= 29 * 65536 < cli._VELOCITY_MAX_WORK
+
+    def test_only_velocity_marches_rkc(self, monkeypatch, tmp_path):
+        methods = []
+
+        def recording(eq, sampler, cfg):
+            methods.append(cfg.method)
+            return integrate(eq, sampler, cfg)
+
+        monkeypatch.setattr(cli, "integrate", recording)
+        monkeypatch.chdir(tmp_path)
+        main(["simulate", "--family", "fisher-front", "--window=-6,8,141", "--time", "0,0.5",
+              "--checkpoints", "3", "--out", "run"])
+        main(["velocity", "--family", "fisher-front", "--out", "v.json"])
+        assert methods == ["rk4", "rkc"]
+        # simulate's report lists its grid and step fields, not the method
+        config = json.loads((tmp_path / "run_report.json").read_text())["config"]
+        assert sorted(config) == ["n_x", "safety", "space_order", "t0", "t1", "x_max", "x_min"]
 
 
 class TestChainOdeCheck:

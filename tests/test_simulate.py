@@ -16,12 +16,16 @@ from rdwaves.catalog import (
 from rdwaves.equations import Fisher, KPPGeneric, central_difference
 from rdwaves.simulate import (
     BLOCK_STEPS,
+    RKC,
+    RKC_DAMPING,
+    RKC_STAGES,
     AmbiguousFrontError,
     InstabilityError,
     SimConfig,
     SimHistory,
     SimulationError,
     _line_fit,
+    _rkc_scheme,
     compare_exact,
     front_velocity,
     integrate,
@@ -67,6 +71,23 @@ class TestConfig:
     def test_dt_bound(self):
         cfg = SimConfig(-1, 1, 101, 0, 1, safety=0.5)
         assert cfg.dt_max == pytest.approx(0.5 * cfg.h**2 / 2.0)
+
+    @pytest.mark.parametrize("space_order, rho_h2", [(2, 4.0), (4, 16.0 / 3.0)])
+    def test_dt_bound_rkc(self, space_order, rho_h2):
+        # safety * beta(8) / rho, rho the stencil's spectral radius rho_h2 / h^2
+        cfg = SimConfig(-1, 1, 101, 0, 1, safety=0.5, space_order=space_order, method="rkc")
+        assert RKC.beta == pytest.approx(41.1667, abs=1e-4)
+        assert cfg.dt_max == pytest.approx(0.5 * RKC.beta * cfg.h**2 / rho_h2, rel=1e-14)
+
+    def test_rkc_step_against_rk4_at_velocity_defaults(self):
+        # h = 0.05 at 4th order and safety 0.9: the RKC step is 15.4 times RK4's 0.45 h^2
+        rk4, rkc = (SimConfig(-10.0, 14.0, 481, 0.0, 2.0, method=m) for m in ("rk4", "rkc"))
+        assert rk4.dt_max == pytest.approx(0.45 * 0.05**2)
+        assert rkc.dt_max / rk4.dt_max == pytest.approx(15.4375, abs=1e-4)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(SimulationError, match="method must be one of"):
+            SimConfig(-1, 1, 64, 0, 1, method="euler")
 
 
 class TestIntegrate:
@@ -163,9 +184,9 @@ class TestIntegrate:
             compare_exact(hist, perturbed_fisher_bell(0.3))
 
 
-def reference_rk4(eq, init: Sampler, cfg: SimConfig) -> tuple[np.ndarray, int]:
-    """Checkpoint fields of the RK4 loop that pins the boundary at every
-    stage with its own sampler calls and a separate Laplacian."""
+def reference_parts(eq, init: Sampler, cfg: SimConfig):
+    """(initial field, boundary, rhs) of the reference loops: boundary(values, t)
+    pins values with its own sampler calls, and rhs adds a separate Laplacian."""
     x = cfg.x
     nb = 1 if cfg.space_order == 2 else 2
     h = cfg.h
@@ -189,6 +210,13 @@ def reference_rk4(eq, init: Sampler, cfg: SimConfig) -> tuple[np.ndarray, int]:
             reaction = eq.rhs(v)
         return laplacian(v) + reaction
 
+    return u, boundary, rhs
+
+
+def reference_rk4(eq, init: Sampler, cfg: SimConfig) -> tuple[np.ndarray, int]:
+    """Checkpoint fields of the RK4 loop that pins the boundary at every
+    stage with its own sampler calls and a separate Laplacian."""
+    u, boundary, rhs = reference_parts(eq, init, cfg)
     fields = [u]
     steps = 0
     t = cfg.t0
@@ -207,6 +235,35 @@ def reference_rk4(eq, init: Sampler, cfg: SimConfig) -> tuple[np.ndarray, int]:
     return np.array(fields), steps
 
 
+def reference_rkc(eq, init: Sampler, cfg: SimConfig) -> tuple[np.ndarray, int]:
+    """Checkpoint fields of the RKC2 loop (Sommeijer, Shampine & Verwer 1998)
+    with stages written out as a list, each pinned by its own sampler call."""
+    u, boundary, rhs = reference_parts(eq, init, cfg)
+    mu, nu, mu_t, gamma_t, c = RKC.mu, RKC.nu, RKC.mu_t, RKC.gamma_t, RKC.c
+    fields = [u]
+    steps = 0
+    t = cfg.t0
+    for target in cfg.checkpoints[1:]:
+        while t < target - 1e-13:
+            dt = min(cfg.dt_max, target - t)
+            f0 = rhs(boundary(u.copy(), t))
+            y = [u, boundary(u + (mu_t[1] * dt) * f0, t + c[1] * dt)]
+            for j in range(2, RKC_STAGES + 1):
+                f = rhs(y[j - 1])
+                y.append(boundary(mu[j] * y[j - 1] + nu[j] * y[j - 2]
+                                  + (1.0 - mu[j] - nu[j]) * u
+                                  + (mu_t[j] * dt) * f + (gamma_t[j] * dt) * f0,
+                                  t + c[j] * dt))
+            u = y[RKC_STAGES]
+            t += dt
+            steps += 1
+        fields.append(u)
+    return np.array(fields), steps
+
+
+REFERENCES = {"rk4": reference_rk4, "rkc": reference_rkc}
+
+
 def recording(base: Sampler) -> tuple[Sampler, list]:
     """base with every fn call's (x, t) grids appended to the returned list."""
     calls = []
@@ -219,13 +276,14 @@ def recording(base: Sampler) -> tuple[Sampler, list]:
 
 
 def reference_stage_times(eq, base: Sampler, cfg: SimConfig) -> list[float]:
-    """t + dt/2, t + dt of every step of the reference loop, in step order.
+    """The distinct stage times of every step of cfg.method's reference loop,
+    in step order: t + dt/2, t + dt for RK4, t + c_j dt (j = 1..s) for RKC.
 
     The loop pins each stage and the step's end with its own calls; dropping
-    repeats of the previous time leaves t0 and then the two stage times a step.
+    repeats of the previous time leaves t0 and then the stage times of each step.
     """
     s, calls = recording(base)
-    reference_rk4(eq, s, cfg)
+    REFERENCES[cfg.method](eq, s, cfg)
     times = [float(t.flat[0]) for _, t in calls[1:]]
     distinct = [t for prev, t in zip([None] + times, times) if t != prev]
     assert distinct[0] == cfg.t0
@@ -240,48 +298,66 @@ def masked_from(base: Sampler, t_bad: float) -> Sampler:
     return Sampler(fn=fn, equation=base.equation, family_id="masked-late", params={})
 
 
+def stage_blocks(base: Sampler, cfg: SimConfig, block: int) -> int:
+    """Number of block calls of one integrate run, after checking them: past
+    the full-window initial sample, each call covers both boundary layers at
+    every stage time of whole steps, at most one block of them, and together
+    they are the reference loop's stage times in order."""
+    s, calls = recording(base)
+    hist = integrate(s.equation, s, cfg)
+    per_step = 2 if cfg.method == "rk4" else RKC_STAGES
+    nb = 1 if cfg.space_order == 2 else 2
+    x_edges = np.r_[cfg.x[:nb], cfg.x[-nb:]]
+    (x_init, t_init), *blocks = calls
+    assert np.array_equal(x_init, cfg.x) and np.all(t_init == cfg.t0)
+    seen = []
+    for x, t in blocks:
+        rows = t.shape[0]
+        assert rows % per_step == 0 and per_step <= rows <= per_step * block
+        assert x.shape == t.shape == (rows, 2 * nb)
+        assert np.all(x == x_edges) and np.all(t == t[:, :1])
+        seen += t[:, 0].tolist()
+    assert len(seen) == per_step * hist.steps_taken
+    assert seen == reference_stage_times(s.equation, base, cfg)
+    return len(blocks)
+
+
+def assert_masked_time_named(base: Sampler, cfg: SimConfig, stage: int) -> None:
+    """Masked from the reference loop's stage time number `stage` on, the
+    march stops there and names that time, whichever block holds it."""
+    t_bad = reference_stage_times(base.equation, base, cfg)[stage]
+    s = masked_from(base, t_bad)
+    with pytest.raises(SimulationError) as exc:
+        integrate(s.equation, s, cfg)
+    assert str(exc.value) == f"boundary values masked at t={t_bad}"
+
+
+REFERENCE_CASES = pytest.mark.parametrize("sampler, window, n_x, t1, n_checkpoints", [
+    (fisher_front("tanh"), (-6.0, 8.0), 81, 0.5, 5),
+    (perturbed_fisher_bell(0.3), (1.2, 9.5), 81, 0.5, 5),
+    # one interval of more than BLOCK_STEPS RK4 steps
+    (fisher_front("tanh"), (-6.0, 8.0), 161, 1.0, 2),
+    (perturbed_fisher_bell(0.3), (1.2, 9.5), 161, 0.4, 2),
+], ids=["fisher-front", "bell", "fisher-front-long", "bell-long"])
+
+
 class TestHotPath:
     @pytest.mark.parametrize("block", [BLOCK_STEPS, 7])
     @pytest.mark.parametrize("space_order", [2, 4])
     def test_stage_times_sampled_in_whole_step_blocks(self, monkeypatch, space_order, block):
-        # after the full-window initial sample, each call covers both
-        # boundary layers at t + dt/2 and t + dt of whole steps, at most one
-        # block of them, and together they are the reference loop's stage
-        # times in order
+        # t + dt/2 and t + dt of each step
         monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
-        base = fisher_front("tanh")
-        s, calls = recording(base)
         cfg = SimConfig(-6.0, 6.0, 81, 0.0, 0.3, space_order=space_order, n_checkpoints=4)
-        hist = integrate(s.equation, s, cfg)
-        nb = 1 if space_order == 2 else 2
-        x_edges = np.r_[cfg.x[:nb], cfg.x[-nb:]]
-        (x_init, t_init), *blocks = calls
-        assert np.array_equal(x_init, cfg.x) and np.all(t_init == cfg.t0)
-        seen = []
-        for x, t in blocks:
-            rows = t.shape[0]
-            assert rows % 2 == 0 and 2 <= rows <= 2 * block
-            assert x.shape == t.shape == (rows, 2 * nb)
-            assert np.all(x == x_edges) and np.all(t == t[:, :1])
-            seen += t[:, 0].tolist()
-        assert len(seen) == 2 * hist.steps_taken
-        assert seen == reference_stage_times(s.equation, base, cfg)
+        n_blocks = stage_blocks(fisher_front("tanh"), cfg, block)
         if block < BLOCK_STEPS:
-            assert len(blocks) > len(cfg.checkpoints) - 1  # some interval spans blocks
+            assert n_blocks > len(cfg.checkpoints) - 1  # some interval spans blocks
 
     @pytest.mark.parametrize("block", [BLOCK_STEPS, 4])
     @pytest.mark.parametrize("stage", [0, 1, 6, 13])
     def test_masked_boundary_names_the_reference_time(self, monkeypatch, stage, block):
-        # masked from the reference loop's stage time number `stage` on: the
-        # march stops there and names that time, whichever block holds it
         monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
-        base = fisher_front("tanh")
-        cfg = SimConfig(-6.0, 6.0, 81, 0.0, 0.3, n_checkpoints=4)
-        t_bad = reference_stage_times(base.equation, base, cfg)[stage]
-        s = masked_from(base, t_bad)
-        with pytest.raises(SimulationError) as exc:
-            integrate(s.equation, s, cfg)
-        assert str(exc.value) == f"boundary values masked at t={t_bad}"
+        assert_masked_time_named(fisher_front("tanh"),
+                                 SimConfig(-6.0, 6.0, 81, 0.0, 0.3, n_checkpoints=4), stage)
 
     def test_instability_reported_before_a_later_masked_boundary(self):
         s = heat_kernel_sampler()
@@ -297,13 +373,7 @@ class TestHotPath:
             integrate(eq, late, cfg)
 
     @pytest.mark.parametrize("space_order", [2, 4])
-    @pytest.mark.parametrize("sampler, window, n_x, t1, n_checkpoints", [
-        (fisher_front("tanh"), (-6.0, 8.0), 81, 0.5, 5),
-        (perturbed_fisher_bell(0.3), (1.2, 9.5), 81, 0.5, 5),
-        # one interval of more than BLOCK_STEPS steps
-        (fisher_front("tanh"), (-6.0, 8.0), 161, 1.0, 2),
-        (perturbed_fisher_bell(0.3), (1.2, 9.5), 161, 0.4, 2),
-    ], ids=["fisher-front", "bell", "fisher-front-long", "bell-long"])
+    @REFERENCE_CASES
     def test_fields_match_reference_loop(self, sampler, window, n_x, t1, n_checkpoints,
                                          space_order):
         cfg = SimConfig(*window, n_x, 0.0, t1, space_order=space_order,
@@ -355,6 +425,98 @@ class TestHotPath:
         assert np.array_equal(handed[-1], kept[-1])
         ref_fields, _ = reference_rk4(KPPGeneric(f=lambda u: -0.5 * u), s, cfg)
         assert np.array_equal(hist.fields, ref_fields)
+
+
+def rkc_amplification(z, scheme=RKC):
+    """Y_s of one RKC step of y' = z y from y = 1, by the scheme's stage recurrence."""
+    y = [np.ones_like(z), 1.0 + scheme.mu_t[1] * z]
+    for j in range(2, len(scheme.c)):
+        y.append((1.0 - scheme.mu[j] - scheme.nu[j]) + scheme.mu[j] * y[j - 1]
+                 + scheme.nu[j] * y[j - 2] + scheme.mu_t[j] * z * y[j - 1]
+                 + scheme.gamma_t[j] * z)
+    return y[-1]
+
+
+class TestRKC:
+    @pytest.mark.parametrize("stages", [2, 5, RKC_STAGES, 12])
+    def test_scheme_is_stable_and_second_order(self, stages):
+        scheme = _rkc_scheme(stages, RKC_DAMPING)
+        # |R(z)| <= 1 on the whole real interval [-beta, 0]
+        z = np.linspace(-scheme.beta, 0.0, 20001)
+        assert np.max(np.abs(rkc_amplification(z, scheme))) <= 1.0 + 1e-12
+        # R(z) = exp(z) + O(z^3): the defect falls eightfold as z halves
+        d1, d2 = (abs(rkc_amplification(np.array(z), scheme) - math.exp(z))
+                  for z in (-1e-2, -5e-3))
+        assert 6.0 < d1 / d2 < 10.0
+        # beta = (w0 + 1)/w1 is about (2/3)(s^2 - 1)(1 - 2 eps/15)
+        assert scheme.beta == pytest.approx(
+            (2.0 / 3.0) * (stages**2 - 1) * (1.0 - 2.0 * RKC_DAMPING / 15.0), rel=3e-3)
+
+    def test_stage_times_are_the_stages_of_y_equals_t(self):
+        # y' = 1 from y = 0: stage Y_j equals its own time fraction c_j
+        mu, nu, mu_t, gamma_t, c = RKC.mu, RKC.nu, RKC.mu_t, RKC.gamma_t, RKC.c
+        y = [0.0, mu_t[1]]
+        for j in range(2, RKC_STAGES + 1):
+            y.append(mu[j] * y[j - 1] + nu[j] * y[j - 2] + mu_t[j] + gamma_t[j])
+        assert y == pytest.approx(list(c), abs=1e-14)
+        assert c[RKC_STAGES] == 1.0 and list(c) == sorted(c)
+
+    @pytest.mark.parametrize("space_order", [2, 4])
+    @REFERENCE_CASES
+    def test_fields_match_reference_loop(self, monkeypatch, sampler, window, n_x, t1,
+                                         n_checkpoints, space_order):
+        # the long cases take about 20 RKC steps: blocks of 5 split their interval
+        if n_checkpoints == 2:
+            monkeypatch.setattr(simulate, "BLOCK_STEPS", 5)
+        cfg = SimConfig(*window, n_x, 0.0, t1, space_order=space_order,
+                        n_checkpoints=n_checkpoints, method="rkc")
+        hist = integrate(sampler.equation, sampler, cfg)
+        ref_fields, ref_steps = reference_rkc(sampler.equation, sampler, cfg)
+        assert hist.steps_taken == ref_steps
+        if n_checkpoints == 2:
+            assert ref_steps > simulate.BLOCK_STEPS
+        for got, want in zip(hist.fields, ref_fields, strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [BLOCK_STEPS, 3])
+    @pytest.mark.parametrize("space_order", [2, 4])
+    def test_stage_times_sampled_in_whole_step_blocks(self, monkeypatch, space_order, block):
+        # t + c_j dt, j = 1..8, of each step; about 7 steps an interval
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
+        cfg = SimConfig(-6.0, 6.0, 81, 0.0, 3.0, space_order=space_order, n_checkpoints=4,
+                        method="rkc")
+        n_blocks = stage_blocks(fisher_front("tanh"), cfg, block)
+        if block < BLOCK_STEPS:
+            assert n_blocks > len(cfg.checkpoints) - 1
+
+    @pytest.mark.parametrize("block", [BLOCK_STEPS, 2])
+    @pytest.mark.parametrize("stage", [0, 1, 7, 8, 21, 44])
+    def test_masked_boundary_names_the_reference_time(self, monkeypatch, stage, block):
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
+        assert_masked_time_named(
+            fisher_front("tanh"),
+            SimConfig(-6.0, 6.0, 81, 0.0, 3.0, n_checkpoints=4, method="rkc"), stage)
+
+    def test_instability_reported(self):
+        # one RKC step multiplies this field by about 1e41, so it overflows
+        # within the 12 steps to t = 2 (by t = 0.5 it is still finite)
+        s = heat_kernel_sampler()
+        eq = KPPGeneric(f=lambda u: 1e7 * u, label="stiff")
+        cfg = SimConfig(-5.0, 5.0, 64, 0.0, 2.0, n_checkpoints=3, method="rkc")
+        with pytest.raises(InstabilityError, match="step"):
+            integrate(eq, s, cfg)
+
+    def test_second_order_in_time(self):
+        # at h = 0.05 the stencil's error (2.9e-10 under RK4) is far below RKC's
+        # time error, so halving the step by the safety factor cuts the error
+        # by at least 2^(2 - 0.5)
+        s = fisher_front("tanh")
+        errs = []
+        for safety in (1.0, 0.5):
+            cfg = SimConfig(-10.0, 14.0, 481, 0.0, 1.0, safety=safety, n_checkpoints=5,
+                            method="rkc")
+            errs.append(max(compare_exact(integrate(s.equation, s, cfg), s).max_abs_errors))
+        assert errs[0] / errs[1] >= 2 ** (2 - 0.5)
 
 
 class TestFrontVelocity:

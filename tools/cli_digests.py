@@ -60,6 +60,10 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("verify-fisher-weierstrass-collapsed-window",
                  ["verify", "--family", "fisher-weierstrass", "--params", '{"k_shift": 1e300}',
                   "--out", "f.json"]))
+    runs.append(("velocity-fisher-weierstrass", ["velocity", "--family", "fisher-weierstrass",
+                                                 "--out", "f.json"]))
+    runs.append(("velocity-h-over-work-budget", ["velocity", "--family", "fisher-front",
+                                                 "--h", "0.002", "--out", "f.json"]))
     return runs
 
 
