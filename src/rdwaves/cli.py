@@ -26,9 +26,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csvfmt import grid_csv as _grid_csv, profile_csv as _profile_csv
 from .catalog import CatalogError, Sampler, build_family, chain_constant, family_info, phi_chain
 from .equations import spec_to_json
-from .simulate import SimConfig, SimulationError, compare_exact, integrate
+from .simulate import (
+    AmbiguousFrontError,
+    SimConfig,
+    SimHistory,
+    SimulationError,
+    compare_exact,
+    front_velocity,
+    integrate,
+)
 from .verify import (
     Grid2D,
     VerificationImpossibleError,
@@ -74,22 +83,6 @@ def _write_report(out: str | None, command: str, payload: dict, parameters: dict
         outputs: list[Path] = []
         _emit(Path(out), _json_text(payload), outputs)
         _write_manifest(Path(out).with_suffix(".manifest.json"), command, parameters, outputs)
-
-
-def _grid_csv(x, t, u, defined) -> str:
-    """CSV of u on the 1-D axes x (varying slowest) and t; each axis value is formatted once."""
-    t_cols = ["%.17e," % v for v in t.tolist()]
-    parts = ["x,t,u,defined\n"]
-    for xv, u_row, d_row in zip(x.tolist(), u.tolist(), defined.tolist()):
-        lead = "%.17e," % xv
-        cells = ["%.17e,1\n" % v if d else "nan,0\n" for v, d in zip(u_row, d_row)]
-        parts.append(lead)
-        parts.append(lead.join(map(str.__add__, t_cols, cells)))
-    return "".join(parts)
-
-
-def _profile_csv(x, u) -> str:
-    return "x,u\n" + "".join(map("%.17e,%.17e\n".__mod__, zip(x.tolist(), u.tolist())))
 
 
 def _gnuplot_script(csv_path: Path, title: str) -> str:
@@ -228,6 +221,7 @@ def cmd_simulate(args) -> int:
     tspan = _parse_flag("--time", args.time, "t0,t1")
     cfg = _usage("--window/--time/--safety/--checkpoints", SimConfig, *window, *tspan,
                  safety=args.safety, space_order=args.space_order, n_checkpoints=args.checkpoints)
+    _usage("--window/--time", _check_work, cfg, cfg.h)
     hist = _usage("--window/--time/--safety", integrate, sampler.equation, sampler, cfg)
     rep = _usage("--window/--time/--level", compare_exact, hist, sampler, level=args.level,
                  registration=args.registration)
@@ -251,11 +245,21 @@ def cmd_simulate(args) -> int:
 
 
 _VELOCITY_MAX_POINTS = 1 << 16
-# planned steps times grid points of one velocity run, 3.4e7: up to about 10 s
-# of RKC marching (the bell at h = 0.005 plans 2.8e7 and took 8.4 s on a
-# 2-CPU host).  The default h = 0.05 plans at most 1.9e6 (29 steps of 65,536
-# points); h = 0.01 plans 1.5e6 to 8.3e6 at each family's default parameters
-_VELOCITY_MAX_WORK = 1 << 25
+# planned steps times grid points of one march, 3.4e7: up to about 10 s of RKC
+# marching (the bell at h = 0.005 plans 2.8e7 and took 8.4 s on a 2-CPU host).
+# velocity's default h = 0.05 plans at most 1.9e6 (29 steps of 65,536 points);
+# h = 0.01 plans 1.5e6 to 8.3e6 at each family's default parameters, and the
+# README simulate run 8.6e5
+_MAX_WORK = 1 << 25
+
+
+def _check_work(cfg: SimConfig, step: float) -> None:
+    """Refuse a march that would run for hours: its step count grows as h^-2."""
+    span = cfg.t1 - cfg.t0  # inf where t0 and t1 lie near either end of the floats
+    steps = math.ceil(span / cfg.dt_max) if span < math.inf else span
+    if steps * cfg.n_x > _MAX_WORK:
+        raise ValueError(f"{steps} steps of {cfg.n_x} points at step {step:g} exceed the "
+                         f"budget of {_MAX_WORK} point-steps")
 
 
 def _velocity_setup(sampler, h: float):
@@ -299,12 +303,18 @@ def _velocity_setup(sampler, h: float):
         raise ValueError(f"a window {width:.6g} wide at step {h:g} needs more than "
                          f"{_VELOCITY_MAX_POINTS} points (predicted speed {v:.6g})")
     cfg = SimConfig(x0, x1, int(width / h) + 1, 0.0, duration, n_checkpoints=9, method="rkc")
-    # the step count grows as h^-2: refuse a run that would march for hours
-    steps = math.ceil(duration / cfg.dt_max)
-    if steps * cfg.n_x > _VELOCITY_MAX_WORK:
-        raise ValueError(f"{steps} steps of {cfg.n_x} points at step {h:g} exceed the "
-                         f"budget of {_VELOCITY_MAX_WORK} point-steps")
+    _check_work(cfg, h)
     return cfg, level, registration
+
+
+def _exact_tracks(sampler, cfg: SimConfig, level: float) -> None:
+    """Refuse a level that front_velocity would not track in the exact
+    solution's checkpoint profiles: the march could not track it either."""
+    u, _ = sampler.sample(cfg.x[None, :], cfg.checkpoints[:, None])
+    try:
+        front_velocity(SimHistory(cfg.x, cfg.checkpoints, u), level)
+    except AmbiguousFrontError as exc:
+        raise AmbiguousFrontError(f"{exc} of the exact solution") from None
 
 
 def cmd_velocity(args) -> int:
@@ -312,6 +322,8 @@ def cmd_velocity(args) -> int:
     cfg, level, registration = _usage("--h", _velocity_setup, sampler, args.h)
     if args.level is not None:
         level = args.level
+    if not registration:
+        _usage("--level", _exact_tracks, sampler, cfg, level)
     hist = _usage("--h", integrate, sampler.equation, sampler, cfg)
     rep = _usage("--level", compare_exact, hist, sampler, level=level, registration=registration)
     predicted = sampler.predicted_velocity

@@ -112,7 +112,11 @@ def central_difference(a, h: float, derivative: int, order: int) -> np.ndarray:
                 out -= s
             else:
                 out += w * s
-    out /= den * h**power
+    try:
+        scale = den * h**power
+    except OverflowError:  # a Python float power raises where numpy would warn
+        raise ValueError(f"grid step {h:g} overflows when raised to the power {power}") from None
+    out /= scale
     return out
 
 

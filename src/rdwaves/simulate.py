@@ -147,6 +147,11 @@ class SimConfig:
             raise SimulationError("space_order must be 2 or 4")
         if self.n_x < 16:
             raise SimulationError("need at least 16 spatial points")
+        if not self.x_max > self.x_min:
+            raise SimulationError(f"empty spatial window [{self.x_min:g}, {self.x_max:g}]")
+        if not 0.0 < self.h * self.h < math.inf:  # the step bound scales with h^2
+            raise SimulationError(f"grid step {self.h:.3e} leaves the floating-point range "
+                                  "when squared")
         if self.t1 < self.t0:
             raise SimulationError("t1 must be >= t0")
         if self.n_checkpoints < 2:

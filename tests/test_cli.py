@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdwaves._csvfmt as _csvfmt
 import rdwaves.catalog as catalog
 import rdwaves.cli as cli
 from rdwaves.catalog import build_family, phi_chain, z_from_phi
@@ -105,6 +106,42 @@ class TestCsvWriters:
         _, X, T, u, defined, _ = figure_data(6)
         assert_same_rows((tmp_path / "figure6.csv").read_text(),
                          reference_grid_csv(X, T, u, defined))
+
+
+def _block_values(rng, shape):
+    """Values from random bit patterns, so every exponent and nan and inf occur."""
+    return rng.integers(0, 2**64, shape, dtype=np.uint64, endpoint=False).view(np.float64)
+
+
+class TestCsvBlocks:
+    # the writers format BLOCK cells at a time: rows that fill several blocks,
+    # blocks of several rows, a last block cut short and a block wholly masked
+    def test_rows_longer_than_a_block(self):
+        rng = np.random.default_rng(7)
+        nt = _csvfmt.BLOCK + 3
+        x, t = np.linspace(-1.0, 1.0, 3), _block_values(rng, nt)
+        u = _block_values(rng, (3, nt))
+        defined = rng.random((3, nt)) < 0.9
+        assert_same_rows(cli._grid_csv(x, t, u, defined),
+                         reference_grid_csv(x[:, None], t[None, :], u, defined))
+
+    def test_blocks_of_rows_with_one_wholly_masked(self):
+        rng = np.random.default_rng(8)
+        nx, nt = 200, 97
+        rows = _csvfmt.BLOCK // nt
+        x, t = _block_values(rng, nx), np.linspace(0.005, 200.0, nt)
+        u = rng.standard_normal((nx, nt)) * 10.0 ** rng.integers(-30, 30, (nx, nt))
+        defined = rng.random((nx, nt)) < 0.7
+        defined[:rows] = True
+        defined[rows:2 * rows] = False
+        assert_same_rows(cli._grid_csv(x, t, u, defined),
+                         reference_grid_csv(x[:, None], t[None, :], u, defined))
+
+    def test_profile_over_several_blocks(self):
+        rng = np.random.default_rng(9)
+        n = _csvfmt.BLOCK + 5
+        x, u = np.linspace(-10.0, 14.0, n), _block_values(rng, n)
+        assert_same_rows(cli._profile_csv(x, u), reference_profile_csv(x, u))
 
 
 class TestList:
@@ -234,6 +271,9 @@ class TestMalformedFlags:
                     "--out", "v.json"]),
         ("--grid", ["sample", "--family", "solitary", "--params", '{"C": -1e300}',
                     "--out", "g.csv"]),
+        # h^2 of the stencil overflowed in a Python float power
+        ("--grid", ["verify", "--family", "fisher-exp", "--grid=-1e300,0,8,0,1e300,8",
+                    "--out", "v.json"]),
     ])
     def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
         monkeypatch.chdir(tmp_path)
@@ -314,6 +354,14 @@ class TestVelocityRefusals:
                                              r"x in \[-30, 30\] holds no single bounded front"):
             main(["velocity", "--family", family, "--params", params, "--out", "v.json"])
 
+    # the level was judged only after the whole march
+    @pytest.mark.parametrize("family, level", [("fisher-front", "5"), ("fisher-front", "-0.5"),
+                                               ("generalized-fisher", "1e300")])
+    def test_level_the_exact_solution_does_not_track(self, family, level):
+        with pytest.raises(SystemExit, match=r"--level: level \S+ tracked in only 0/9 "
+                                             r"checkpoints of the exact solution"):
+            main(["velocity", "--family", family, f"--level={level}", "--out", "v.json"])
+
     @pytest.mark.parametrize("family, h", [("fisher-front", "0.002"),
                                            ("generalized-fisher", "0.005"),
                                            ("bell", "0.001")])
@@ -357,11 +405,13 @@ _LEVEL = st.one_of(st.none(), _MALFORMED,
                    st.sampled_from([0.0, 0.5, -0.5, 1e-300, 1e300, -1e300]), st.floats())
 
 
-def _returns_or_exits(argv: list[str], out_name: str) -> None:
-    """main(argv + --out) returns 0 or 1, or exits with a message and writes nothing."""
+def _returns_or_exits(argv: list[str], out_name: str, check_success=None) -> None:
+    """main(argv + --out) returns 0 or 1, or exits with a message and writes nothing.
+    check_success(out path) runs where main returned 0."""
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as work:
-        argv = argv + ["--out", str(Path(work) / out_name)]
+        out = Path(work) / out_name
+        argv = argv + ["--out", str(out)]
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                 code = main(argv)
@@ -372,6 +422,57 @@ def _returns_or_exits(argv: list[str], out_name: str) -> None:
             assert os.listdir(work) == [], argv
         else:
             assert code in (0, 1), argv
+            if code == 0 and check_success is not None:
+                check_success(out)
+
+
+# comma-flag numbers: huge, tiny, subnormal, any float at all, and usable
+# (in [-10, 10]) as often as all the others together
+_USABLE = st.floats(-10.0, 10.0)
+_NUMBER = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, 1e-310, -1e-310, 5e-324]),
+                    st.floats(), *[_USABLE] * 2)
+# simulate marches for as long as --time asks, and on grids this small the
+# work budget of 2^25 point-steps still admits minutes of stepping: finite
+# times stay in [-2, 2]; huge ones are refused before marching
+_TIME = st.one_of(st.sampled_from([0.0, 1e300, -1e300, 1e-310, 5e-324]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _comma_flag(draw, fields: str, number=_NUMBER):
+    """A value of the comma flag read against fields such as "x0,x1,nx".
+
+    Each n* field is a count of 8 to 24 points (16 and more half the time:
+    simulate needs them) and each other field a number; an x0,x1 pair is in
+    order and distinct four times in five.  Four values in ten have a flaw:
+    a malformed field, a count under 8, or one field too few or too many."""
+    names = fields.split(",")
+    counts = st.integers(8, 24) | st.integers(16, 24)
+    values = [draw(counts if n.startswith("n") else number) for n in names]
+    for i in range(len(names) - 1):
+        if names[i][1:] == "0" and names[i + 1][1:] == "1" and draw(st.integers(0, 4)):
+            lo, hi = sorted(values[i:i + 2])
+            values[i:i + 2] = lo, hi if hi > lo else lo + abs(lo) + 1.0
+    flaw = draw(st.sampled_from([None] * 6 + ["malformed", "count", "fewer", "more"]))
+    if flaw == "malformed":
+        values[draw(st.integers(0, len(values) - 1))] = draw(_MALFORMED)
+    elif flaw == "count" and "n" in fields:
+        n = [i for i, name in enumerate(names) if name.startswith("n")]
+        values[draw(st.sampled_from(n))] = draw(st.integers(-1, 7))
+    return ",".join(map(str, (values + values)[:len(values) + (flaw == "more")
+                                              - (flaw == "fewer")]))
+
+
+def _grid_matches_reference(family: str, raw: str):
+    """check_success of a sample run: the CSV is the reference writer's text."""
+    def check(out: Path) -> None:
+        values = [(int if n.startswith("n") else float)(v)
+                  for n, v in zip(("x0", "x1", "nx", "t0", "t1", "nt"), raw.split(","))]
+        grid = Grid2D(*values)
+        X, T = np.meshgrid(grid.x, grid.t, indexing="ij")
+        u, defined = build_family(family).sample(X, T)
+        assert_same_rows(out.read_text(), reference_grid_csv(X, T, u, defined))
+
+    return check
 
 
 class TestArgvProperty:
@@ -390,6 +491,26 @@ class TestArgvProperty:
         argv += [] if h is None else [f"--h={h}"]
         argv += [] if level is None else [f"--level={level}"]
         _returns_or_exits(argv, "r.json")
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.sampled_from(sorted(catalog.FAMILIES)), _comma_flag("x0,x1,nx,t0,t1,nt"))
+    def test_sample_grid_flag(self, family, grid):
+        # every value a sample run accepts reaches the CSV writer: its file is
+        # the reference writer's text byte for byte
+        _returns_or_exits(["sample", "--family", family, f"--grid={grid}"], "g.csv",
+                          _grid_matches_reference(family, grid))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.sampled_from(sorted(catalog.FAMILIES)), _comma_flag("x0,x1,nx,t0,t1,nt"))
+    def test_verify_grid_flag(self, family, grid):
+        _returns_or_exits(["verify", "--family", family, f"--grid={grid}"], "r.json")
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.sampled_from(sorted(catalog.FAMILIES)), _comma_flag("x0,x1,nx"),
+           _comma_flag("t0,t1", _TIME))
+    def test_simulate_window_and_time_flags(self, family, window, time):
+        _returns_or_exits(["simulate", "--family", family, f"--window={window}",
+                           f"--time={time}"], "run")
 
 
 class TestVerify:
@@ -511,7 +632,7 @@ class TestSimulateVelocity:
         # every default-h run plans at most 29 steps of 65,536 points: far inside the budget
         cfg = cli._velocity_setup(build_family(family, params), 0.05)[0]
         assert cfg.method == "rkc"
-        assert math.ceil(cfg.t1 / cfg.dt_max) * cfg.n_x <= 29 * 65536 < cli._VELOCITY_MAX_WORK
+        assert math.ceil(cfg.t1 / cfg.dt_max) * cfg.n_x <= 29 * 65536 < cli._MAX_WORK
 
     def test_only_velocity_marches_rkc(self, monkeypatch, tmp_path):
         methods = []

@@ -55,6 +55,21 @@ class TestConfig:
         with pytest.raises(SimulationError):
             SimConfig(-1, 1, 8, 0, 1)
 
+    # a reversed window marched on a descending grid; an empty one divided by
+    # h = 0 in the RKC step bound (velocity of the bell at C = -1e300)
+    @pytest.mark.parametrize("method", ["rk4", "rkc"])
+    @pytest.mark.parametrize("x0, x1", [(3.0, 2.0), (3.0, 3.0), (2e300, 2e300 + 8.0)])
+    def test_empty_window_rejected(self, x0, x1, method):
+        with pytest.raises(SimulationError, match="empty spatial window"):
+            SimConfig(x0, x1, 64, 0, 1, method=method)
+
+    # h^2 overflowed in the step bound, or underflowed into a division by zero
+    @pytest.mark.parametrize("method", ["rk4", "rkc"])
+    @pytest.mark.parametrize("x0, x1", [(-1e300, 1e300), (-1e308, 1e308), (0.0, 1e-300)])
+    def test_step_squared_out_of_range_rejected(self, x0, x1, method):
+        with pytest.raises(SimulationError, match="leaves the floating-point range"):
+            SimConfig(x0, x1, 64, 0, 1, method=method)
+
     @pytest.mark.parametrize("n", [1, 0, -2])
     def test_needs_two_checkpoints(self, n):
         # one checkpoint integrated 0 steps, none indexed past the end

@@ -64,6 +64,17 @@ def commands() -> list[tuple[str, list[str]]]:
                                                  "--out", "f.json"]))
     runs.append(("velocity-h-over-work-budget", ["velocity", "--family", "fisher-front",
                                                  "--h", "0.002", "--out", "f.json"]))
+    # the CSV formatter's paths: an axis value half-way between two 18-digit
+    # values (0.1000003814697265625 is exact in binary), a subnormal t axis and
+    # masked cells
+    runs.append(("sample-tie", ["sample", "--family", "fisher-front",
+                                "--grid=0.1000003814697265625,0.2,9,0,1,8", "--out", "f.csv"]))
+    runs.append(("sample-subnormal-t", ["sample", "--family", "fisher-front",
+                                        "--grid=-1,1,9,5e-324,1e-310,8", "--out", "f.csv"]))
+    runs.append(("sample-masked", ["sample", "--family", "bell", "--grid=-2,2,9,0,0.1,8",
+                                   "--out", "f.csv"]))
+    runs.append(("velocity-level-untracked", ["velocity", "--family", "fisher-front",
+                                              "--level", "5", "--out", "f.json"]))
     return runs
 
 
