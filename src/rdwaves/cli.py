@@ -15,6 +15,7 @@ reports carry ``schema: 1``; equation objects serialize as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -197,6 +198,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ode_check(args) -> int:
     state = _usage("--chain-index", phi_chain, args.chain_index)
+    _usage("--samples", _check_samples, args.chain_index, args.samples)
     rows = _usage("--chain-index", proposition_suite, max_index=args.chain_index)
     y = _usage("--samples", clean_chain_samples, args.chain_index, args.samples)
     rep = ode_residual(state, y)
@@ -221,7 +223,7 @@ def cmd_simulate(args) -> int:
     tspan = _parse_flag("--time", args.time, "t0,t1")
     cfg = _usage("--window/--time/--safety/--checkpoints", SimConfig, *window, *tspan,
                  safety=args.safety, space_order=args.space_order, n_checkpoints=args.checkpoints)
-    _usage("--window/--time", _check_work, cfg, cfg.h)
+    _usage("--window/--time/--checkpoints", _check_work, cfg, cfg.h)
     hist = _usage("--window/--time/--safety", integrate, sampler.equation, sampler, cfg)
     rep = _usage("--window/--time/--level", compare_exact, hist, sampler, level=args.level,
                  registration=args.registration)
@@ -249,17 +251,27 @@ _VELOCITY_MAX_POINTS = 1 << 16
 # marching (the bell at h = 0.005 plans 2.8e7 and took 8.4 s on a 2-CPU host).
 # velocity's default h = 0.05 plans at most 1.9e6 (29 steps of 65,536 points);
 # h = 0.01 plans 1.5e6 to 8.3e6 at each family's default parameters, and the
-# README simulate run 8.6e5
+# README simulate run 8.6e5.  ode-check's sample draw shares the budget
 _MAX_WORK = 1 << 25
 
 
 def _check_work(cfg: SimConfig, step: float) -> None:
-    """Refuse a march that would run for hours: its step count grows as h^-2."""
+    """Refuse a march that would run for hours: its step count grows as h^-2,
+    and integrate ends a step at every checkpoint besides."""
     span = cfg.t1 - cfg.t0  # inf where t0 and t1 lie near either end of the floats
-    steps = math.ceil(span / cfg.dt_max) if span < math.inf else span
+    steps = max(math.ceil(span / cfg.dt_max) if span < math.inf else span, cfg.n_checkpoints - 1)
     if steps * cfg.n_x > _MAX_WORK:
         raise ValueError(f"{steps} steps of {cfg.n_x} points at step {step:g} exceed the "
                          f"budget of {_MAX_WORK} point-steps")
+
+
+def _check_samples(index: int, n: int) -> None:
+    """Refuse a sample count whose worst-case draw, clean_chain_samples' 200 n
+    candidates walked through index + 1 recurrence levels, exceeds _MAX_WORK."""
+    if 200 * n * (index + 1) > _MAX_WORK:
+        raise ValueError(f"{n} samples at chain index {index} may draw {200 * n} candidates, "
+                         f"each walked through {index + 1} recurrence levels: over the "
+                         f"budget of {_MAX_WORK} point-levels")
 
 
 def _velocity_setup(sampler, h: float):
@@ -462,9 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="enumerate solution families (JSON)")
+    sub.add_parser("list", help="enumerate solution families (JSON)").set_defaults(run=cmd_list)
 
     p = sub.add_parser("sample", help="sample a family onto a grid (CSV)")
+    p.set_defaults(run=cmd_sample)
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None, help="JSON object of family parameters")
     p.add_argument("--grid", default=None, help="x0,x1,nx,t0,t1,nt")
@@ -472,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gnuplot", action="store_true")
 
     p = sub.add_parser("verify", help="PDE residual with convergence order")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None)
     p.add_argument("--grid", default=None)
@@ -481,11 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("ode-check", help="chain-element checks and the assertion suite")
+    p.set_defaults(run=cmd_ode_check)
     p.add_argument("--chain-index", type=int, default=3)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="method-of-lines run against the exact profile")
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None)
     p.add_argument("--window", required=True, help="x0,x1,nx")
@@ -498,6 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output prefix")
 
     p = sub.add_parser("velocity", help="measured vs predicted front velocity")
+    p.set_defaults(run=cmd_velocity)
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None)
     p.add_argument("--level", type=float, default=None)
@@ -505,35 +522,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("chain", help="first-integral constants and pole inventory")
+    p.set_defaults(run=cmd_chain)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("figures", help="plot data for the catalog showcase figures")
+    p.set_defaults(run=cmd_figures)
     p.add_argument("--id", default=None, help="comma-separated figure ids (default all)")
     p.add_argument("--outdir", default="figures")
     p.add_argument("--gnuplot", action="store_true")
     return parser
 
 
-_COMMANDS = {
-    "list": cmd_list,
-    "sample": cmd_sample,
-    "verify": cmd_verify,
-    "ode-check": cmd_ode_check,
-    "simulate": cmd_simulate,
-    "velocity": cmd_velocity,
-    "chain": cmd_chain,
-    "figures": cmd_figures,
-}
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parse_args never writes to it."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # argparse before Python 3.13 drops the value "--" of --flag=-- and stores
+    # an empty list, past the flag's type; no flag takes a list
+    for name, value in vars(args).items():
+        if value == []:
+            _parser().error(f"argument --{name.replace('_', '-')}: expected one argument")
     # numpy raises where it would warn: a value that overflows or turns invalid
     # ends the command as a usage error instead of reaching an output as inf or nan
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         try:
-            return _COMMANDS[args.command](args)
+            return args.run(args)
         except FloatingPointError as exc:
             raise SystemExit(f"{args.command}: {exc}; the parameters or the grid leave "
                              "the floating-point range") from None

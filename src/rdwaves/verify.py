@@ -137,13 +137,13 @@ def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
                       masked_where: str) -> ResidualReport:
     """ResidualReport of a residual over the nested (h, h/2, h/4) triple.
 
-    sample(X, T) runs once, on the finest grid, and returns (defined, *fields).
-    refined() keeps every coarse point and divides the spacing by a power of
-    two, so the h and h/2 levels are the exact [::4, ::4] and [::2, ::2]
-    strides of that sample.  level_residual(defined, fields, h_x, h_t)
-    returns the residual on the level's interior; the margin of that interior,
-    r_x points along x and r_t along t, is the stencil radius, from which
-    _usable turns defined into the interior's stencil masks.
+    sample(X, T) runs once, on the finest grid, and returns (defined, *fields);
+    each field is zero-filled here, once, where defined is False.  refined()
+    keeps every coarse point and divides the spacing by a power of two, so the
+    h and h/2 levels are the exact [::4, ::4] and [::2, ::2] strides of that
+    sample.  level_residual(fields, h_x, h_t) returns the residual on the
+    level's interior; its margin, r_x points along x and r_t along t, is the
+    stencil radius, from which _usable turns defined into stencil masks.
     The order estimate needs a plus share above 0.5 on every level.  Below a
     finest usable share (plus and clear) of 0.1 the study raises
     VerificationImpossibleError, its message ending in masked_where; a usable
@@ -153,12 +153,13 @@ def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
     grids = [grid, grid.refined(), grid.refined().refined()]
     X, T = np.meshgrid(grids[-1].x, grids[-1].t, indexing="ij")
     defined, *fields = sample(X, T)
+    fields = [np.where(defined, a, 0.0) for a in fields]
     maxima: list[float] = []
     fractions: list[float] = []
     for lvl, g in enumerate(grids):
         stride = 2 ** (len(grids) - 1 - lvl)
         level_defined = defined[::stride, ::stride]
-        res = level_residual(level_defined, [a[::stride, ::stride] for a in fields], g.h_x, g.h_t)
+        res = level_residual([a[::stride, ::stride] for a in fields], g.h_x, g.h_t)
         rx, rt = ((n - m) // 2 for n, m in zip(level_defined.shape, res.shape))
         plus, clear = _usable(level_defined, rx, rt)
         valid = plus & clear
@@ -171,10 +172,9 @@ def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
         # points shared with the coarse level: residual index r(2^lvl - 1)
         # mod 2^lvl accounts for the interior offset by the stencil radius
         step = 2**lvl
-        common = np.zeros_like(valid)
-        common[(rx * (step - 1)) % step::step, (rt * (step - 1)) % step::step] = True
-        sel = valid & common
-        maxima.append(float(np.max(np.abs(res[sel]))) if sel.any() else math.nan)
+        shared = np.s_[(rx * (step - 1)) % step::step, (rt * (step - 1)) % step::step]
+        sel = res[shared][valid[shared]]
+        maxima.append(float(np.max(np.abs(sel))) if sel.size else math.nan)
 
     # res, valid and fractions[-1] now belong to the finest level
     if valid.mean() < 0.1:
@@ -226,13 +226,12 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
         u, defined = sampler.sample(X, T)
         with np.errstate(all="ignore"):
             f = eq.rhs(u)
-        return defined & np.isfinite(u) & np.isfinite(f), u, f
+        return np.isfinite(u) & np.isfinite(f), u, f  # u is nan where not defined
 
-    def level_residual(defined, fields, hx, ht):
+    def level_residual(fields, hx, ht):
         u, f = fields
-        u0 = np.where(defined, u, 0.0)
-        u_t = central_difference(u0[r:-r].T, ht, 1, stencil_order).T
-        u_xx = central_difference(u0[:, r:-r], hx, 2, stencil_order)
+        u_t = central_difference(u[r:-r].T, ht, 1, stencil_order).T
+        u_xx = central_difference(u[:, r:-r], hx, 2, stencil_order)
         return u_t - u_xx - f[r:-r, r:-r]
 
     return _refinement_study(
@@ -248,16 +247,15 @@ class OdeResidualReport:
     n_valid: int
 
 
-def _fd_second(f, y: np.ndarray, c_n: float) -> np.ndarray:
-    """Richardson-extrapolated 4th-order second derivative (net 6th order) at
-    chain element C_n's step 0.012 / |C_n|^(1/4): its oscillation length,
-    balancing truncation against the rounding noise of the chain values."""
-    h = 0.012 / _chain_scale(c_n)
+# rows y + _FD_ROWS h of _fd_second: 0-4 at step h/2, 5-9 at step h, row 2 is y;
+# halving is exact, so each row is bit-identical to y + j (h/2) or y + j h
+_FD_ROWS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, -2.0, -1.0, 0.0, 1.0, 2.0])[:, None]
 
-    def stencil(hh):
-        return central_difference(np.stack([f(y + j * hh) for j in range(-2, 3)]), hh, 2, 4)[0]
 
-    return (16.0 * stencil(h / 2) - stencil(h)) / 15.0
+def _fd_second(values: np.ndarray, h: float) -> np.ndarray:
+    """Richardson-extrapolated 4th-order (net 6th) second derivative from rows y + _FD_ROWS h."""
+    return (16.0 * central_difference(values[:5], h / 2, 2, 4)[0]
+            - central_difference(values[5:], h, 2, 4)[0]) / 15.0
 
 
 def _chain_scale(c_n: float) -> float:
@@ -272,6 +270,14 @@ def _recurrence_eval(state: PhiState, y):
     return np.where(defined, phi, np.nan), np.where(defined, dphi, np.nan), defined
 
 
+def _ladder(state: PhiState, y: np.ndarray):
+    """(phi, phi', defined, h) on _fd_second's rows y + _FD_ROWS h in one walk
+    of the recurrence, at C_n's step h = 0.012 / |C_n|^(1/4): its oscillation
+    length, balancing truncation against the rounding noise of the chain values."""
+    h = 0.012 / _chain_scale(state.c_n)
+    return (*_recurrence_eval(state, y + _FD_ROWS * h), h)
+
+
 def ode_residual(state: PhiState, y_samples) -> OdeResidualReport:
     """Chain-element check: phi'' = 2 phi^3 by finite differences, plus the
     first integral (phi')^2 - phi^4 from the analytic pair.
@@ -282,19 +288,17 @@ def ode_residual(state: PhiState, y_samples) -> OdeResidualReport:
     is evaluated through its recurrence, independent of the closed-form
     PhiState.eval that the samplers use.
     """
-    y = np.asarray(y_samples, dtype=float)
-    phi, dphi, ok = _recurrence_eval(state, y)
-    y, phi, dphi = y[ok], phi[ok], dphi[ok]
-    if y.size == 0:
+    phis, dphis, ok, h = _ladder(state, np.asarray(y_samples, dtype=float))
+    phis, dphi = phis[:, ok[2]], dphis[2, ok[2]]  # row 2 holds the values at y
+    if dphi.size == 0:
         raise VerificationImpossibleError("all samples masked at chain poles")
-    d2 = _fd_second(lambda q: _recurrence_eval(state, q)[0], y, state.c_n)
-    second_order_max = float(np.max(np.abs(d2 - 2.0 * phi**3)))
-    first = dphi**2 - phi**4
+    second_order_max = float(np.max(np.abs(_fd_second(phis, h) - 2.0 * phis[2]**3)))
+    first = dphi**2 - phis[2]**4
     return OdeResidualReport(
         second_order_max=second_order_max,
         first_integral_std=float(np.std(first)),
         c_estimate=float(np.mean(first)),
-        n_valid=int(y.size),
+        n_valid=int(dphi.size),
     )
 
 
@@ -374,7 +378,8 @@ def proposition_suite(max_index: int = 6, n_samples: int = 200) -> list[Proposit
     for index in range(max_index + 1):
         y = clean_chain_samples(index, n_samples, seed=77 + index)
         state = phi_chain(index)
-        phi, dphi, _ = _recurrence_eval(state, y)
+        phis, dphis, _, h = _ladder(state, y)
+        phi, dphi = phis[2], dphis[2]
         c_n = chain_constant(index)
         s = _chain_scale(c_n)
 
@@ -397,12 +402,7 @@ def proposition_suite(max_index: int = 6, n_samples: int = 200) -> list[Proposit
             root = math.sqrt(b_n)
             hphi = root / phi
             hdphi = -root * dphi / phi**2
-
-            def hat(q, state=state, root=root):
-                p, _, _ = _recurrence_eval(state, q)
-                return root / p
-
-            d2h = _fd_second(hat, y, c_n)
+            d2h = _fd_second(root / phis, h)
             dev3a = float(np.max(np.abs(d2h + 2.0 * hphi**3))) / s**3
             dev3b = float(np.max(np.abs(hdphi**2 + hphi**4 - b_n))) / s**4
             dev3 = max(dev3a, dev3b)
@@ -429,9 +429,9 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
 
     def sample(X, T):
         zv, _, ok = z.fn(X, T)
-        return ok, np.where(ok, zv, 0.0)
+        return ok, zv
 
-    def level_residual(defined, fields, hx, ht):
+    def level_residual(fields, hx, ht):
         (zfill,) = fields
         # far from the origin the products overflow; the study names the
         # non-finite stencils in its error, so numpy's warnings add nothing

@@ -283,6 +283,27 @@ class TestMalformedFlags:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestDashDashValue:
+    # argparse before Python 3.13 stores an empty list for --flag=--, past the flag's type
+    @pytest.mark.parametrize("argv", [
+        ["velocity", "--family", "bell", "--h=--"],
+        ["ode-check", "--samples=--"],
+        ["chain", "--depth=--"],
+        ["figures", "--id=--"],
+        ["simulate", "--family", "fisher-front", "--window=-6,8,141", "--time", "0,0.5",
+         "--checkpoints=--", "--out", "run"],
+        ["sample", "--family=--", "--out", "g.csv"],
+    ])
+    def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        flag = next(a for a in argv if a.endswith("=--")).split("=")[0]
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBuilderRefusals:
     # the equation rejects n = 1; c1 = -1e300 overflows the builder's scalar math
     @pytest.mark.parametrize("family, params, match", [
@@ -371,6 +392,87 @@ class TestVelocityRefusals:
             main(["velocity", "--family", family, "--h", h, "--out", "v.json"])
 
 
+class TestWorkBudgets:
+    # the budget of 2^25 point-steps: 69,759 steps of 481 points fit, 69,760 do not
+    _README = dict(x_min=-10.0, x_max=14.0, n_x=481, t0=0.0, t1=2.0)
+
+    def test_every_checkpoint_counts_as_a_step(self):
+        # integrate ends a step at every checkpoint; the README run's 9 count
+        # 1,778 steps from the step bound alone
+        cli._check_work(SimConfig(**self._README), 0.05)
+        cli._check_work(SimConfig(**self._README, n_checkpoints=69_760), 0.05)
+        with pytest.raises(ValueError, match=r"^69760 steps of 481 points at step 0\.05 exceed"):
+            cli._check_work(SimConfig(**self._README, n_checkpoints=69_761), 0.05)
+
+    @pytest.mark.parametrize("checkpoints", ["100000", "1000000000", str(10**30)])
+    def test_simulate_refuses_checkpoints_before_allocating(self, tmp_path, monkeypatch,
+                                                            checkpoints):
+        # 100,000 checkpoints once marched 4.8e7 point-steps and wrote as many CSVs
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(SimConfig, "checkpoints",
+                            property(lambda cfg: pytest.fail("checkpoint times allocated")))
+        with pytest.raises(SystemExit, match=r"--checkpoints: \d+ steps of 481 points"):
+            main(["simulate", "--family", "fisher-front", "--window=-10,14,481",
+                  "--time", "0,2", "--checkpoints", checkpoints, "--out", "run"])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("index, largest", [(0, 167_772), (17, 9_320)])
+    def test_sample_bound_is_the_worst_case_draw(self, index, largest):
+        # up to 200 n candidates, each walked through index + 1 recurrence levels
+        assert 200 * largest * (index + 1) <= cli._MAX_WORK < 200 * (largest + 1) * (index + 1)
+        cli._check_samples(index, largest)
+        with pytest.raises(ValueError, match=f"^{largest + 1} samples at chain index {index} "):
+            cli._check_samples(index, largest + 1)
+
+    @pytest.mark.parametrize("index, samples", [("17", "9321"), ("3", "1000000000"),
+                                                ("0", str(10**30))])
+    def test_ode_check_refuses_samples_before_drawing(self, tmp_path, monkeypatch, index,
+                                                      samples):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ode-check drew samples before refusing")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "clean_chain_samples", no_work)
+        monkeypatch.setattr(cli, "proposition_suite", no_work)
+        with pytest.raises(SystemExit, match=f"--samples: {samples} samples at chain index "):
+            main(["ode-check", "--chain-index", index, "--samples", samples, "--out", "o.json"])
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestParserPerProcess:
+    def test_one_parser(self):
+        assert cli._parser() is cli._parser()
+
+    def test_consecutive_verify_calls_share_no_parsed_value(self, monkeypatch):
+        orders = []
+
+        def stop(sampler, equation, grid, order):
+            orders.append(order)
+            raise SystemExit("stopped before the study")
+
+        monkeypatch.setattr(cli, "pde_residual", stop)
+        for argv in (["verify", "--family", "bell", "--order", "2"], ["verify", "--family", "bell"],
+                     ["verify", "--family", "bell", "--order", "2"]):
+            with pytest.raises(SystemExit, match="stopped"):
+                main(argv)
+        assert orders == [2, 4, 2]
+
+    def test_consecutive_velocity_calls_share_no_parsed_value(self, monkeypatch):
+        levels = []
+
+        def stop(sampler, cfg, level):
+            levels.append(level)
+            raise SystemExit("stopped before the march")
+
+        monkeypatch.setattr(cli, "_exact_tracks", stop)
+        for argv in (["velocity", "--family", "fisher-front", "--level", "0.3"],
+                     ["velocity", "--family", "fisher-front"]):
+            with pytest.raises(SystemExit, match="stopped"):
+                main(argv)
+        default = cli._velocity_setup(build_family("fisher-front"), 0.05)[1]
+        assert levels == [0.3, default] and default != 0.3
+
+
 # every JSON type, with the edge magnitudes drawn as often as the rest
 _EDGE_NUMBERS = st.sampled_from([0, 1, -1, 0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300])
 _JSON = st.recursive(
@@ -405,13 +507,14 @@ _LEVEL = st.one_of(st.none(), _MALFORMED,
                    st.sampled_from([0.0, 0.5, -0.5, 1e-300, 1e300, -1e300]), st.floats())
 
 
-def _returns_or_exits(argv: list[str], out_name: str, check_success=None) -> None:
-    """main(argv + --out) returns 0 or 1, or exits with a message and writes nothing.
+def _returns_or_exits(argv: list[str], out_name: str, check_success=None,
+                      out_flag: str = "--out") -> None:
+    """main(argv + out_flag) returns 0 or 1, or exits with a message and writes nothing.
     check_success(out path) runs where main returned 0."""
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / out_name
-        argv = argv + ["--out", str(out)]
+        argv = argv + [out_flag, str(out)]
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                 code = main(argv)
@@ -424,6 +527,16 @@ def _returns_or_exits(argv: list[str], out_name: str, check_success=None) -> Non
             assert code in (0, 1), argv
             if code == 0 and check_success is not None:
                 check_success(out)
+
+
+# count flags: malformed, negative, small, and huge values that every count
+# flag refuses before any work (a budget, a range or the figure registry)
+_HUGE_COUNT = st.sampled_from([10**6, 10**9, 2**31, 2**63, 10**30])
+
+
+def _count(small_max: int):
+    return st.one_of(_MALFORMED, st.integers(-3, small_max), _HUGE_COUNT,
+                     st.integers(max_value=-4))
 
 
 # comma-flag numbers: huge, tiny, subnormal, any float at all, and usable
@@ -511,6 +624,32 @@ class TestArgvProperty:
     def test_simulate_window_and_time_flags(self, family, window, time):
         _returns_or_exits(["simulate", "--family", family, f"--window={window}",
                            f"--time={time}"], "run")
+
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(_count(17) | st.integers(), _count(300))
+    def test_ode_check_flags(self, index, samples):
+        _returns_or_exits(["ode-check", f"--chain-index={index}", f"--samples={samples}"],
+                          "r.json")
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_count(26) | st.integers())
+    def test_chain_depth_flag(self, depth):
+        _returns_or_exits(["chain", f"--depth={depth}"], "r.json")
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.lists(_count(10), min_size=1, max_size=3))
+    def test_figures_id_flag(self, ids):
+        _returns_or_exits(["figures", f"--id={','.join(map(str, ids))}"], "figs",
+                          out_flag="--outdir")
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_count(40))
+    def test_simulate_checkpoints_flag(self, checkpoints):
+        # on this window up to 237,975 checkpoints fit the budget and would march;
+        # the huge draws are refused by it before any checkpoint time exists
+        _returns_or_exits(["simulate", "--family", "fisher-front", "--window=-6,8,141",
+                           "--time=0,0.5", f"--checkpoints={checkpoints}"], "run")
 
 
 class TestVerify:

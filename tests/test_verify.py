@@ -11,6 +11,7 @@ import rdwaves.verify as verify
 from rdwaves.catalog import (
     CHAIN_K,
     FAMILIES,
+    PhiState,
     Sampler,
     ZSampler,
     build_family,
@@ -21,7 +22,7 @@ from rdwaves.catalog import (
     z_from_phi,
     z_plane_wave,
 )
-from rdwaves.equations import Fisher, QuadraticDecay
+from rdwaves.equations import Fisher, QuadraticDecay, central_difference
 from rdwaves.verify import (
     RESIDUAL_TOL,
     Grid2D,
@@ -470,6 +471,82 @@ class TestPropositionSuite:
         assert len(rows) == 8  # two rows per index
         odd = [r for r in rows if r.index % 2 == 1]
         assert all("first integral" in r.proposition for r in odd if "chain" not in r.proposition)
+
+
+def reference_fd_second(f, y: np.ndarray, h: float) -> np.ndarray:
+    """The Richardson second derivative as it differenced a callable, one
+    evaluation of f per stencil point."""
+    def stencil(hh):
+        return central_difference(np.stack([f(y + j * hh) for j in range(-2, 3)]), hh, 2, 4)[0]
+
+    return (16.0 * stencil(h / 2) - stencil(h)) / 15.0
+
+
+class TestLadder:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Counts of PhiState.levels walks and of clean_chain_samples' filter
+        calls, one walk each."""
+        counts = {"levels": 0, "filter": 0}
+        levels, well_conditioned = PhiState.levels, verify._well_conditioned
+
+        def counted_levels(state, y):
+            counts["levels"] += 1
+            return levels(state, y)
+
+        def counted_filter(state, y):
+            counts["filter"] += 1
+            return well_conditioned(state, y)
+
+        monkeypatch.setattr(PhiState, "levels", counted_levels)
+        monkeypatch.setattr(verify, "_well_conditioned", counted_filter)
+        return counts
+
+    @pytest.mark.parametrize("index", [0, 5, 17])
+    def test_ode_residual_walks_once(self, walks, index):
+        y = clean_chain_samples(index, 200)
+        walks["levels"] = 0
+        ode_residual(phi_chain(index), y)
+        assert walks["levels"] == 1
+
+    def test_suite_walks_twice_an_index_besides_its_samples(self, walks):
+        proposition_suite(max_index=17)
+        assert walks["levels"] - walks["filter"] <= 2 * 18
+
+    def test_rows_are_the_stencil_points(self):
+        y = clean_chain_samples(5, 200)
+        h = 0.012 / abs(chain_constant(5)) ** 0.25
+        expected = [y + j * (h / 2) for j in range(-2, 3)] + [y + j * h for j in range(-2, 3)]
+        assert np.array_equal(y + verify._FD_ROWS * h, np.stack(expected))
+
+    @pytest.mark.parametrize("index", [0, 5, 12, 17])
+    def test_second_derivative_matches_the_callable_form(self, index):
+        state, y = phi_chain(index), clean_chain_samples(index, 200)
+        phis, _, _, h = verify._ladder(state, y)
+        expected = reference_fd_second(lambda q: verify._recurrence_eval(state, q)[0], y, h)
+        assert np.array_equal(verify._fd_second(phis, h), expected)
+
+
+class TestZeroFill:
+    def test_the_study_fills_masked_cells_before_the_residual(self):
+        seen = []
+
+        def sample(X, T):
+            defined = X < 0.8
+            return defined, np.where(defined, X, np.nan), np.where(defined, T, np.inf)
+
+        def level_residual(fields, hx, ht):
+            seen.append(fields)
+            return 0.0 * fields[0][1:-1, 1:-1]
+
+        grid = Grid2D(0.0, 1.0, 9, 0.0, 1.0, 9)
+        verify._refinement_study(sample, grid, level_residual, 4, "")
+        finest = grid.refined().refined()
+        X, T = np.meshgrid(finest.x, finest.t, indexing="ij")
+        assert len(seen) == 3
+        for stride, (x, t) in zip((4, 2, 1), seen):
+            assert np.array_equal(x, np.where(X < 0.8, X, 0.0)[::stride, ::stride])
+            assert np.array_equal(t, np.where(X < 0.8, T, 0.0)[::stride, ::stride])
 
 
 class TestPotentialResidual:

@@ -75,6 +75,14 @@ def commands() -> list[tuple[str, list[str]]]:
                                    "--out", "f.csv"]))
     runs.append(("velocity-level-untracked", ["velocity", "--family", "fisher-front",
                                               "--level", "5", "--out", "f.json"]))
+    # every proposition, the largest C_n and the deepest recurrence ladder
+    runs.append(("ode-check-17", ["ode-check", "--chain-index", "17", "--out", "f.json"]))
+    # refused by the work budget before any checkpoint time or sample is drawn
+    runs.append(("simulate-checkpoints-over-work-budget",
+                 ["simulate", "--family", "fisher-front", "--window=-10,14,481", "--time", "0,2",
+                  "--checkpoints", "100000", "--out", "simulate"]))
+    runs.append(("ode-check-samples-over-work-budget",
+                 ["ode-check", "--chain-index", "17", "--samples", "1000000000", "--out", "f.json"]))
     return runs
 
 
