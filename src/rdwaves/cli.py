@@ -153,6 +153,7 @@ def cmd_list(args) -> int:
 def cmd_sample(args) -> int:
     sampler = _build(args)
     grid = _parse_grid(args.grid, sampler)
+    _usage("--grid", _check_grid, grid, 1, "sample")
     X, T = np.meshgrid(grid.x, grid.t, indexing="ij")
     u, defined = sampler.sample(X, T)
     frac = float(defined.mean())
@@ -175,6 +176,8 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     sampler = _build(args)
     grid = _parse_grid(args.grid, sampler)
+    # the study samples u and f(u) on the finest grid of its refinement triple
+    _usage("--grid", _check_grid, grid.refined().refined(), 2, "finest")
     report = _usage("--grid", pde_residual, sampler, sampler.equation, grid, args.order)
     payload = {
         "family": args.family,
@@ -251,15 +254,35 @@ _VELOCITY_MAX_POINTS = 1 << 16
 # marching (the bell at h = 0.005 plans 2.8e7 and took 8.4 s on a 2-CPU host).
 # velocity's default h = 0.05 plans at most 1.9e6 (29 steps of 65,536 points);
 # h = 0.01 plans 1.5e6 to 8.3e6 at each family's default parameters, and the
-# README simulate run 8.6e5.  ode-check's sample draw shares the budget
+# README simulate run 8.6e5.  ode-check's sample draw shares the budget, and so
+# do the values sample and verify hold on their grids (1.5e5 at most by default)
 _MAX_WORK = 1 << 25
 
 
-def _check_work(cfg: SimConfig, step: float) -> None:
-    """Refuse a march that would run for hours: its step count grows as h^-2,
-    and integrate ends a step at every checkpoint besides."""
+def _check_grid(grid: Grid2D, fields: int, label: str) -> None:
+    """Refuse a grid whose points times the float fields held on it exceed
+    _MAX_WORK, before any of them is allocated."""
+    values = grid.n_x * grid.n_t * fields
+    if values > _MAX_WORK:
+        raise ValueError(f"{values} values ({fields} a point on a {grid.n_x} x {grid.n_t} "
+                         f"{label} grid) exceed the budget of {_MAX_WORK}")
+
+
+def _planned_steps(cfg: SimConfig) -> int | float:
+    """The steps integrate takes, ceil(interval / dt_max) in each checkpoint
+    interval.  Where the intervals alone, at one step each, are over the work
+    budget, or the span is infinite, it returns that lower bound before any
+    checkpoint time exists."""
     span = cfg.t1 - cfg.t0  # inf where t0 and t1 lie near either end of the floats
-    steps = max(math.ceil(span / cfg.dt_max) if span < math.inf else span, cfg.n_checkpoints - 1)
+    intervals = cfg.n_checkpoints - 1
+    if span < math.inf and intervals * cfg.n_x <= _MAX_WORK:
+        return int(np.ceil(np.diff(cfg.checkpoints) / cfg.dt_max).sum())
+    return max(span, intervals)
+
+
+def _check_work(cfg: SimConfig, step: float) -> None:
+    """Refuse a march that would run for hours: its step count grows as h^-2."""
+    steps = _planned_steps(cfg)
     if steps * cfg.n_x > _MAX_WORK:
         raise ValueError(f"{steps} steps of {cfg.n_x} points at step {step:g} exceed the "
                          f"budget of {_MAX_WORK} point-steps")

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 _STANDOFF_FACTOR = 5  # stencils within 5 x-radii of a masked point are skipped
+# finest-grid points per sample() call: 8,192 make a float64 field 64 KiB, under
+# glibc's default 128 KiB mmap threshold, so a strip's temporaries come from the
+# heap and are reused instead of being mapped, page-faulted in and unmapped
+_STRIP_POINTS = 8192
 # finest max residual of a converging verdict by stencil order; at 2 the order alone decides
 RESIDUAL_TOL = {2: math.inf, 4: 1e-6}
 
@@ -137,23 +141,37 @@ def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
                       masked_where: str) -> ResidualReport:
     """ResidualReport of a residual over the nested (h, h/2, h/4) triple.
 
-    sample(X, T) runs once, on the finest grid, and returns (defined, *fields);
-    each field is zero-filled here, once, where defined is False.  refined()
-    keeps every coarse point and divides the spacing by a power of two, so the
-    h and h/2 levels are the exact [::4, ::4] and [::2, ::2] strides of that
-    sample.  level_residual(fields, h_x, h_t) returns the residual on the
-    level's interior; its margin, r_x points along x and r_t along t, is the
-    stencil radius, from which _usable turns defined into stencil masks.
-    The order estimate needs a plus share above 0.5 on every level.  Below a
-    finest usable share (plus and clear) of 0.1 the study raises
-    VerificationImpossibleError, its message ending in masked_where; a usable
-    stencil whose residual is not finite (its products overflowed) raises the
-    same error, naming the level.
+    Only the finest grid is sampled, and every point of it once, in strips:
+    sample(X, T) gets broadcast views of whole x-rows, at most _STRIP_POINTS
+    points a call (one row where a row alone is longer), and returns
+    (defined, *fields) on them.  The strips land in arrays allocated once per
+    study, each field zero-filled there, once, where defined is False.  Strips
+    keep a sampler's temporaries cache-sized: on the whole finest grid each
+    temporary would be a fresh mapping, page-faulted in on every study.
+    refined() keeps every coarse point and divides the spacing by a power of
+    two, so the h and h/2 levels are the exact [::4, ::4] and [::2, ::2]
+    strides of that sample.  level_residual(fields, h_x, h_t) returns the
+    residual on the level's interior; its margin, r_x points along x and r_t
+    along t, is the stencil radius, from which _usable turns defined into
+    stencil masks.  The order estimate needs a plus share above 0.5 on every
+    level.  Below a finest usable share (plus and clear) of 0.1 the study
+    raises VerificationImpossibleError, its message ending in masked_where; a
+    usable stencil whose residual is not finite (its products overflowed)
+    raises the same error, naming the level.
     """
     grids = [grid, grid.refined(), grid.refined().refined()]
-    X, T = np.meshgrid(grids[-1].x, grids[-1].t, indexing="ij")
-    defined, *fields = sample(X, T)
-    fields = [np.where(defined, a, 0.0) for a in fields]
+    x, t = grids[-1].x, grids[-1].t
+    rows = max(1, _STRIP_POINTS // t.size)
+    defined = np.empty((x.size, t.size), dtype=bool)
+    fields: list[np.ndarray] = []
+    for start in range(0, x.size, rows):
+        strip = np.s_[start:start + rows]
+        ok, *values = sample(*np.broadcast_arrays(x[strip, None], t))
+        if not fields:
+            fields = [np.empty(defined.shape) for _ in values]
+        defined[strip] = ok
+        for out, a in zip(fields, values):
+            out[strip] = np.where(ok, a, 0.0)
     maxima: list[float] = []
     fractions: list[float] = []
     for lvl, g in enumerate(grids):
@@ -169,37 +187,40 @@ def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
                 f"{nonfinite} usable stencils give a non-finite residual on the "
                 f"{('h', 'h/2', 'h/4')[lvl]} level (overflow in the stencil arithmetic)")
         fractions.append(float(plus.mean()))
+        # |res| on usable stencils and 0 elsewhere, in one temporary
+        score = np.where(valid, res, 0.0)
+        np.abs(score, out=score)
         # points shared with the coarse level: residual index r(2^lvl - 1)
         # mod 2^lvl accounts for the interior offset by the stencil radius
         step = 2**lvl
         shared = np.s_[(rx * (step - 1)) % step::step, (rt * (step - 1)) % step::step]
-        sel = res[shared][valid[shared]]
-        maxima.append(float(np.max(np.abs(sel))) if sel.size else math.nan)
+        maxima.append(float(np.max(score[shared])) if valid[shared].any() else math.nan)
 
-    # res, valid and fractions[-1] now belong to the finest level
-    if valid.mean() < 0.1:
+    # res, valid, score and fractions[-1] now belong to the finest level
+    usable = valid.mean()
+    if usable < 0.1:
         raise VerificationImpossibleError(
-            f"usable fraction {valid.mean():.3f} < 0.1 (defined {fractions[-1]:.3f}) "
+            f"usable fraction {usable:.3f} < 0.1 (defined {fractions[-1]:.3f}) "
             + masked_where)
-    vals = res[valid]
     orders = [math.log2(a / b) if (a > 0 and b > 0) else math.nan
               for a, b in zip(maxima[:-1], maxima[1:])]
     order_estimate = None
     if all(f > 0.5 for f in fractions) and all(math.isfinite(o) for o in orders):
         order_estimate = float(np.mean(orders))
 
-    Xc, Tc = X[rx:-rx, rt:-rt], T[rx:-rx, rt:-rt]
-    score = np.abs(np.where(valid, res, 0.0)).ravel()
-    top = np.argpartition(score, -10)[-10:]  # Grid2D's 8-point minimum leaves more than 10 cells
-    flat = top[np.argsort(score[top])[::-1]]
+    flat = score.ravel()
+    top = np.argpartition(flat, -10)[-10:]  # Grid2D's 8-point minimum leaves more than 10 cells
+    top = top[np.argsort(flat[top])[::-1]]  # a copy, which frees the whole-level index array
     worst = []
-    for idx in flat:
+    for idx in top:
         i, j = np.unravel_index(idx, res.shape)
         if valid[i, j]:
-            worst.append((float(Xc[i, j]), float(Tc[i, j]), float(res[i, j])))
+            worst.append((float(x[rx + i]), float(t[rt + j]), float(res[i, j])))
+    squares = res[valid]
+    squares *= squares
     return ResidualReport(
-        max_abs=float(np.max(np.abs(vals))),
-        l2=float(np.sqrt(np.mean(vals**2))),
+        max_abs=float(np.max(score)),
+        l2=float(np.sqrt(np.mean(squares))),
         defined_fraction=fractions[-1],
         order_estimate=order_estimate,
         level_max_abs=tuple(maxima),

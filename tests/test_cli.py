@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import rdwaves._csvfmt as _csvfmt
 import rdwaves.catalog as catalog
 import rdwaves.cli as cli
-from rdwaves.catalog import build_family, phi_chain, z_from_phi
+from rdwaves.catalog import build_family, fisher_front, phi_chain, z_from_phi
 from rdwaves.cli import FIGURES, figure_data, figure_gate, main
+from rdwaves.equations import Fisher
 from rdwaves.simulate import SimConfig, SimReport, compare_exact, integrate
 from rdwaves.verify import (
     Grid2D,
@@ -274,6 +275,11 @@ class TestMalformedFlags:
         # h^2 of the stencil overflowed in a Python float power
         ("--grid", ["verify", "--family", "fisher-exp", "--grid=-1e300,0,8,0,1e300,8",
                     "--out", "v.json"]),
+        # 1e10 sampled points, and 3.2e11 finest points of u and f(u)
+        ("--grid", ["sample", "--family", "bell", "--grid=0,1,100000,0,1,100000",
+                    "--out", "g.csv"]),
+        ("--grid", ["verify", "--family", "bell", "--grid=0,1,100000,0,1,100000",
+                    "--out", "v.json"]),
     ])
     def test_usage_error_names_flag(self, capsys, tmp_path, monkeypatch, flag, argv):
         monkeypatch.chdir(tmp_path)
@@ -403,6 +409,32 @@ class TestWorkBudgets:
         cli._check_work(SimConfig(**self._README, n_checkpoints=69_760), 0.05)
         with pytest.raises(ValueError, match=r"^69760 steps of 481 points at step 0\.05 exceed"):
             cli._check_work(SimConfig(**self._README, n_checkpoints=69_761), 0.05)
+
+    @pytest.mark.parametrize("checkpoints, steps", [(9, 1784), (1778, 3554), (2, 1778),
+                                                    (3, 1778), (17, 1792), (333, 1992)])
+    def test_planned_steps_are_the_steps_taken(self, checkpoints, steps):
+        # integrate takes ceil(interval / dt_max) steps in every checkpoint interval
+        cfg = SimConfig(**self._README, n_checkpoints=checkpoints)
+        assert cli._planned_steps(cfg) == steps
+        assert integrate(Fisher(), fisher_front("tanh"), cfg).steps_taken == steps
+
+    @pytest.mark.parametrize("family", ["fisher-front", "generalized-fisher", "bell"])
+    def test_planned_velocity_steps_are_the_steps_taken(self, family):
+        sampler = build_family(family, {})
+        cfg, _, _ = cli._velocity_setup(sampler, 0.05)
+        assert cli._planned_steps(cfg) == integrate(sampler.equation, sampler, cfg).steps_taken
+
+    @pytest.mark.parametrize("fields, label, fits, over", [
+        # sample holds n_x n_t values
+        (1, "sample", (5792, 5793), (5793, 5793)),
+        # verify holds u and f(u) on the finest grid, (4 n_x - 3)(4 n_t - 3) points
+        (2, "finest", (4093, 4097), (4097, 4097)),
+    ])
+    def test_grid_values_are_bounded(self, fields, label, fits, over):
+        cli._check_grid(Grid2D(0.0, 1.0, fits[0], 0.0, 1.0, fits[1]), fields, label)
+        with pytest.raises(ValueError, match=rf"^\d+ values \({fields} a point on a "
+                                             rf"{over[0]} x {over[1]} {label} grid\) exceed "):
+            cli._check_grid(Grid2D(0.0, 1.0, over[0], 0.0, 1.0, over[1]), fields, label)
 
     @pytest.mark.parametrize("checkpoints", ["100000", "1000000000", str(10**30)])
     def test_simulate_refuses_checkpoints_before_allocating(self, tmp_path, monkeypatch,

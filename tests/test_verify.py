@@ -1,6 +1,7 @@
 """Residual verifiers: convergence orders, chain checks, negative controls."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -163,6 +164,18 @@ class TestUsable:
             assert plus.any() and not clear.all()
 
 
+def assert_strips_tile_finest_grid(strips, grid: Grid2D) -> None:
+    """The (x, t) strips a sampler saw, in call order, tile the finest grid of
+    grid's refinement triple: every point once, none skipped, none repeated,
+    and no strip over the study's bound."""
+    finest = grid.refined().refined()
+    X, T = np.meshgrid(finest.x, finest.t, indexing="ij")
+    assert len(strips) > 1  # 129 x 65 finest points exceed one strip
+    assert all(x.size <= verify._STRIP_POINTS for x, _ in strips)
+    assert np.array_equal(np.concatenate([x for x, _ in strips]), X)
+    assert np.array_equal(np.concatenate([t for _, t in strips]), T)
+
+
 class TestPdeResidual:
     def test_fisher_front_spec_window(self):
         # finest spacing 0.02 on x in [-20, 20], t in [0, 5]
@@ -292,15 +305,16 @@ class TestPdeResidual:
 
     def test_samples_finest_grid_once(self):
         base = fisher_front("tanh")
-        shapes = []
+        strips = []
 
         def fn(x, t):
-            shapes.append(np.shape(x))
+            strips.append((np.array(x), np.array(t)))
             return base.fn(x, t)
 
         s = Sampler(fn=fn, equation=Fisher(), family_id="counted", params={})
-        pde_residual(s, Fisher(), Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17), 4)
-        assert shapes == [(129, 65)]
+        grid = Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17)
+        pde_residual(s, Fisher(), grid, 4)
+        assert_strips_tile_finest_grid(strips, grid)
 
     @pytest.mark.parametrize("kind, index", [("direct", i) for i in range(7, 12)]
                              + [("inverse", i) for i in (7, 9, 11)]
@@ -549,6 +563,114 @@ class TestZeroFill:
             assert np.array_equal(t, np.where(X < 0.8, T, 0.0)[::stride, ::stride])
 
 
+def reference_refinement_study(sample, grid, level_residual, stencil_order, masked_where):
+    """The whole-grid study: one sample call on the meshgrid of the finest grid,
+    zero-filled copies, and the statistics taken from full-grid temporaries."""
+    grids = [grid, grid.refined(), grid.refined().refined()]
+    X, T = np.meshgrid(grids[-1].x, grids[-1].t, indexing="ij")
+    defined, *fields = sample(X, T)
+    fields = [np.where(defined, a, 0.0) for a in fields]
+    maxima, fractions = [], []
+    for lvl, g in enumerate(grids):
+        stride = 2 ** (len(grids) - 1 - lvl)
+        level_defined = defined[::stride, ::stride]
+        res = level_residual([a[::stride, ::stride] for a in fields], g.h_x, g.h_t)
+        rx, rt = ((n - m) // 2 for n, m in zip(level_defined.shape, res.shape))
+        plus, clear = _usable(level_defined, rx, rt)
+        valid = plus & clear
+        if np.count_nonzero(valid & ~np.isfinite(res)):
+            raise VerificationImpossibleError("non-finite residual")
+        fractions.append(float(plus.mean()))
+        step = 2**lvl
+        shared = np.s_[(rx * (step - 1)) % step::step, (rt * (step - 1)) % step::step]
+        sel = res[shared][valid[shared]]
+        maxima.append(float(np.max(np.abs(sel))) if sel.size else math.nan)
+    if valid.mean() < 0.1:
+        raise VerificationImpossibleError("usable fraction " + masked_where)
+    vals = res[valid]
+    orders = [math.log2(a / b) if (a > 0 and b > 0) else math.nan
+              for a, b in zip(maxima[:-1], maxima[1:])]
+    order_estimate = None
+    if all(f > 0.5 for f in fractions) and all(math.isfinite(o) for o in orders):
+        order_estimate = float(np.mean(orders))
+    Xc, Tc = X[rx:-rx, rt:-rt], T[rx:-rx, rt:-rt]
+    score = np.abs(np.where(valid, res, 0.0)).ravel()
+    top = np.argpartition(score, -10)[-10:]
+    worst = []
+    for idx in top[np.argsort(score[top])[::-1]]:
+        i, j = np.unravel_index(idx, res.shape)
+        if valid[i, j]:
+            worst.append((float(Xc[i, j]), float(Tc[i, j]), float(res[i, j])))
+    return ResidualReport(float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals**2))),
+                          fractions[-1], order_estimate, tuple(maxima), tuple(orders),
+                          tuple(worst), stencil_order)
+
+
+class TestStripStudy:
+    """The strip-sampled study reports, to the last bit, what the whole-grid
+    study reports on the same sampler and grid."""
+
+    @staticmethod
+    def assert_matches_whole_grid(monkeypatch, run):
+        """run() returns the reports of the studies it makes, in order."""
+        studies = []
+        study = verify._refinement_study
+
+        def capture(*args):
+            studies.append(args)
+            return study(*args)
+
+        monkeypatch.setattr(verify, "_refinement_study", capture)
+        reports = list(map(repr, run()))
+        assert reports == [repr(reference_refinement_study(*args)) for args in studies]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_family_and_its_control_at_defaults(self, monkeypatch, family):
+        self.assert_matches_whole_grid(monkeypatch, lambda: default_reports(family, 4))
+
+    def test_mask_crossing_strip_boundaries(self, monkeypatch):
+        # the bell is masked left of x = 0.367 t: on 641 x 97 finest points,
+        # 8 strips of 84 rows, that edge crosses the strip boundaries at
+        # x = 0.05, 1.1 and 2.15
+        s = build_family("bell", {})
+        grid = Grid2D(-1.0, 7.0, 161, 0.0, 8.0, 25)
+        finest = grid.refined().refined()
+        _, defined = s.sample(finest.x[:, None], finest.t)
+        rows = verify._STRIP_POINTS // finest.n_t
+        crossed = [b for b in range(rows, finest.n_x, rows)
+                   if not defined[b - 1].all() and defined[b - 1].any()
+                   and not defined[b].all() and defined[b].any()]
+        assert len(crossed) >= 2
+        self.assert_matches_whole_grid(monkeypatch, lambda: [pde_residual(s, s.equation, grid, 4)])
+
+    @pytest.mark.parametrize("z, params, grid", [
+        (z_from_phi(0), {"k": 1.0}, Grid2D(0.45, 0.85, 33, 0.04, 0.1, 17)),
+        (z_plane_wave(2.0, -1.0, 0.8, 0.0), {"k": 2.0, "lambda1": 3.0, "lambda2": 0.0},
+         Grid2D(-2.0, 2.0, 33, 0.0, 0.3, 17)),
+    ])
+    def test_potential(self, monkeypatch, z, params, grid):
+        self.assert_matches_whole_grid(monkeypatch, lambda: [potential_residual(z, params, grid)])
+
+    def test_chain_verdict_peak_memory(self):
+        # the whole-grid study peaked at 6.4 MB of numpy allocations here, the
+        # sampler's temporaries on all 385 x 193 finest points among them
+        s = build_family("chain", {"kind": "direct", "index": 0})
+        (x0, x1, t0, t1), (nx, nt) = s.suggested_window, s.suggested_resolution
+        grid = Grid2D(x0, x1, nx, t0, t1, nt)
+        pde_residual(s, s.equation, grid, 4)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pde_residual(s, s.equation, grid, 4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 4.0e6
+
+
 class TestPotentialResidual:
     def test_chain_potential_trilinear(self):
         z = z_from_phi(0)
@@ -566,16 +688,16 @@ class TestPotentialResidual:
 
     def test_samples_finest_grid_once(self):
         base = z_plane_wave(2.0, -1.0, 0.8, 0.0)
-        shapes = []
+        strips = []
 
         def fn(x, t):
-            shapes.append(np.shape(x))
+            strips.append((np.array(x), np.array(t)))
             return base.fn(x, t)
 
         g = Grid2D(-2.0, 2.0, 33, 0.0, 0.3, 17)
         potential_residual(ZSampler(fn=fn, label="counted"),
                            {"k": 2.0, "lambda1": 3.0, "lambda2": 0.0}, g)
-        assert shapes == [(129, 65)]
+        assert_strips_tile_finest_grid(strips, g)
 
     def test_overflowing_products_raise_named_error(self):
         # z stays finite far left, but its stencil products overflow: the

@@ -83,6 +83,15 @@ def commands() -> list[tuple[str, list[str]]]:
                   "--checkpoints", "100000", "--out", "simulate"]))
     runs.append(("ode-check-samples-over-work-budget",
                  ["ode-check", "--chain-index", "17", "--samples", "1000000000", "--out", "f.json"]))
+    # a finest grid of 641 x 97 points, sampled in 8 strips, whose masked
+    # half-plane edge crosses three strip boundaries
+    runs.append(("verify-bell-strips", ["verify", "--family", "bell",
+                                        "--grid=-1,7,161,0,8,25", "--out", "f.json"]))
+    # refused by the work budget before any grid point is allocated
+    runs.append(("sample-grid-over-work-budget",
+                 ["sample", "--family", "bell", "--grid=0,1,100000,0,1,100000", "--out", "f.csv"]))
+    runs.append(("verify-grid-over-work-budget",
+                 ["verify", "--family", "bell", "--grid=0,1,100000,0,1,100000", "--out", "f.json"]))
     return runs
 
 
