@@ -98,7 +98,11 @@ def _as_grid(x, t):
 
 
 def _masked_pow(base, p: float):
-    """(base**p, defined): signed for integer p, principal branch otherwise; nan where masked."""
+    """(base**p, defined): signed for integer p, principal branch otherwise; nan where masked.
+
+    The values are equations._frac_pow's: an integer power of a negative base
+    is the mirror of its power at |base|, (-1)**p |base|**p, so the odd chain
+    and plane-wave powers stay on numpy's vector loop and are exactly odd."""
     base = np.asarray(base, dtype=float)
     if abs(p - round(p)) < 1e-12:
         defined = np.isfinite(base) if round(p) >= 0 else np.abs(base) >= POLE_EPS

@@ -578,6 +578,10 @@ def main(argv=None) -> int:
         except FloatingPointError as exc:
             raise SystemExit(f"{args.command}: {exc}; the parameters or the grid leave "
                              "the floating-point range") from None
+        except MemoryError as exc:  # numpy's "Unable to allocate ..." included
+            detail = f" ({exc})" if str(exc) else ""
+            raise SystemExit(f"{args.command}: out of memory{detail}; ask for a smaller "
+                             "grid, window or sample count") from None
 
 
 if __name__ == "__main__":

@@ -130,11 +130,32 @@ def _usable(defined: np.ndarray, rx: int, rt: int) -> tuple[np.ndarray, np.ndarr
     plus marks stencils whose plus-shaped neighbourhood (rx points along x,
     rt along t) is defined; clear marks points farther than _STANDOFF_FACTOR
     * rx grid steps (Chebyshev distance) from every masked point.
+
+    Only the box that encloses the masked points, grown by the standoff (and
+    by at least rx along x and rt along t) and clipped at the grid's edge, is
+    dilated: no dilation reaches past it, so plus and clear are True outside
+    it, and a grid with nothing masked runs no dilation at all.
     """
     masked = ~defined
-    plus = ~(_dilate(masked, rx, (0,)) | _dilate(masked, rt, (1,)))
-    core = np.s_[rx:-rx, rt:-rt]
-    return plus[core], ~_dilate(masked, _STANDOFF_FACTOR * rx)[core]
+    nx, nt = defined.shape
+    plus = np.ones((nx - 2 * rx, nt - 2 * rt), dtype=bool)
+    clear = np.ones_like(plus)
+    rows = np.flatnonzero(masked.any(axis=1))
+    if rows.size:
+        cols = np.flatnonzero(masked.any(axis=0))
+        standoff = _STANDOFF_FACTOR * rx  # at least rx
+        gt = max(standoff, rt)
+        x0, x1 = max(rows[0] - standoff, 0), min(rows[-1] + standoff + 1, nx)
+        t0, t1 = max(cols[0] - gt, 0), min(cols[-1] + gt + 1, nt)
+        near = masked[x0:x1, t0:t1]
+        # the box's part of the interior, in box and in interior coordinates;
+        # never empty, since the box reaches rx, rt points past a masked point
+        cx0, cx1, ct0, ct1 = max(x0, rx), min(x1, nx - rx), max(t0, rt), min(t1, nt - rt)
+        inside = np.s_[cx0 - x0:cx1 - x0, ct0 - t0:ct1 - t0]
+        out = np.s_[cx0 - rx:cx1 - rx, ct0 - rt:ct1 - rt]
+        plus[out] = ~(_dilate(near, rx, (0,)) | _dilate(near, rt, (1,)))[inside]
+        clear[out] = ~_dilate(near, standoff)[inside]
+    return plus, clear
 
 
 def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -682,7 +684,8 @@ class TestLattice:
 
 
 def reference_masked_pow(base, p: float):
-    """The masked power as written before it took its values from equations._frac_pow."""
+    """The masked power as written before it took its values from equations._frac_pow,
+    np.power's bits on every base."""
     base = np.asarray(base, dtype=float)
     if abs(p - round(p)) < 1e-12:
         ip = int(round(p))
@@ -696,6 +699,14 @@ def reference_masked_pow(base, p: float):
     return val, defined
 
 
+def same_bits(a, b) -> bool:
+    """a and b hold the same float64 bits, signed zeros included; any nan matches any nan."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
 class TestMaskedPow:
     BASES = np.r_[np.linspace(-3.0, 3.0, 6001), 0.0, -0.0, 1e-8, -1e-8, np.inf, -np.inf,
                   np.nan, 1e200, -1e200, POLE_EPS, -POLE_EPS, 2 * POLE_EPS]
@@ -705,9 +716,31 @@ class TestMaskedPow:
     def test_matches_reference(self, p):
         with np.errstate(all="ignore"):
             ref, ref_defined = reference_masked_pow(self.BASES, p)
+            at_abs = reference_masked_pow(np.abs(self.BASES), p)[0]
         # the power may overflow at 1e200, but a masked point never warns
         with np.errstate(over="ignore", divide="raise", invalid="raise"):
             got, defined = _masked_pow(self.BASES, p)
         assert np.array_equal(defined, ref_defined)
-        assert np.array_equal(got[defined], ref[defined], equal_nan=True)
+        # np.power's bits on a base that is not negative; an integer power of a
+        # negative base is the mirror (-1)^p of np.power's value at |base|
+        expected = ref
+        if abs(p - round(p)) < 1e-12:
+            expected = np.where(self.BASES < 0.0, (-1.0) ** round(p) * at_abs, ref)
+        assert same_bits(got[defined], expected[defined])
         assert np.isnan(got[~defined]).all()
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_integer_power_within_one_ulp_of_exact(self, p):
+        # the exact power of each finite non-zero base, rounded once; a power
+        # past the float range must be the infinity of its sign
+        bases = self.BASES[np.isfinite(self.BASES) & (self.BASES != 0.0)]
+        with np.errstate(over="ignore"):
+            got, defined = _masked_pow(bases, p)
+        assert defined.all()
+        for base, value in zip(bases.tolist(), got.tolist()):
+            exact = Fraction(base) ** p
+            if abs(exact) > Fraction(sys.float_info.max):
+                assert value == (math.inf if exact > 0 else -math.inf)
+                continue
+            rounded = float(exact)
+            assert abs(value - rounded) <= math.ulp(rounded), (base, value, rounded)

@@ -345,6 +345,24 @@ class TestOutOfRangeRefusals:
             main(argv + ["--out", "o.csv"])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("error, detail", [
+        (MemoryError("Unable to allocate 37.3 GiB for an array with shape (5000000000,) "
+                     "and data type float64"), r" \(Unable to allocate 37\.3 GiB .*\)"),
+        (MemoryError(), ""),
+    ], ids=["numpy-message", "no-message"])
+    def test_memory_error_is_a_usage_error(self, tmp_path, monkeypatch, error, detail):
+        # the command's run raises as numpy does when an allocation fails;
+        # nothing is allocated for real
+        def run(args):
+            raise error
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "cmd_verify", run)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # binds the patched run
+        with pytest.raises(SystemExit, match=f"^verify: out of memory{detail}; ask for a smaller"):
+            main(["verify", "--family", "bell", "--out", "v.json"])
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("c1", ["1e4", "1e8", "1.6e16"])
     def test_velocity_window_is_capped_before_allocation(self, tmp_path, monkeypatch, c1):
         # at c1 = 1.6e16 the window once asked numpy for 5.6 EiB

@@ -108,6 +108,21 @@ class TestRhs:
         u = np.linspace(0.05, 3.0, 400)
         assert np.max(np.abs(sf.rhs(u) - (u + nu) * (-3.0 * u - nu))) < 1e-12
 
+    @pytest.mark.parametrize("spec", [PowerLaw(3), GeneralFamily(n=-1, lambda4=-2),
+                                      GeneralFamily(n=3, lambda1=2), GeneralFamily(n=3, lambda1=-2)],
+                             ids=["power-law-3", "cubic-plus", "cubic-lambda1-2", "cubic-lambda1-m2"])
+    def test_odd_equations_are_exactly_odd(self, spec):
+        # the chain equations are odd in u, so rhs(-u) is -rhs(u) exactly: a
+        # non-zero value bit for bit, and nan where nan.  A zero may carry
+        # either sign, since x + (-x) rounds to +0 whatever the sign of x
+        rng = np.random.default_rng(7)
+        mags = np.r_[0.0, np.geomspace(1e-8, 1e8, 4001), 4.0 * rng.random(4000), 1e200, np.inf]
+        u = np.r_[mags, -mags, np.nan]
+        with np.errstate(all="ignore"):
+            plus, minus = spec.rhs(u), spec.rhs(-u)
+        assert np.array_equal(minus, -plus, equal_nan=True)
+        assert np.isinf(plus).any() and np.isnan(plus).any()
+
     def test_kpp_generic_callable(self):
         spec = KPPGeneric(f=lambda u: np.zeros_like(u), label="zero")
         assert rhs_eval(spec, 0.7) == 0.0

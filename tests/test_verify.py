@@ -3,10 +3,12 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdwaves.verify as verify
 from rdwaves.catalog import (
@@ -146,8 +148,41 @@ def reference_potential_valid(ok):
     return okc[3:-3, 2:-2] & ~_dilate(~ok, 15)[3:-3, 2:-2]
 
 
+def reference_usable(defined, rx, rt):
+    """_usable as written before it dilated only the box around the masked
+    points: every dilation runs over the whole grid."""
+    masked = ~defined
+    plus = ~(_dilate(masked, rx, (0,)) | _dilate(masked, rt, (1,)))
+    core = np.s_[rx:-rx, rt:-rt]
+    return plus[core], ~_dilate(masked, verify._STANDOFF_FACTOR * rx)[core]
+
+
+def assert_usable_matches_reference(defined, rx, rt):
+    got, ref = _usable(defined, rx, rt), reference_usable(defined, rx, rt)
+    for g, r in zip(got, ref):
+        assert g.dtype == bool and g.shape == r.shape
+        assert np.array_equal(g, r)
+
+
+@st.composite
+def sparse_masks(draw):
+    """A grid of at least 8 x 8 points with a few masked cells and rectangles."""
+    nx, nt = draw(st.integers(8, 90)), draw(st.integers(8, 70))
+    defined = np.ones((nx, nt), dtype=bool)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, nt - 1)),
+                              max_size=6)):
+        defined[i, j] = False
+    for i, j, h, w in draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, nt - 1),
+                                              st.integers(1, 6), st.integers(1, 6)), max_size=2)):
+        defined[i:i + h, j:j + w] = False
+    return defined
+
+
+RADII = [(1, 1), (2, 2), (3, 2)]
+
+
 class TestUsable:
-    @pytest.mark.parametrize("rx, rt", [(1, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("rx, rt", RADII)
     def test_matches_both_stencil_loops(self, rx, rt):
         rng = np.random.default_rng(10 * rx + rt)
         for density in (0.0005, 0.005, 0.2):
@@ -162,6 +197,53 @@ class TestUsable:
             else:
                 assert np.array_equal(plus & clear, reference_potential_valid(defined))
             assert plus.any() and not clear.all()
+
+    @pytest.mark.parametrize("rx, rt", RADII)
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 31), (40, 12), (97, 65)])
+    def test_box_matches_whole_grid_dilation(self, shape, rx, rt):
+        nx, nt = shape
+        empty = np.ones(shape, dtype=bool)
+        assert_usable_matches_reference(empty, rx, rt)
+        assert_usable_matches_reference(~empty, rx, rt)
+        # one masked cell at each corner, at the middle of each edge and at the centre
+        for i in (0, nx // 2, nx - 1):
+            for j in (0, nt // 2, nt - 1):
+                defined = empty.copy()
+                defined[i, j] = False
+                assert_usable_matches_reference(defined, rx, rt)
+        # masks on and next to the grid's edge, whose box is clipped there
+        edges = [np.s_[0, :], np.s_[:, -1], np.s_[1, 2:5], np.s_[-2:, 1], np.s_[2:4, 0:2],
+                 np.s_[nx // 3, nt - 2:], np.s_[:, 0]]
+        for edge in edges:
+            defined = empty.copy()
+            defined[edge] = False
+            assert_usable_matches_reference(defined, rx, rt)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(sparse_masks(), st.sampled_from(RADII))
+    def test_box_matches_whole_grid_dilation_on_draws(self, defined, radii):
+        assert_usable_matches_reference(defined, *radii)
+
+    def test_nothing_masked_runs_no_dilation(self, monkeypatch):
+        calls = []
+
+        def counted(mask, radius, axes=(0, 1)):
+            calls.append(mask.shape)
+            return _dilate(mask, radius, axes)
+
+        monkeypatch.setattr(verify, "_dilate", counted)
+        plus, clear = _usable(np.ones((97, 65), dtype=bool), 2, 2)
+        assert calls == [] and plus.all() and clear.all()
+        defined = np.ones((97, 65), dtype=bool)
+        defined[50, 30] = False
+        _usable(defined, 2, 2)
+        # the cell's box grown by the standoff of 10 points: 21 x 21
+        assert calls == [(21, 21)] * 3
+        # a fully defined study dilates nothing on any of its three levels
+        calls.clear()
+        s = fisher_front("tanh")
+        rep = pde_residual(s, s.equation, Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17), 4)
+        assert rep.defined_fraction == 1.0 and calls == []
 
 
 def assert_strips_tile_finest_grid(strips, grid: Grid2D) -> None:
@@ -339,12 +421,59 @@ class TestPdeResidual:
         assert len(obj["level_max_abs"]) == 3
 
 
+CHAIN_CASES = ([("direct", i) for i in range(7)] + [("inverse", i) for i in (1, 3, 5)]
+               + [("focusing", i) for i in (0, 2, 4, 6)])
+
+
+def suggested_grid(s: Sampler) -> Grid2D:
+    (x0, x1, t0, t1), (nx, nt) = s.suggested_window, s.suggested_resolution
+    return Grid2D(x0, x1, nx, t0, t1, nt)
+
+
+def negated(s: Sampler) -> Sampler:
+    """s with its field negated, solving the same equation where that is odd in u."""
+    inner = s.fn
+
+    def fn(x, t):
+        u, defined = inner(x, t)
+        return -u, defined
+
+    return replace(s, fn=fn)
+
+
+def assert_mirrored(minus: ResidualReport, plus: ResidualReport) -> None:
+    """minus is plus with every residual negated: the same statistics and order,
+    and the same worst points with negated residuals."""
+    assert minus.worst
+    mirror = replace(plus, worst=tuple((x, t, -r) for x, t, r in plus.worst))
+    assert repr(minus) == repr(mirror)
+
+
+class TestSignMirror:
+    # the chain equations u_t - u_xx = -+2u^3 are odd in u, so u and -u have
+    # residuals of opposite sign, bit for bit
+    @pytest.mark.parametrize("kind, index", CHAIN_CASES)
+    def test_chain_signs_give_mirrored_reports(self, kind, index):
+        plus, minus = (build_family("chain", {"kind": kind, "index": index, "sign": sign})
+                       for sign in (1, -1))
+        grid = suggested_grid(plus)
+        assert_mirrored(pde_residual(minus, minus.equation, grid, 4),
+                        pde_residual(plus, plus.equation, grid, 4))
+
+    @pytest.mark.parametrize("index, sign", [(0, -1), (0, 1), (1, -1)])
+    def test_chain_exp_negated_field_gives_mirrored_report(self, index, sign):
+        # u_t - u_xx = -2(u^3 + s u): GeneralFamily(n=3, lambda1=-2s)
+        s = build_family("chain-exp", {"kind": "direct", "index": index, "sign": sign})
+        grid = suggested_grid(s)
+        assert_mirrored(pde_residual(negated(s), s.equation, grid, 4),
+                        pde_residual(s, s.equation, grid, 4))
+
+
 def default_reports(family: str, order: int) -> tuple[ResidualReport, ResidualReport]:
     """pde_residual of the family's defaults and of their perturbed() control
     on the suggested grid, at the given stencil order."""
     s = build_family(family, {})
-    (x0, x1, t0, t1), (nx, nt) = s.suggested_window, s.suggested_resolution
-    g = Grid2D(x0, x1, nx, t0, t1, nt)
+    g = suggested_grid(s)
     return (pde_residual(s, s.equation, g, order),
             pde_residual(s.perturbed(), s.equation, g, order))
 

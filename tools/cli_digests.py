@@ -92,6 +92,17 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["sample", "--family", "bell", "--grid=0,1,100000,0,1,100000", "--out", "f.csv"]))
     runs.append(("verify-grid-over-work-budget",
                  ["verify", "--family", "bell", "--grid=0,1,100000,0,1,100000", "--out", "f.json"]))
+    # cubes of either sign: an odd integer power of a negative base is the
+    # mirror of its power at |u|.  The index-1 chain is negative on its window
+    # at sign +1; its two reports differ only in "sign" and in the signs of
+    # the worst residuals
+    runs.append(("verify-chain-sign-minus", ["verify", "--family", "chain", "--params",
+                                             '{"index": 1, "sign": -1}', "--out", "f.json"]))
+    runs.append(("verify-chain-sign-plus", ["verify", "--family", "chain", "--params",
+                                            '{"index": 1, "sign": 1}', "--out", "f.json"]))
+    runs.append(("verify-plane-wave-n-3-negative", ["verify", "--family", "plane-wave", "--params",
+                                                    '{"n": 3, "c1": -1, "c2": 1, "lambda2": 0}',
+                                                    "--out", "f.json"]))
     return runs
 
 
