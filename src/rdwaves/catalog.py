@@ -31,6 +31,7 @@ from .elliptic import (
     MODULUS_INV_SQRT2,
     POLE_EPS,
     WeierstrassInvariants,
+    _off_pole,
     _pole_div,
     complete_elliptic_K,
     jacobi_sn_cn_dn,
@@ -105,7 +106,7 @@ def _masked_pow(base, p: float):
     and plane-wave powers stay on numpy's vector loop and are exactly odd."""
     base = np.asarray(base, dtype=float)
     if abs(p - round(p)) < 1e-12:
-        defined = np.isfinite(base) if round(p) >= 0 else np.abs(base) >= POLE_EPS
+        defined = np.isfinite(base) if round(p) >= 0 else _off_pole(base)
     else:
         defined = base > POLE_EPS if p < 0 else base >= 0.0
     return np.where(defined, _frac_pow(base, p), np.nan), defined
@@ -188,7 +189,7 @@ class PhiState:
         """Yield (phi, phi', defined) at y for the elements 0..index in turn.
 
         One pass of the recurrence walks the whole ladder; phi and phi' are
-        unspecified where defined is False.
+        nan where not defined, as in eval.
         """
         y = np.asarray(y, dtype=float)
         sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
@@ -197,10 +198,8 @@ class PhiState:
         yield phi, dphi, defined
         c = -0.25
         for _ in range(self.index):
-            defined = defined & (np.abs(phi) >= POLE_EPS)
-            safe = np.where(defined, phi, 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phi, dphi = dphi / safe, (safe**4 - c) / safe**2
+            (phi, defined), dphi = (_pole_div(dphi, phi, ok=defined),
+                                    _pole_div(phi**4 - c, phi, 2, ok=defined)[0])
             c = -4.0 * c
             yield phi, dphi, defined
 
@@ -487,7 +486,7 @@ def solitary_wave(n: float, nu: float, sigma: float, branch: str, C: float = 0.0
             theta = b * (x - sigma * t / SQRT2) + C
             if branch == "tan":
                 s = -np.tan(theta)
-                defined0 = np.abs(np.cos(theta)) >= POLE_EPS
+                defined0 = _off_pole(np.cos(theta))
             else:
                 s = np.tanh(theta)
                 defined0 = np.ones_like(theta, dtype=bool)
@@ -793,31 +792,28 @@ def z_plane_wave(n: float, c1: float, c2: float, lambda2: float) -> ZSampler:
 def closed_forms(y):
     """Transcribed closed forms of the low chain elements, per unit 2x.
 
-    Returns a dict name -> (value, defined).  'u3_printed'/'tilde3_printed'
-    keep the transcribed inner constant (9/4) sqrt2, which the recurrence
-    refutes; 'u3_corrected' carries the derived inner constant 1/2 that
-    matches the chain exactly.
+    Returns a dict name -> (value, defined), value nan where not defined.
+    'u3_printed'/'tilde3_printed' keep the transcribed inner constant
+    (9/4) sqrt2, which the recurrence refutes; 'u3_corrected' carries the
+    derived inner constant 1/2 that matches the chain exactly.
     """
     y = np.asarray(y, dtype=float)
     sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
-    ok = (np.abs(sn) >= POLE_EPS) & (np.abs(cn) >= POLE_EPS)
-    safe_sn = np.where(ok, sn, 1.0)
-    safe_cn = np.where(ok, cn, 1.0)
-    cs = safe_cn / safe_sn
-    ds = dn / safe_sn
-    sd = safe_sn / dn
-    cd = safe_cn / dn
-    dc = dn / safe_cn
+    ds, ok = _pole_div(dn, sn)
+    dc, ok = _pole_div(dn, cn, ok=ok)
+    cs = _pole_div(cn, sn, ok=ok)[0]
+    sd = _pole_div(sn, dn, ok=ok)[0]
+    cd = _pole_div(cn, dn, ok=ok)[0]
     out = {}
     out["u1"] = (cs / dn, ok)
-    out["u2"] = ((cd - dc) / safe_sn - safe_cn * ds, ok)
+    out["u2"] = (_pole_div(cd - dc, sn, ok=ok)[0] - cn * ds, ok)
     c_printed = 2.25 * SQRT2
-    den_printed = dn * cs * (c_printed * safe_cn**2 - ds**2)
+    den_printed = dn * cs * (c_printed * cn**2 - ds**2)
     out["u3_printed"] = _pole_div(cs**4 - dn**4, den_printed, ok=ok)
-    den_corr = dn * cs * (0.5 * safe_cn**2 - ds**2)
+    den_corr = dn * cs * (0.5 * cn**2 - ds**2)
     out["u3_corrected"] = _pole_div(cs**4 - dn**4, den_corr, ok=ok)
     out["tilde1"] = (dn / cs, ok)
-    num_t3 = 2.0 * dn * cs * (c_printed * safe_cn**2 - ds**2)
+    num_t3 = 2.0 * dn * cs * (c_printed * cn**2 - ds**2)
     den_t3 = cs**4 - dn**4
     out["tilde3_printed"] = _pole_div(num_t3, den_t3, ok=ok)
     out["hat0"] = (sd / 2.0, ok)

@@ -42,6 +42,7 @@ from .simulate import (
 from .verify import (
     Grid2D,
     VerificationImpossibleError,
+    _residual_tol,
     clean_chain_samples,
     ode_residual,
     pde_residual,
@@ -86,12 +87,18 @@ def _write_report(out: str | None, command: str, payload: dict, parameters: dict
         _write_manifest(Path(out).with_suffix(".manifest.json"), command, parameters, outputs)
 
 
+def _gnuplot_quote(text: str) -> str:
+    """text as a gnuplot single-quoted string, in which '' stands for '."""
+    return "'" + text.replace("'", "''") + "'"
+
+
 def _gnuplot_script(csv_path: Path, title: str) -> str:
     return (
         "set datafile separator ','\n"
-        f"set title '{title}'\n"
+        f"set title {_gnuplot_quote(title)}\n"
         "set xlabel 'x'\nset ylabel 't'\nset zlabel 'u'\n"
-        f"splot '{csv_path.name}' every ::1 using 1:2:3 with points pt 7 ps 0.3 notitle\n"
+        f"splot {_gnuplot_quote(csv_path.name)} every ::1 using 1:2:3 with points pt 7 ps 0.3 "
+        "notitle\n"
     )
 
 
@@ -174,6 +181,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _usage("--tol", _residual_tol, args.order, args.tol)
     sampler = _build(args)
     grid = _parse_grid(args.grid, sampler)
     # the study samples u and f(u) on the finest grid of its refinement triple

@@ -1,13 +1,14 @@
 """Jacobi elliptic functions and the Weierstrass P function, from scratch.
 
 Jacobi sn/cn/dn are evaluated by the descending Landen (AGM) transformation
-with argument reduction modulo the real period 4K.  The twelve quotient
-functions (ds, cs, sd, ...) are formed from the base triple by _pole_div, the
-package's one pole rule: a denominator within POLE_EPS of zero masks the point.
-The Weierstrass function of the g2 = 0 lattices is the square of one such
-quotient, P = e2 + H2 (cn/(sn dn))^2 (the half-angle form of Abramowitz &
-Stegun 18.9.12), so it shares the Jacobi kernel and its pole rule.  Everything
-accepts numpy arrays and is pure: safe to evaluate concurrently over grids.
+with argument reduction modulo the real period 4K.  Quotients of them (ds,
+cs, ...) are formed where they are used, by _pole_div.  _off_pole is the
+package's one pole rule: a denominator within POLE_EPS of zero masks the
+point, and _pole_div leaves nan there.  The Weierstrass function of the
+g2 = 0 lattices is the square of one such quotient, P = e2 + H2
+(cn/(sn dn))^2 (the half-angle form of Abramowitz & Stegun 18.9.12), so it
+shares the Jacobi kernel and its pole rule.  Everything accepts numpy arrays
+and is pure: safe to evaluate concurrently over grids.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ __all__ = [
     "POLE_EPS",
     "complete_elliptic_K",
     "jacobi_sn_cn_dn",
-    "jacobi_quotient",
-    "QUOTIENT_NAMES",
     "weierstrass_p",
     "weierstrass_real_half_period",
 ]
@@ -35,13 +34,18 @@ __all__ = [
 POLE_EPS = 1e-8  # a quotient/pole is declared undefined below this threshold
 
 
-def _pole_div(num, den, power: int = 1, ok=True):
-    """The one pole rule: (num / den**power, defined), defined = ok & (|den| >= POLE_EPS).
+def _off_pole(den, ok=True):
+    """The one pole rule, ok & (|den| >= POLE_EPS): where a point may divide by den."""
+    return ok & (np.abs(den) >= POLE_EPS)
 
-    The value is nan where not defined.  Masked denominators are replaced by 1
-    first, so neither the division nor the power warns about discarded points.
+
+def _pole_div(num, den, power: int = 1, ok=True):
+    """(num / den**power, defined), defined = _off_pole(den, ok); nan where not defined.
+
+    Masked denominators are replaced by 1 first, so neither the division nor
+    the power warns about discarded points.
     """
-    defined = ok & (np.abs(den) >= POLE_EPS)
+    defined = _off_pole(den, ok)
     safe = np.where(defined, den, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(defined, num / (safe if power == 1 else safe**power), np.nan), defined
@@ -132,36 +136,6 @@ def jacobi_sn_cn_dn(y, m: EllipticModulus):
     # complementary identity is uniformly stable and keeps dn in [k', 1]
     dn = np.sqrt(1.0 - m.k2 * sn * sn)
     return sn, cn, dn
-
-
-# quotient name -> (numerator, denominator) drawn from {'sn','cn','dn','1'}
-QUOTIENT_NAMES = {
-    "sn": ("sn", "1"),
-    "cn": ("cn", "1"),
-    "dn": ("dn", "1"),
-    "ns": ("1", "sn"),
-    "nc": ("1", "cn"),
-    "nd": ("1", "dn"),
-    "sc": ("sn", "cn"),
-    "cs": ("cn", "sn"),
-    "sd": ("sn", "dn"),
-    "ds": ("dn", "sn"),
-    "cd": ("cn", "dn"),
-    "dc": ("dn", "cn"),
-}
-
-
-def jacobi_quotient(name: str, y, m: EllipticModulus):
-    """Named Jacobi quotient (e.g. ds = dn/sn) with pole masking.
-
-    Returns (value, defined); value is nan wherever |denominator| < POLE_EPS.
-    """
-    if name not in QUOTIENT_NAMES:
-        raise EllipticError(f"unknown quotient {name!r}; valid: {sorted(QUOTIENT_NAMES)}")
-    sn, cn, dn = jacobi_sn_cn_dn(y, m)
-    parts = {"sn": sn, "cn": cn, "dn": dn, "1": np.ones_like(sn)}
-    num_name, den_name = QUOTIENT_NAMES[name]
-    return _pole_div(parts[num_name], parts[den_name])
 
 
 @dataclass(frozen=True)

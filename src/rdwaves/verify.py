@@ -42,6 +42,15 @@ _STRIP_POINTS = 8192
 RESIDUAL_TOL = {2: math.inf, 4: 1e-6}
 
 
+def _residual_tol(stencil_order: int, tol: float | None) -> float:
+    """tol, or RESIDUAL_TOL of the stencil order when None; ValueError for a nan or negative tol."""
+    if tol is None:
+        return RESIDUAL_TOL[stencil_order]
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be a number >= 0, got {tol}")
+    return tol
+
+
 class VerificationImpossibleError(RuntimeError):
     """Too much of the requested grid is masked to verify anything."""
 
@@ -106,8 +115,9 @@ class ResidualReport:
 
     def converges(self, tol: float | None = None) -> bool:
         """Roache's observed-order verdict: order estimate within 0.5 of the stencil order
-        and max_abs at most tol (RESIDUAL_TOL of the stencil order when None)."""
-        tol = RESIDUAL_TOL[self.stencil_order] if tol is None else tol
+        and max_abs at most tol (RESIDUAL_TOL of the stencil order when None).
+        A nan or negative tol raises ValueError."""
+        tol = _residual_tol(self.stencil_order, tol)
         return (self.order_estimate or 0.0) >= self.stencil_order - 0.5 and self.max_abs <= tol
 
 
@@ -305,19 +315,14 @@ def _chain_scale(c_n: float) -> float:
     return abs(c_n) ** 0.25
 
 
-def _recurrence_eval(state: PhiState, y):
-    """(phi, phi', defined) of the chain element through the recurrence
-    (the last of state.levels), both values nan where not defined."""
-    *_, (phi, dphi, defined) = state.levels(y)
-    return np.where(defined, phi, np.nan), np.where(defined, dphi, np.nan), defined
-
-
 def _ladder(state: PhiState, y: np.ndarray):
-    """(phi, phi', defined, h) on _fd_second's rows y + _FD_ROWS h in one walk
-    of the recurrence, at C_n's step h = 0.012 / |C_n|^(1/4): its oscillation
-    length, balancing truncation against the rounding noise of the chain values."""
+    """(phi, phi', defined, h) on _fd_second's rows y + _FD_ROWS h, the last
+    level of one walk of the recurrence (nan where not defined), at C_n's step
+    h = 0.012 / |C_n|^(1/4): its oscillation length, balancing truncation
+    against the rounding noise of the chain values."""
     h = 0.012 / _chain_scale(state.c_n)
-    return (*_recurrence_eval(state, y + _FD_ROWS * h), h)
+    *_, last = state.levels(y + _FD_ROWS * h)
+    return (*last, h)
 
 
 def ode_residual(state: PhiState, y_samples) -> OdeResidualReport:
@@ -330,7 +335,11 @@ def ode_residual(state: PhiState, y_samples) -> OdeResidualReport:
     is evaluated through its recurrence, independent of the closed-form
     PhiState.eval that the samplers use.
     """
-    phis, dphis, ok, h = _ladder(state, np.asarray(y_samples, dtype=float))
+    return _ode_report(*_ladder(state, np.asarray(y_samples, dtype=float)))
+
+
+def _ode_report(phis, dphis, ok, h) -> OdeResidualReport:
+    """ode_residual's report from a _ladder walk."""
     phis, dphi = phis[:, ok[2]], dphis[2, ok[2]]  # row 2 holds the values at y
     if dphi.size == 0:
         raise VerificationImpossibleError("all samples masked at chain poles")
@@ -419,13 +428,13 @@ def proposition_suite(max_index: int = 6, n_samples: int = 200) -> list[Proposit
     rows: list[PropositionRow] = []
     for index in range(max_index + 1):
         y = clean_chain_samples(index, n_samples, seed=77 + index)
-        state = phi_chain(index)
-        phis, dphis, _, h = _ladder(state, y)
+        ladder = _ladder(phi_chain(index), y)
+        phis, dphis, _, h = ladder
         phi, dphi = phis[2], dphis[2]
         c_n = chain_constant(index)
         s = _chain_scale(c_n)
 
-        dev1 = ode_residual(state, y).second_order_max / s**3
+        dev1 = _ode_report(*ladder).second_order_max / s**3
         rows.append(PropositionRow(index, "chain element solves phi''=2phi^3",
                                    dev1, dev1 <= tol))
 

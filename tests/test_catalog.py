@@ -40,10 +40,16 @@ from rdwaves.elliptic import (
     complete_elliptic_K,
     jacobi_sn_cn_dn,
 )
-from rdwaves.verify import _recurrence_eval, _well_conditioned
+from rdwaves.verify import _well_conditioned
 
 K = complete_elliptic_K(MODULUS_INV_SQRT2)
 SQRT6 = math.sqrt(6.0)
+
+
+def recurrence_eval(state, y):
+    """(phi, phi', defined) of the chain element through its recurrence: the last of levels."""
+    *_, last = state.levels(y)
+    return last
 
 
 def chain_samples(index: int, n: int = 300, lo: float = 0.05, seed: int = 3):
@@ -150,6 +156,15 @@ class TestClosedForms:
         assert rep["tilde1"]["max_abs_deviation"] < 1e-9
         assert rep["hat0"]["max_abs_deviation"] < 1e-9
         assert rep["u2"]["max_abs_deviation"] < 1e-9
+
+    def test_masked_cells_are_nan(self):
+        # the zeros of sn and cn at multiples of K, points within 1e-9 of them
+        # and arguments too large to reduce
+        y = np.r_[np.arange(-4, 9) * K, np.arange(-4, 9) * K + 1e-9, np.linspace(-3.0, 9.0, 101),
+                  1e9, -1e9]
+        for name, (value, ok) in closed_forms(y).items():
+            assert not ok.all() and ok.any(), name
+            assert np.isnan(value[~ok]).all(), name
 
     def test_unreducible_argument_masked_in_every_form(self):
         # |y| eps > POLE_EPS: jacobi_sn_cn_dn returns nan, and no form may call it defined
@@ -592,9 +607,9 @@ CLOSED_FORM_RTOL = 1e-9
 class TestPhiStateMasking:
     @pytest.mark.parametrize("depth", range(8))
     def test_eval_matches_per_level_masking(self, depth):
-        # the recurrence, blanked once at its last level, matches the
-        # reference that re-masks every level, bit for bit
-        got = _recurrence_eval(phi_chain(depth), POLE_GRID)
+        # the recurrence's last level matches the reference that re-masks
+        # every level, bit for bit
+        got = recurrence_eval(phi_chain(depth), POLE_GRID)
         expected = reference_phi_eval(depth, POLE_GRID)
         assert np.array_equal(got[2], expected[2])
         assert not got[2].all()
@@ -609,8 +624,8 @@ class TestPhiStateMasking:
             expected = reference_phi_eval(j, POLE_GRID)
             assert np.array_equal(defined, expected[2])
             for a, b in zip((phi, dphi), expected[:2]):
-                # values under the mask are unspecified: compare the blanked arrays
-                assert np.array_equal(np.where(defined, a, np.nan), b, equal_nan=True)
+                # nan under the mask, as in eval
+                assert np.array_equal(a, b, equal_nan=True)
 
     @pytest.mark.parametrize("depth", range(13))
     def test_closed_form_matches_recurrence(self, depth):
@@ -632,7 +647,7 @@ class TestPhiStateMasking:
         y = np.array([y])
         assume(_well_conditioned(state, y)[0])
         phi, dphi, defined = state.eval(y)
-        ref_phi, ref_dphi, _ = _recurrence_eval(state, y)
+        ref_phi, ref_dphi, _ = recurrence_eval(state, y)
         assert defined[0]
         for a, b in ((phi, ref_phi), (dphi, ref_dphi)):
             assert abs(a[0] - b[0]) / max(1.0, abs(b[0])) <= CLOSED_FORM_RTOL

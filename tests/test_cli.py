@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rdwaves._csvfmt as _csvfmt
@@ -35,6 +35,25 @@ def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def gnuplot_strings(line: str) -> list[str]:
+    """The single-quoted strings of a gnuplot command line, where '' inside
+    a string stands for one '."""
+    strings, i = [], 0
+    while (start := line.find("'", i)) >= 0:
+        parts, i = [], start + 1
+        while True:
+            end = line.find("'", i)
+            assert end >= 0, f"unterminated string in {line!r}"
+            parts.append(line[i:end])
+            i = end + 1
+            if line[i:i + 1] != "'":
+                break
+            parts.append("'")
+            i += 1
+        strings.append("".join(parts))
+    return strings
 
 
 # The per-cell writers that cli's CSV functions replaced: the byte reference.
@@ -188,6 +207,19 @@ class TestSample:
         assert manifest["schema"] == 1
         names = {p.rsplit("/", 1)[-1] for p in manifest["outputs"]}
         assert names == {"s.csv", "s.gp"}
+
+    def test_gnuplot_strings_double_their_quotes(self, capsys, tmp_path):
+        # the title holds the params dict's quotes; gnuplot reads '' as one '
+        out = tmp_path / "it's.csv"
+        code, _ = run(capsys, "sample", "--family", "fisher-front", "--grid=-3,3,12,0,0.2,9",
+                      "--out", str(out), "--gnuplot")
+        assert code == 0
+        # each line's command, the text before its first string, and its strings;
+        # gnuplot_strings fails on an unterminated string in any line
+        strings = {line[:line.find("'")].strip(): gnuplot_strings(line)
+                   for line in (tmp_path / "it's.gp").read_text().splitlines()}
+        assert strings["set title"] == [f"fisher-front {build_family('fisher-front').params}"]
+        assert strings["splot"] == ["it's.csv"]
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit, match="valid families"):
@@ -557,24 +589,34 @@ _LEVEL = st.one_of(st.none(), _MALFORMED,
                    st.sampled_from([0.0, 0.5, -0.5, 1e-300, 1e300, -1e300]), st.floats())
 
 
+def _no_grid(*args):
+    raise AssertionError("a grid was allocated before the refusal")
+
+
 def _returns_or_exits(argv: list[str], out_name: str, check_success=None,
-                      out_flag: str = "--out") -> None:
+                      out_flag: str = "--out", refused: bool = False) -> None:
     """main(argv + out_flag) returns 0 or 1, or exits with a message and writes nothing.
-    check_success(out path) runs where main returned 0."""
+    check_success(out path) runs where main returned 0.  A refused run must
+    exit with a usage error before any grid axis or checkpoint time exists."""
     stderr = io.StringIO()
-    with tempfile.TemporaryDirectory() as work:
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as patch:
+        if refused:
+            for cls, name in ((Grid2D, "x"), (Grid2D, "t"), (SimConfig, "x"),
+                              (SimConfig, "checkpoints")):
+                patch.setattr(cls, name, property(_no_grid))
         out = Path(work) / out_name
         argv = argv + [out_flag, str(out)]
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                 code = main(argv)
         except SystemExit as exc:
+            assert isinstance(exc.code, str) or not refused, argv
             # a refusal carries its message; argparse prints its own and exits 2
             message = exc.code if isinstance(exc.code, str) else stderr.getvalue()
             assert exc.code != 0 and message.strip(), argv
             assert os.listdir(work) == [], argv
         else:
-            assert code in (0, 1), argv
+            assert code in (0, 1) and not refused, argv
             if code == 0 and check_success is not None:
                 check_success(out)
 
@@ -600,14 +642,24 @@ _NUMBER = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, 1e-310, -
 _TIME = st.one_of(st.sampled_from([0.0, 1e300, -1e300, 1e-310, 5e-324]), st.floats(-2.0, 2.0))
 
 
+# a count whose points alone, times any other count, exceed cli._MAX_WORK (2^25)
+_HUGE_GRID_COUNT = st.integers(2**25 + 1, 2**62)
+
+
+def _huge_count(raw: str) -> bool:
+    """raw, a _comma_flag value, holds a _HUGE_GRID_COUNT."""
+    return any(v.isdigit() and int(v) > 2**25 for v in raw.split(","))
+
+
 @st.composite
 def _comma_flag(draw, fields: str, number=_NUMBER):
     """A value of the comma flag read against fields such as "x0,x1,nx".
 
     Each n* field is a count of 8 to 24 points (16 and more half the time:
     simulate needs them) and each other field a number; an x0,x1 pair is in
-    order and distinct four times in five.  Four values in ten have a flaw:
-    a malformed field, a count under 8, or one field too few or too many."""
+    order and distinct four times in five.  Five values in twelve have a flaw:
+    a malformed field, a count under 8, a count that alone puts the work over
+    the budget, or one field too few or too many."""
     names = fields.split(",")
     counts = st.integers(8, 24) | st.integers(16, 24)
     values = [draw(counts if n.startswith("n") else number) for n in names]
@@ -615,12 +667,13 @@ def _comma_flag(draw, fields: str, number=_NUMBER):
         if names[i][1:] == "0" and names[i + 1][1:] == "1" and draw(st.integers(0, 4)):
             lo, hi = sorted(values[i:i + 2])
             values[i:i + 2] = lo, hi if hi > lo else lo + abs(lo) + 1.0
-    flaw = draw(st.sampled_from([None] * 6 + ["malformed", "count", "fewer", "more"]))
+    flaw = draw(st.sampled_from([None] * 7 + ["malformed", "count", "huge", "fewer", "more"]))
     if flaw == "malformed":
         values[draw(st.integers(0, len(values) - 1))] = draw(_MALFORMED)
-    elif flaw == "count" and "n" in fields:
+    elif flaw in ("count", "huge") and "n" in fields:
         n = [i for i, name in enumerate(names) if name.startswith("n")]
-        values[draw(st.sampled_from(n))] = draw(st.integers(-1, 7))
+        values[draw(st.sampled_from(n))] = draw(st.integers(-1, 7) if flaw == "count"
+                                                else _HUGE_GRID_COUNT)
     return ",".join(map(str, (values + values)[:len(values) + (flaw == "more")
                                               - (flaw == "fewer")]))
 
@@ -657,23 +710,27 @@ class TestArgvProperty:
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.sampled_from(sorted(catalog.FAMILIES)), _comma_flag("x0,x1,nx,t0,t1,nt"))
+    @example("bell", f"-1,1,8,0,1,{2**62}")
     def test_sample_grid_flag(self, family, grid):
         # every value a sample run accepts reaches the CSV writer: its file is
         # the reference writer's text byte for byte
         _returns_or_exits(["sample", "--family", family, f"--grid={grid}"], "g.csv",
-                          _grid_matches_reference(family, grid))
+                          _grid_matches_reference(family, grid), refused=_huge_count(grid))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.sampled_from(sorted(catalog.FAMILIES)), _comma_flag("x0,x1,nx,t0,t1,nt"))
+    @example("bell", f"0,1,{2**25 + 1},0,1,8")
     def test_verify_grid_flag(self, family, grid):
-        _returns_or_exits(["verify", "--family", family, f"--grid={grid}"], "r.json")
+        _returns_or_exits(["verify", "--family", family, f"--grid={grid}"], "r.json",
+                          refused=_huge_count(grid))
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.sampled_from(sorted(catalog.FAMILIES)), _comma_flag("x0,x1,nx"),
            _comma_flag("t0,t1", _TIME))
+    @example("fisher-front", f"-1,1,{2**25 + 1}", "0,1")
     def test_simulate_window_and_time_flags(self, family, window, time):
         _returns_or_exits(["simulate", "--family", family, f"--window={window}",
-                           f"--time={time}"], "run")
+                           f"--time={time}"], "run", refused=_huge_count(window))
 
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -737,6 +794,23 @@ class TestVerify:
                          "--params", '{"index": 6}', "--order", "2", "--tol", "1e-6")
         assert code == 1
         assert "DOES NOT CONVERGE" in text
+
+    @pytest.mark.parametrize("tol", ["nan", "NaN", "-1", "-inf", "-5e-324"])
+    def test_nan_or_negative_tol_is_a_usage_error(self, tmp_path, monkeypatch, tol):
+        # such a tol once read a converging family as "DOES NOT CONVERGE"
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify sampled before refusing --tol")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "pde_residual", no_work)
+        monkeypatch.setattr(catalog.Sampler, "sample", no_work)
+        with pytest.raises(SystemExit, match=r"^--tol: tolerance must be a number >= 0, got "):
+            main(["verify", "--family", "fisher-front", f"--tol={tol}", "--out", "v.json"])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tol, code", [("0", 1), ("-0.0", 1), ("inf", 0)])
+    def test_zero_and_infinite_tol_are_judged(self, capsys, tol, code):
+        assert run(capsys, "verify", "--family", "fisher-front", f"--tol={tol}")[0] == code
 
 
 class TestSimulateVelocity:

@@ -1,12 +1,16 @@
 """Elliptic kernel tests against independent oracles (quadrature, ODE marching)."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
+import rdwaves
+from rdwaves.catalog import phi_chain
 from rdwaves.elliptic import (
     MODULUS_INV_SQRT2,
     POLE_EPS,
@@ -14,9 +18,9 @@ from rdwaves.elliptic import (
     EllipticModulus,
     UnboundedPeriodError,
     WeierstrassInvariants,
+    _off_pole,
     _pole_div,
     complete_elliptic_K,
-    jacobi_quotient,
     jacobi_sn_cn_dn,
     weierstrass_p,
     weierstrass_real_half_period,
@@ -141,44 +145,53 @@ class TestJacobiTriple:
             assert np.max(np.abs(a - b)) < 1e-10
 
 
+def ds_forms(y):
+    """The quotient ds = dn/sn at modulus 1/sqrt2 as the package forms it: chain
+    element 0 from its closed form (eval) and from its recurrence (levels),
+    each (ds, ds', defined)."""
+    state = phi_chain(0)
+    return state.eval(y), next(state.levels(y))
+
+
 class TestJacobiQuotient:
-    def test_unknown_name(self):
-        with pytest.raises(EllipticError):
-            jacobi_quotient("qq", 1.0, MODULUS_INV_SQRT2)
+    """ds = dn/sn, the quotient the chain is seeded with (element 0)."""
 
     def test_definitional_identity(self):
         rng = np.random.default_rng(5)
         y = rng.uniform(0.2, 3.0, 500)
-        m = MODULUS_INV_SQRT2
-        ds, ok = jacobi_quotient("ds", y, m)
-        sn, _, dn = jacobi_sn_cn_dn(y, m)
-        assert ok.all()
-        assert np.max(np.abs(ds * sn - dn)) < 1e-13
+        sn, _, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
+        for ds, _, ok in ds_forms(y):
+            assert ok.all()
+            assert np.max(np.abs(ds * sn - dn)) < 1e-13
 
     def test_pole_masking(self):
-        val, ok = jacobi_quotient("ds", np.array([0.0, 1.0]), MODULUS_INV_SQRT2)
-        assert not ok[0] and np.isnan(val[0])
-        assert ok[1] and np.isfinite(val[1])
+        for val, dval, ok in ds_forms(np.array([0.0, 1.0])):
+            assert not ok[0] and np.isnan(val[0]) and np.isnan(dval[0])
+            assert ok[1] and np.isfinite(val[1]) and np.isfinite(dval[1])
 
     def test_ds_leading_laurent(self):
         # sn ~ y near 0 so ds * y -> 1; oracle value from the series of sn
         y = np.array([1e-4, 1e-5])
-        val, ok = jacobi_quotient("ds", y, MODULUS_INV_SQRT2)
-        assert ok.all()
-        assert np.max(np.abs(val * y - 1.0)) < 1e-7
+        for val, _, ok in ds_forms(y):
+            assert ok.all()
+            assert np.max(np.abs(val * y - 1.0)) < 1e-7
 
     def test_cs_over_dn_matches_log_derivative_of_ds(self):
         # phi = ds has phi'/phi = -cs/dn: finite differences pick the sign
         m = MODULUS_INV_SQRT2
         y = 1.2
         h = 1e-5
-        f = lambda q: jacobi_quotient("ds", q, m)[0]
-        dphi = (f(y - 2 * h) - 8 * f(y - h) + 8 * f(y + h) - f(y + 2 * h)) / (12 * h)
-        ratio = dphi / f(y)
-        cs, _ = jacobi_quotient("cs", y, m)
-        dn = jacobi_sn_cn_dn(y, m)[2]
-        assert abs(abs(ratio) - abs(cs / dn)) < 1e-9
-        assert abs(ratio - (-cs / dn)) < 1e-9
+        sn, cn, dn = jacobi_sn_cn_dn(y, m)
+        cs = cn / sn
+        for form in (0, 1):  # eval, then levels
+            f = lambda q: ds_forms(q)[form][0]
+            dphi = (f(y - 2 * h) - 8 * f(y - h) + 8 * f(y + h) - f(y + 2 * h)) / (12 * h)
+            ratio = dphi / f(y)
+            assert abs(abs(ratio) - abs(cs / dn)) < 1e-9
+            assert abs(ratio - (-cs / dn)) < 1e-9
+            # the analytic derivative that the chain carries has the same sign
+            phi, dphi, _ = ds_forms(y)[form]
+            assert abs(dphi / phi - (-cs / dn)) < 1e-12
 
     def test_first_integral_of_ds(self):
         # (phi')^2 - phi^4 = -1/4 at modulus 1/sqrt(2), phi = ds
@@ -325,6 +338,7 @@ class TestPoleDiv:
         assert list(_pole_div(1.0, den)[1]) == [True, False, True, False, True, True]
         val, defined = _pole_div(1.0, den, ok=ok)
         assert list(defined) == [True, False, True, False, True, False]
+        assert np.array_equal(_off_pole(den, ok), defined)
         assert np.isnan(val[~defined]).all() and np.isfinite(val[defined]).all()
 
     @pytest.mark.parametrize("power", [1, 2, 3])
@@ -334,3 +348,39 @@ class TestPoleDiv:
             val, defined = _pole_div(np.ones_like(den), den, power)
         assert list(defined) == [False] * 4 + [False, True, True]
         assert np.isnan(val[:5]).all() and (val[5:] == 0.0).all()
+
+
+# (module, function, comparison) of every read of POLE_EPS in the package: the
+# pole rule, and two bounds that compare no denominator, the one-sided domain
+# of a fractional negative power and the argument range of the Jacobi reduction
+POLE_EPS_READS = {
+    ("elliptic.py", "_off_pole", "np.abs(den) >= POLE_EPS"),
+    ("elliptic.py", "jacobi_sn_cn_dn", "np.abs(y) <= POLE_EPS / np.finfo(float).eps"),
+    ("catalog.py", "_masked_pow", "base > POLE_EPS"),
+}
+
+
+def pole_eps_reads(node, function="<module>", comparison=None):
+    """(function, comparison) of every read of POLE_EPS under node; the comparison
+    is None for a read outside one, and an import under another name counts."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    elif isinstance(node, ast.Compare):
+        comparison = ast.unparse(node)
+    elif ((isinstance(node, ast.Name) and node.id == "POLE_EPS" and isinstance(node.ctx, ast.Load))
+          or (isinstance(node, ast.Attribute) and node.attr == "POLE_EPS")
+          or (isinstance(node, ast.alias) and node.name == "POLE_EPS" and node.asname)):
+        yield function, comparison
+    for child in ast.iter_child_nodes(node):
+        yield from pole_eps_reads(child, function, comparison)
+
+
+class TestOnePoleRule:
+    def test_pole_eps_is_read_by_the_rule_and_two_bounds_only(self):
+        # any other comparison with POLE_EPS would restate the pole rule
+        # beside _off_pole, which _pole_div and every mask-only site call
+        reads = set()
+        for path in sorted(Path(rdwaves.__file__).parent.glob("*.py")):
+            for function, comparison in pole_eps_reads(ast.parse(path.read_text())):
+                reads.add((path.name, function, comparison))
+        assert reads == POLE_EPS_READS

@@ -103,6 +103,15 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("verify-plane-wave-n-3-negative", ["verify", "--family", "plane-wave", "--params",
                                                     '{"n": 3, "c1": -1, "c2": 1, "lambda2": 0}',
                                                     "--out", "f.json"]))
+    # refused before any sample is drawn: a nan or negative tolerance
+    runs.append(("verify-tol-nan", ["verify", "--family", "fisher-front", "--tol=nan",
+                                    "--out", "f.json"]))
+    runs.append(("verify-tol-negative", ["verify", "--family", "fisher-front", "--tol=-1",
+                                         "--out", "f.json"]))
+    # gnuplot strings double their quotes: the title holds the params' quotes
+    runs.append(("sample-gnuplot-quote", ["sample", "--family", "fisher-front",
+                                          "--grid=-3,3,12,0,0.2,9", "--out", "it's.csv",
+                                          "--gnuplot"]))
     return runs
 
 
