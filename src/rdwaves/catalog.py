@@ -33,6 +33,7 @@ from .elliptic import (
     WeierstrassInvariants,
     _off_pole,
     _pole_div,
+    _pole_safe,
     complete_elliptic_K,
     jacobi_sn_cn_dn,
     weierstrass_p,
@@ -198,8 +199,12 @@ class PhiState:
         yield phi, dphi, defined
         c = -0.25
         for _ in range(self.index):
-            (phi, defined), dphi = (_pole_div(dphi, phi, ok=defined),
-                                    _pole_div(phi**4 - c, phi, 2, ok=defined)[0])
+            # one mask a step for both quotients; phi^4 as sq * sq, because
+            # ** 4 leaves numpy's vector loop on a mixed-sign field
+            safe, defined = _pole_safe(phi, defined)
+            sq = safe * safe
+            phi, dphi = (np.where(defined, dphi / safe, np.nan),
+                         np.where(defined, (sq * sq - c) / sq, np.nan))
             c = -4.0 * c
             yield phi, dphi, defined
 

@@ -1,7 +1,9 @@
 """Jacobi elliptic functions and the Weierstrass P function, from scratch.
 
-Jacobi sn/cn/dn are evaluated by the descending Landen (AGM) transformation
-with argument reduction modulo the real period 4K.  Quotients of them (ds,
+Jacobi sn/cn/dn are evaluated by the descending Gauss transformation with
+an algebraic ascent (DLMF 22.7): after argument reduction modulo the real
+period 4K, sin and cos at the smallest modulus are climbed back with
+rational steps; K itself comes from the AGM.  Quotients of sn, cn, dn (ds,
 cs, ...) are formed where they are used, by _pole_div.  _off_pole is the
 package's one pole rule: a denominator within POLE_EPS of zero masks the
 point, and _pole_div leaves nan there.  The Weierstrass function of the
@@ -39,14 +41,19 @@ def _off_pole(den, ok=True):
     return ok & (np.abs(den) >= POLE_EPS)
 
 
-def _pole_div(num, den, power: int = 1, ok=True):
-    """(num / den**power, defined), defined = _off_pole(den, ok); nan where not defined.
+def _pole_safe(den, ok=True):
+    """(safe, defined), defined = _off_pole(den, ok) and safe = den where defined, 1 elsewhere.
 
-    Masked denominators are replaced by 1 first, so neither the division nor
-    the power warns about discarded points.
+    Dividing by any power of safe never warns about discarded points, and
+    quotients that share a denominator share one mask.
     """
     defined = _off_pole(den, ok)
-    safe = np.where(defined, den, 1.0)
+    return np.where(defined, den, 1.0), defined
+
+
+def _pole_div(num, den, power: int = 1, ok=True):
+    """(num / den**power, defined), defined = _off_pole(den, ok); nan where not defined."""
+    safe, defined = _pole_safe(den, ok)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(defined, num / (safe if power == 1 else safe**power), np.nan), defined
 
@@ -89,30 +96,53 @@ def complete_elliptic_K(m: EllipticModulus) -> float:
     """
     if m.k == 1.0:
         raise UnboundedPeriodError("K(k) diverges as k -> 1")
-    return math.pi / (2.0 * _agm_scheme(m)[0][-1])
+    return math.pi / (2.0 * _agm(m))
 
 
-def _agm_scheme(m: EllipticModulus) -> tuple[list[float], list[float]]:
-    """Descending Landen coefficient ladders (a_n, c_n) down to c_N ~ 0."""
-    a = [1.0]
-    b = m.k_comp
-    c = [m.k]
-    while c[-1] > 1e-16 * a[-1] and len(a) < 24:
-        a_next = 0.5 * (a[-1] + b)
-        b_next = math.sqrt(a[-1] * b)
-        c.append(0.5 * (a[-1] - b))
-        a.append(a_next)
-        b = b_next
-    return a, c
+def _agm(m: EllipticModulus) -> float:
+    """AGM(1, k'), stopped once the Landen coefficient c_n = (a_{n-1} - b_{n-1})/2
+    falls to 1e-16 a_n, after at most 23 steps."""
+    a, b, c, n = 1.0, m.k_comp, m.k, 1
+    while c > 1e-16 * a and n < 24:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        n += 1
+    return a
+
+
+# sn = sin z - (k^2/4)(z - sin z cos z) cos z + O(k^4), and cn alike, while
+# dn = 1 - (k^2/2) sin^2 z + O(k^4) (DLMF 22.10.4-22.10.6).  Once k^2 < 2^-53,
+# the unit roundoff, the sn and cn corrections are below 2^-53 for |z| <= pi
+# (there |z - sin z cos z| <= pi) and dn's below 2^-54, which rounds to 1:
+# sin z, cos z and 1 are sn, cn and dn to the rounding of double precision
+_GAUSS_BOTTOM = 2.0**-53
+
+
+def _gauss_scheme(m: EllipticModulus) -> tuple[list[float], float]:
+    """Descending Gauss moduli [k_1, ..., k_N] and prod(1 + k_n), 0 < k < 1.
+
+    k_{n+1} = k_n^2 / (1 + k_n')^2 and k_{n+1}' = 2 sqrt(k_n') / (1 + k_n'):
+    (1 - k')/(1 + k') says the same but cancels for small k.  The ladder
+    stops at k_N^2 < _GAUSS_BOTTOM, after at most 23 steps.
+    """
+    k, kc = m.k, m.k_comp
+    ladder: list[float] = []
+    prod = 1.0
+    while k * k >= _GAUSS_BOTTOM and len(ladder) < 23:
+        k, kc = k * k / ((1.0 + kc) * (1.0 + kc)), 2.0 * math.sqrt(kc) / (1.0 + kc)
+        ladder.append(k)
+        prod *= 1.0 + k
+    return ladder, prod
 
 
 def jacobi_sn_cn_dn(y, m: EllipticModulus):
     """Vectorized (sn, cn, dn) at argument y and modulus m.
 
-    k = 0 and k = 1 use the exact circular/hyperbolic branches; otherwise the
-    amplitude is recovered by the backward Landen recursion after reducing y
-    modulo the real period 4K, and is nan where |y| eps > POLE_EPS: there the
-    rounding of y alone exceeds the pole threshold, so the reduction is noise.
+    k = 0 and k = 1 use the exact circular/hyperbolic branches.  Otherwise y
+    is reduced modulo the real period 4K, and the descending Gauss
+    transformation (DLMF 22.7.1-22.7.3) is climbed back algebraically from
+    sin and cos at the bottom modulus.  The result is nan where
+    |y| eps > POLE_EPS: there the rounding of y alone exceeds the pole
+    threshold, so the reduction is noise.  y is never written.
     """
     y = np.asarray(y, dtype=float)
     if m.k == 0.0:
@@ -120,22 +150,35 @@ def jacobi_sn_cn_dn(y, m: EllipticModulus):
     if m.k == 1.0:
         sech = 1.0 / np.cosh(y)
         return np.tanh(y), sech, sech
-    a, c = _agm_scheme(m)
     K = complete_elliptic_K(m)
-    y = np.where(np.abs(y) <= POLE_EPS / np.finfo(float).eps, y, np.nan)
-    # reduce to [-2K, 2K]; the backward recursion then stays well conditioned
-    y_red = y - 4.0 * K * np.round(y / (4.0 * K))
-    n_last = len(a) - 1
-    phi = (2.0**n_last) * a[n_last] * y_red
-    for n in range(n_last, 0, -1):
-        ratio = c[n] / a[n]
-        phi = 0.5 * (phi + np.arcsin(np.clip(ratio * np.sin(phi), -1.0, 1.0)))
-    sn = np.sin(phi)
-    cn = np.cos(phi)
-    # dn = cos(phi_1 - phi_0) * ... is ill-conditioned near cn = 0; the
-    # complementary identity is uniformly stable and keeps dn in [k', 1]
-    dn = np.sqrt(1.0 - m.k2 * sn * sn)
-    return sn, cn, dn
+    ladder, prod = _gauss_scheme(m)
+    # a fresh array, so the work below is done in buffers the kernel owns
+    z = np.where(np.abs(y) <= POLE_EPS / np.finfo(float).eps, y, np.nan).reshape(-1)
+    # reduce to [-2K, 2K], that is |z| <= pi at the bottom modulus; s2 holds
+    # the period multiple here and k sn^2 in the ascent
+    period = 4.0 * K
+    s2 = np.divide(z, period)
+    np.round(s2, out=s2)
+    s2 *= period
+    z -= s2
+    z /= prod
+    sn, cn, dn = np.sin(z), np.cos(z), np.ones_like(z)
+    d = z  # z is not read again
+    # one step of DLMF 22.7.1-22.7.3 from modulus k_n to k_{n-1}; 22.7.3 is used
+    # as dn = (1 - k s^2)/(1 + k s^2), since its printed form
+    # (dn^2 - (1 - k))/((1 + k) - dn^2) cancels catastrophically
+    for k in reversed(ladder):
+        np.multiply(sn, sn, out=s2)
+        s2 *= k
+        np.add(s2, 1.0, out=d)
+        sn *= 1.0 + k
+        sn /= d
+        cn *= dn
+        cn /= d
+        np.subtract(1.0, s2, out=dn)
+        dn /= d
+    # [()] makes a 0-d result a scalar, as a ufunc on a 0-d y would
+    return tuple(a.reshape(y.shape)[()] for a in (sn, cn, dn))
 
 
 @dataclass(frozen=True)

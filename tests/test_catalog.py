@@ -574,8 +574,9 @@ class TestMaskedCells:
             assert not s.sample(X, T)[1].all()
 
 
-def reference_phi_eval(index: int, y):
-    """The chain recurrence with the values re-masked at every level."""
+def reference_phi_eval(index: int, y, fourth_power=lambda safe: (safe * safe) ** 2):
+    """The chain recurrence with the values re-masked at every level; phi^4 is
+    formed as levels forms it unless fourth_power says otherwise."""
     y = np.asarray(y, dtype=float)
     sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
     defined = np.abs(sn) >= POLE_EPS
@@ -588,7 +589,7 @@ def reference_phi_eval(index: int, y):
         safe = np.where(defined, phi, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             phi_next = dphi / safe
-            dphi_next = (safe**4 - c) / safe**2
+            dphi_next = (fourth_power(safe) - c) / safe**2
         phi = np.where(defined, phi_next, np.nan)
         dphi = np.where(defined, dphi_next, np.nan)
         c = -4.0 * c
@@ -626,6 +627,18 @@ class TestPhiStateMasking:
             for a, b in zip((phi, dphi), expected[:2]):
                 # nan under the mask, as in eval
                 assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("depth", [1, 3, 8, 12, 17])
+    def test_levels_match_the_power_form(self, depth):
+        # levels forms phi^4 as (phi^2)^2; against phi**4 the masks are the
+        # same and the values move by the recurrence's rounding alone:
+        # measured 2.8e-10 for phi and 5.6e-10 for phi' at depth 17
+        *_, (phi, dphi, defined) = phi_chain(depth).levels(POLE_GRID)
+        ref_phi, ref_dphi, ref_defined = reference_phi_eval(depth, POLE_GRID, lambda s: s**4)
+        assert np.array_equal(defined, ref_defined)
+        for a, b in ((phi, ref_phi), (dphi, ref_dphi)):
+            a, b = a[defined], b[defined]
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= CLOSED_FORM_RTOL
 
     @pytest.mark.parametrize("depth", range(13))
     def test_closed_form_matches_recurrence(self, depth):

@@ -6,11 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
+from scipy.special import ellipj
 
 import rdwaves
-from rdwaves.catalog import phi_chain
+from rdwaves.catalog import CHAIN_K, phi_chain
+from rdwaves.cli import main
 from rdwaves.elliptic import (
     MODULUS_INV_SQRT2,
     POLE_EPS,
@@ -20,6 +24,7 @@ from rdwaves.elliptic import (
     WeierstrassInvariants,
     _off_pole,
     _pole_div,
+    _weierstrass_jacobi,
     complete_elliptic_K,
     jacobi_sn_cn_dn,
     weierstrass_p,
@@ -58,6 +63,14 @@ class TestCompleteK:
         oracle = incomplete_F(math.pi / 2, k)
         assert abs(complete_elliptic_K(MODULUS_INV_SQRT2) - oracle) < 1e-12
 
+    def test_pinned_at_the_catalog_moduli(self):
+        # the chain's k = 1/sqrt2 and the moduli of P for g3 > 0 and g3 < 0
+        moduli = [MODULUS_INV_SQRT2] + [_weierstrass_jacobi(WeierstrassInvariants(0.0, g3))[2]
+                                        for g3 in (1.0, -1.0)]
+        expected = ["0x1.daa4a35759e4ap+0", "0x1.991fd5916ff46p+0", "0x1.624fe4a54f95ap+1"]
+        assert [complete_elliptic_K(m).hex() for m in moduli] == expected
+        assert CHAIN_K.hex() == expected[0]
+
     def test_k_one_unbounded(self):
         with pytest.raises(UnboundedPeriodError):
             complete_elliptic_K(EllipticModulus(1.0))
@@ -75,19 +88,17 @@ class TestJacobiTriple:
             sn, cn, dn = jacobi_sn_cn_dn(0.0, m)
             assert (sn, cn, dn) == (0.0, 1.0, 1.0)
 
+    # the k = 0 and k = 1 branches are the circular and hyperbolic functions, bit for bit
     def test_circular_degeneration(self):
-        y = np.linspace(-5, 5, 101)
-        sn, cn, dn = jacobi_sn_cn_dn(y, EllipticModulus(0.0))
-        assert np.allclose(sn, np.sin(y), atol=1e-15)
-        assert np.allclose(cn, np.cos(y), atol=1e-15)
-        assert np.allclose(dn, 1.0, atol=1e-15)
+        y = np.linspace(-40, 40, 4001)
+        for a, b in zip(jacobi_sn_cn_dn(y, EllipticModulus(0.0)), (np.sin(y), np.cos(y), 1.0)):
+            assert np.array_equal(a, np.broadcast_to(b, y.shape))
 
     def test_hyperbolic_degeneration(self):
-        y = np.linspace(-5, 5, 101)
-        sn, cn, dn = jacobi_sn_cn_dn(y, EllipticModulus(1.0))
-        assert np.allclose(sn, np.tanh(y), atol=1e-15)
-        assert np.allclose(cn, 1 / np.cosh(y), atol=1e-15)
-        assert np.allclose(dn, 1 / np.cosh(y), atol=1e-15)
+        y = np.linspace(-40, 40, 4001)
+        for a, b in zip(jacobi_sn_cn_dn(y, EllipticModulus(1.0)),
+                        (np.tanh(y), 1 / np.cosh(y), 1 / np.cosh(y))):
+            assert np.array_equal(a, b)
 
     def test_quadrature_inversion_oracle(self):
         k = 1.0 / math.sqrt(2.0)
@@ -128,13 +139,16 @@ class TestJacobiTriple:
         assert np.max(np.abs(d_dy(2, y) + m.k2 * sn * cn)) < 1e-8
 
     def test_unreducible_arguments_are_nan(self):
-        # past |y| eps = POLE_EPS the rounding of y exceeds the pole threshold
+        # past |y| eps = POLE_EPS the rounding of y exceeds the pole threshold;
+        # neither those arguments nor ordinary ones make numpy raise
         bound = POLE_EPS / np.finfo(float).eps
         y = np.array([1.0, -bound, bound, np.nextafter(bound, np.inf), -2.0 * bound, 1e300,
                       np.inf, -np.inf, np.nan])
-        for m in MODULI:
-            finite = np.isfinite(np.array(jacobi_sn_cn_dn(y, m))).all(axis=0)
-            assert list(finite) == [True, True, True] + [False] * 6
+        for m in MODULI + ORACLE_MODULI:
+            with np.errstate(all="raise"):
+                got = np.array(jacobi_sn_cn_dn(np.r_[y, np.linspace(-50.0, 50.0, 201)], m))
+            assert list(np.isfinite(got[:, :9]).all(axis=0)) == [True, True, True] + [False] * 6
+            assert np.isnan(got[:, 3:9]).all() and np.isfinite(got[:, 9:]).all()
 
     def test_periodicity(self):
         for m in MODULI:
@@ -143,6 +157,121 @@ class TestJacobiTriple:
             a = np.array(jacobi_sn_cn_dn(y, m))
             b = np.array(jacobi_sn_cn_dn(y + 4 * K, m))
             assert np.max(np.abs(a - b)) < 1e-10
+
+
+def reference_jacobi(y, m: EllipticModulus):
+    """The descending Landen kernel that the Gauss ascent replaced, for 0 < k < 1:
+    the amplitude climbs back one arcsin a level (Abramowitz & Stegun 16.4),
+    after the same argument bound and the same reduction modulo 4K."""
+    a, b, c = [1.0], m.k_comp, [m.k]
+    while c[-1] > 1e-16 * a[-1] and len(a) < 24:
+        a_next, b_next = 0.5 * (a[-1] + b), math.sqrt(a[-1] * b)
+        c.append(0.5 * (a[-1] - b))
+        a.append(a_next)
+        b = b_next
+    K = complete_elliptic_K(m)
+    y = np.asarray(y, dtype=float)
+    y = np.where(np.abs(y) <= POLE_EPS / np.finfo(float).eps, y, np.nan)
+    y_red = y - 4.0 * K * np.round(y / (4.0 * K))
+    n_last = len(a) - 1
+    phi = (2.0**n_last) * a[n_last] * y_red
+    for n in range(n_last, 0, -1):
+        phi = 0.5 * (phi + np.arcsin(np.clip(c[n] / a[n] * np.sin(phi), -1.0, 1.0)))
+    sn = np.sin(phi)
+    return sn, np.cos(phi), np.sqrt(1.0 - m.k2 * sn * sn)
+
+
+ORACLE_MODULI = [EllipticModulus(k) for k in (
+    1.0 / math.sqrt(2.0), math.sin(math.pi / 12), math.cos(math.pi / 12),
+    1e-6, 0.01, 0.5, 0.999, 1.0 - 1e-12)]
+
+# max |kernel - scipy| over every draw below, which the reference meets too:
+# measured 1.6e-14 for both, most of it scipy's own dn error at |y| ~ 8K
+ORACLE_ATOL = 5e-14
+# the kernel's max error on a draw is at most this multiple of the
+# reference's, or of eps max(1, |y|), the error the rounding of y alone
+# carries: measured 3.0, on draws near y = 0 where both read a few ulps
+ORACLE_RATIO = 4.0
+
+
+def oracle_half_width(m: EllipticModulus) -> float:
+    """Draws span [-w, w]: 8K, except at k = 1 - 1e-12, where scipy's ellipj
+    (Cephes ellpj) switches to its m -> 1 tanh expansion, which holds to
+    rounding only while (1 - m) cosh^2 y is tiny."""
+    return 4.0 if m.k > 1.0 - 1e-10 else 8.0 * complete_elliptic_K(m)
+
+
+def max_errors(kernel, y, m, expected):
+    return np.array([np.max(np.abs(a - b)) for a, b in zip(kernel(y, m), expected)])
+
+
+def assert_matches_oracle(y, m, expected):
+    new = max_errors(jacobi_sn_cn_dn, y, m, expected)
+    ref = max_errors(reference_jacobi, y, m, expected)
+    assert new.max() <= ORACLE_ATOL and ref.max() <= ORACLE_ATOL
+    floor = np.finfo(float).eps * max(1.0, float(np.max(np.abs(y))))
+    assert (new <= ORACLE_RATIO * np.maximum(ref, floor)).all(), (new, ref)
+
+
+class TestScipyOracle:
+    """sn, cn and dn against scipy.special.ellipj, and the replaced kernel's errors."""
+
+    @pytest.mark.parametrize("m", ORACLE_MODULI, ids=lambda m: f"k={m.k:.12g}")
+    def test_uniform_draw(self, m):
+        w = oracle_half_width(m)
+        y = np.random.default_rng(17).uniform(-w, w, 4000)
+        assert_matches_oracle(y, m, ellipj(y, m.k2)[:3])
+
+    @pytest.mark.parametrize("m", ORACLE_MODULI, ids=lambda m: f"k={m.k:.12g}")
+    def test_multiples_of_K(self, m):
+        # exact there (DLMF 22.5.1): sn, cn, dn = (0, 1, 1), (1, 0, k'),
+        # (0, -1, 1), (-1, 0, k') at j = 0, 1, 2, 3 mod 4
+        j = np.arange(-8, 9)
+        quarter = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, m.k_comp],
+                            [0.0, -1.0, 1.0], [-1.0, 0.0, m.k_comp]])
+        assert_matches_oracle(j * complete_elliptic_K(m), m, quarter[j % 4].T)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(m=st.sampled_from(ORACLE_MODULI), t=st.floats(-1.0, 1.0))
+    def test_hypothesis_draw(self, m, t):
+        y = np.array([t * oracle_half_width(m)])
+        assert_matches_oracle(y, m, ellipj(y, m.k2)[:3])
+
+
+class TestKernelContract:
+    @pytest.mark.parametrize("m", ORACLE_MODULI, ids=lambda m: f"k={m.k:.12g}")
+    def test_inputs_are_never_written(self, m):
+        y = np.linspace(-9.0, 9.0, 64)
+        y.flags.writeable = False
+        jacobi_sn_cn_dn(y, m)
+        # a writable stride-0 view: a write through it would land in every row
+        row = np.linspace(-9.0, 9.0, 64)
+        view = np.lib.stride_tricks.as_strided(row, shape=(5, 64), strides=(0, row.itemsize))
+        assert view.flags.writeable
+        got = jacobi_sn_cn_dn(view, m)
+        assert np.array_equal(row, np.linspace(-9.0, 9.0, 64))
+        for a, b in zip(got, jacobi_sn_cn_dn(np.tile(row, (5, 1)), m)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("y", [1.5, np.float64(1.5), np.array(1.5), [0.5, 1.5],
+                                   np.linspace(0.0, 3.0, 12).reshape(3, 4), np.arange(4)],
+                             ids=["float", "float64", "0-d", "list", "2-d", "int"])
+    def test_shapes_and_types_match_the_reference(self, y):
+        for m in ORACLE_MODULI:
+            for a, b in zip(jacobi_sn_cn_dn(y, m), reference_jacobi(y, m)):
+                assert type(a) is type(b)
+                assert np.shape(a) == np.shape(b) and a.dtype == b.dtype
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "chain", "--params", '{"index": 5}'],
+        ["verify", "--family", "chain", "--params", '{"index": 3}'],
+        ["verify", "--family", "fisher-weierstrass", "--params", '{"C": 100}'],
+        ["ode-check", "--chain-index", "17"],
+    ], ids=["sample-chain-5", "verify-chain-3", "verify-fisher-weierstrass", "ode-check-17"])
+    def test_cli_runs_under_raise(self, argv, tmp_path, capsys):
+        with np.errstate(all="raise"):
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
 
 
 def ds_forms(y):
