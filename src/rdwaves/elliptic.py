@@ -137,23 +137,25 @@ def _gauss_scheme(m: EllipticModulus) -> tuple[list[float], float]:
 def jacobi_sn_cn_dn(y, m: EllipticModulus):
     """Vectorized (sn, cn, dn) at argument y and modulus m.
 
+    The result is nan where |y| eps > POLE_EPS, at every modulus: there the
+    rounding of y alone exceeds the pole threshold, so a reduction is noise.
     k = 0 and k = 1 use the exact circular/hyperbolic branches.  Otherwise y
     is reduced modulo the real period 4K, and the descending Gauss
     transformation (DLMF 22.7.1-22.7.3) is climbed back algebraically from
-    sin and cos at the bottom modulus.  The result is nan where
-    |y| eps > POLE_EPS: there the rounding of y alone exceeds the pole
-    threshold, so the reduction is noise.  y is never written.
+    sin and cos at the bottom modulus.  y is never written.
     """
     y = np.asarray(y, dtype=float)
+    # a fresh array, so the work below is done in buffers the kernel owns
+    z = np.where(np.abs(y) <= POLE_EPS / np.finfo(float).eps, y, np.nan)
     if m.k == 0.0:
-        return np.sin(y), np.cos(y), np.ones_like(y)
+        return np.sin(z), np.cos(z), np.where(np.isnan(z), np.nan, 1.0)[()]
     if m.k == 1.0:
-        sech = 1.0 / np.cosh(y)
-        return np.tanh(y), sech, sech
+        with np.errstate(over="ignore"):  # cosh overflows to inf, and 1/inf = 0 is sech
+            sech = 1.0 / np.cosh(z)
+        return np.tanh(z), sech, sech
     K = complete_elliptic_K(m)
     ladder, prod = _gauss_scheme(m)
-    # a fresh array, so the work below is done in buffers the kernel owns
-    z = np.where(np.abs(y) <= POLE_EPS / np.finfo(float).eps, y, np.nan).reshape(-1)
+    z = z.reshape(-1)
     # reduce to [-2K, 2K], that is |z| <= pi at the bottom modulus; s2 holds
     # the period multiple here and k sn^2 in the ascent
     period = 4.0 * K

@@ -34,9 +34,10 @@ __all__ = [
 ]
 
 _STANDOFF_FACTOR = 5  # stencils within 5 x-radii of a masked point are skipped
-# finest-grid points per sample() call: 8,192 make a float64 field 64 KiB, under
-# glibc's default 128 KiB mmap threshold, so a strip's temporaries come from the
-# heap and are reused instead of being mapped, page-faulted in and unmapped
+# finest-grid points per sample() call and stencils per level_residual() call:
+# 8,192 make a float64 field 64 KiB, under glibc's default 128 KiB mmap
+# threshold, so a strip's temporaries come from the heap and are reused instead
+# of being mapped, page-faulted in and unmapped
 _STRIP_POINTS = 8192
 # finest max residual of a converging verdict by stencil order; at 2 the order alone decides
 RESIDUAL_TOL = {2: math.inf, 4: 1e-6}
@@ -101,7 +102,8 @@ class ResidualReport:
     defined_fraction is the finest level's share of stencils whose plus-shaped
     neighbourhood is defined, counted before the standoff exclusion around
     masked points; max_abs, l2 and worst cover the stencils that also clear
-    the standoff.
+    the standoff.  worst holds (x, t, residual) of up to 10 of the largest
+    |residual|, the largest first and ties in row-major order.
     """
 
     max_abs: float
@@ -168,8 +170,8 @@ def _usable(defined: np.ndarray, rx: int, rt: int) -> tuple[np.ndarray, np.ndarr
     return plus, clear
 
 
-def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
-                      masked_where: str) -> ResidualReport:
+def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, int],
+                      stencil_order: int, masked_where: str) -> ResidualReport:
     """ResidualReport of a residual over the nested (h, h/2, h/4) triple.
 
     Only the finest grid is sampled, and every point of it once, in strips:
@@ -181,14 +183,32 @@ def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
     temporary would be a fresh mapping, page-faulted in on every study.
     refined() keeps every coarse point and divides the spacing by a power of
     two, so the h and h/2 levels are the exact [::4, ::4] and [::2, ::2]
-    strides of that sample.  level_residual(fields, h_x, h_t) returns the
-    residual on the level's interior; its margin, r_x points along x and r_t
-    along t, is the stencil radius, from which _usable turns defined into
-    stencil masks.  The order estimate needs a plus share above 0.5 on every
-    level.  Below a finest usable share (plus and clear) of 0.1 the study
-    raises VerificationImpossibleError, its message ending in masked_where; a
-    usable stencil whose residual is not finite (its products overflowed)
-    raises the same error, naming the level.
+    strides of that sample.
+
+    Each level's residual is formed and reduced in strips too, of at most
+    _STRIP_POINTS stencils (one interior row where a row alone is longer):
+    level_residual(fields, h_x, h_t) gets the rows of the level's fields that
+    a strip's stencils reach and returns the residual on their interior, which
+    is margin = (r_x, r_t), the stencil radius along x and t, smaller at each
+    end of either axis; a residual row depends on the 2 r_x + 1 field rows
+    around it alone.  _usable turns defined into whole-level stencil masks
+    (1 byte a point) with the same margin.  A strip hands on only its
+    non-finite count, its maxima and, on the finest level, its largest
+    |residual| and its usable squared residuals.  The squares are packed in
+    row-major order into the flat storage of the first finest field, behind
+    the strip that produced them: the coarse levels, which read that field,
+    run first, and no later strip reads a row above its own.  So the l2 is
+    the mean of exactly the operand a whole-level res[usable] ** 2 would be,
+    and no float array of a whole level is allocated besides the sampled
+    fields.
+
+    worst lists the usable stencils among the 10 largest |residual| (0 at
+    unusable stencils), the largest first, ties in row-major order.  The
+    order estimate needs a plus share above 0.5 on every level.  A usable
+    stencil whose residual is not finite (its products overflowed) raises
+    VerificationImpossibleError naming the level and its count; below a
+    finest usable share (plus and clear) of 0.1 the study raises the same
+    error, its message ending in masked_where.
     """
     grids = [grid, grid.refined(), grid.refined().refined()]
     x, t = grids[-1].x, grids[-1].t
@@ -203,32 +223,58 @@ def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
         defined[strip] = ok
         for out, a in zip(fields, values):
             out[strip] = np.where(ok, a, 0.0)
+    rx, rt = margin
+    packed = fields[0].reshape(-1)  # the finest level's usable squares, packed
+    count = 0
+    # the finest level's 10 largest |res| so far: (|res|, res, flat position)
+    top = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
     maxima: list[float] = []
     fractions: list[float] = []
     for lvl, g in enumerate(grids):
+        finest = lvl == len(grids) - 1
         stride = 2 ** (len(grids) - 1 - lvl)
-        level_defined = defined[::stride, ::stride]
-        res = level_residual([a[::stride, ::stride] for a in fields], g.h_x, g.h_t)
-        rx, rt = ((n - m) // 2 for n, m in zip(level_defined.shape, res.shape))
-        plus, clear = _usable(level_defined, rx, rt)
+        level_fields = [a[::stride, ::stride] for a in fields]
+        plus, clear = _usable(defined[::stride, ::stride], rx, rt)
         valid = plus & clear
-        nonfinite = int(np.count_nonzero(valid & ~np.isfinite(res)))
+        fractions.append(float(np.count_nonzero(plus) / plus.size))  # plus.mean(), to the bit
+        n_i, n_j = valid.shape
+        # points shared with the coarse level: residual index r(2^lvl - 1)
+        # mod 2^lvl accounts for the interior offset by the stencil radius
+        step = 2**lvl
+        si, sj = (rx * (step - 1)) % step, (rt * (step - 1)) % step
+        span = max(1, _STRIP_POINTS // n_j)
+        nonfinite, level_max, shared_max = 0, 0.0, 0.0
+        for i0 in range(0, n_i, span):
+            i1 = min(i0 + span, n_i)
+            res = level_residual([a[i0:i1 + 2 * rx] for a in level_fields], g.h_x, g.h_t)
+            if res.shape != (i1 - i0, n_j):
+                raise ValueError(f"level_residual gave {res.shape} on a {i1 - i0 + 2 * rx} x "
+                                 f"{n_j + 2 * rt} window, not its margin {margin} smaller")
+            ok = valid[i0:i1]
+            # |res| on usable stencils and 0 elsewhere, in one temporary
+            score = np.where(ok, res, 0.0)
+            np.abs(score, out=score)
+            strip_max = float(np.max(score))
+            if not math.isfinite(strip_max):
+                nonfinite += int(np.count_nonzero(~np.isfinite(score)))
+            level_max = max(level_max, strip_max)
+            first = (si - i0) % step  # the strip's first shared row
+            if first < i1 - i0:
+                shared_max = max(shared_max, float(np.max(score[first::step, sj::step])))
+            if finest:
+                kept = res[ok]
+                np.multiply(kept, kept, out=packed[count:count + kept.size])
+                count += kept.size
+                if top[0].size < 10 or strip_max > top[0][-1]:  # else no stencil here enters
+                    top = _merge_top(top, score.reshape(-1), res.reshape(-1), i0 * n_j)
         if nonfinite:
             raise VerificationImpossibleError(
                 f"{nonfinite} usable stencils give a non-finite residual on the "
                 f"{('h', 'h/2', 'h/4')[lvl]} level (overflow in the stencil arithmetic)")
-        fractions.append(float(plus.mean()))
-        # |res| on usable stencils and 0 elsewhere, in one temporary
-        score = np.where(valid, res, 0.0)
-        np.abs(score, out=score)
-        # points shared with the coarse level: residual index r(2^lvl - 1)
-        # mod 2^lvl accounts for the interior offset by the stencil radius
-        step = 2**lvl
-        shared = np.s_[(rx * (step - 1)) % step::step, (rt * (step - 1)) % step::step]
-        maxima.append(float(np.max(score[shared])) if valid[shared].any() else math.nan)
+        maxima.append(shared_max if valid[si::step, sj::step].any() else math.nan)
 
-    # res, valid, score and fractions[-1] now belong to the finest level
-    usable = valid.mean()
+    # valid, level_max and fractions[-1] now belong to the finest level
+    usable = np.count_nonzero(valid) / valid.size
     if usable < 0.1:
         raise VerificationImpossibleError(
             f"usable fraction {usable:.3f} < 0.1 (defined {fractions[-1]:.3f}) "
@@ -239,19 +285,14 @@ def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
     if all(f > 0.5 for f in fractions) and all(math.isfinite(o) for o in orders):
         order_estimate = float(np.mean(orders))
 
-    flat = score.ravel()
-    top = np.argpartition(flat, -10)[-10:]  # Grid2D's 8-point minimum leaves more than 10 cells
-    top = top[np.argsort(flat[top])[::-1]]  # a copy, which frees the whole-level index array
     worst = []
-    for idx in top:
-        i, j = np.unravel_index(idx, res.shape)
+    for _, value, position in zip(*top):
+        i, j = divmod(int(position), n_j)
         if valid[i, j]:
-            worst.append((float(x[rx + i]), float(t[rt + j]), float(res[i, j])))
-    squares = res[valid]
-    squares *= squares
+            worst.append((float(x[rx + i]), float(t[rt + j]), float(value)))
     return ResidualReport(
-        max_abs=float(np.max(score)),
-        l2=float(np.sqrt(np.mean(squares))),
+        max_abs=level_max,
+        l2=float(np.sqrt(np.mean(packed[:count]))),
         defined_fraction=fractions[-1],
         order_estimate=order_estimate,
         level_max_abs=tuple(maxima),
@@ -259,6 +300,25 @@ def _refinement_study(sample, grid: Grid2D, level_residual, stencil_order: int,
         worst=tuple(worst),
         stencil_order=stencil_order,
     )
+
+
+def _merge_top(top, score: np.ndarray, res: np.ndarray, offset: int):
+    """top, (|res|, res, flat position) of the 10 largest scores so far, merged
+    with a strip's flat score and res whose first position is offset, which
+    lies past every position in top: the largest first, ties to the earlier
+    position."""
+    scores, values, positions = top
+    if scores.size == 10:  # a later position needs a larger score than the 10th
+        pick = np.flatnonzero(score > scores[-1])
+        if pick.size > 10:
+            cand = score[pick]
+            pick = pick[cand >= np.partition(cand, -10)[-10]]
+    else:  # every score at least the strip's 10th largest; a row of a Grid2D holds over 10
+        pick = np.flatnonzero(score >= np.partition(score, -10)[-10])
+    scores = np.concatenate([scores, score[pick]])
+    keep = np.argsort(-scores, kind="stable")[:10]  # stable: ties stay in position order
+    return (scores[keep], np.concatenate([values, res[pick]])[keep],
+            np.concatenate([positions, pick + offset])[keep])
 
 
 def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
@@ -287,7 +347,7 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
         return u_t - u_xx - f[r:-r, r:-r]
 
     return _refinement_study(
-        sample, grid, level_residual, stencil_order,
+        sample, grid, level_residual, (r, r), stencil_order,
         f"on the finest grid; mask cause: {sampler.domain_note or 'sampler mask'}")
 
 
@@ -502,4 +562,4 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
             scale = np.abs(zc) * sum(map(np.abs, lhs)) + z_xc**2 * sum(map(np.abs, rhs))
             return (zc * sum(lhs) - z_xc**2 * sum(rhs)) / np.maximum(scale, 1e-12)
 
-    return _refinement_study(sample, grid, level_residual, 4, "for the potential")
+    return _refinement_study(sample, grid, level_residual, (3, 2), 4, "for the potential")

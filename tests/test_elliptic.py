@@ -100,6 +100,24 @@ class TestJacobiTriple:
                         (np.tanh(y), 1 / np.cosh(y), 1 / np.cosh(y))):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("k, forms", [
+        (0.0, lambda y: (np.sin(y), np.cos(y), np.ones_like(y))),
+        (1.0, lambda y: (np.tanh(y), 1 / np.cosh(y), 1 / np.cosh(y))),
+    ], ids=["k=0", "k=1"])
+    def test_degenerate_branches_keep_the_argument_bound(self, k, forms):
+        # the same nan rule as every other modulus, applied before any
+        # transcendental: sin(1e300) is not noise-free, sin(inf) and cosh(800)
+        # would warn; sech(800) = 1/inf = 0 is correctly rounded
+        y = np.array([0.0, 1.0, 800.0, -800.0, 1e300, np.inf, -np.inf, np.nan])
+        with np.errstate(all="raise"):
+            got = jacobi_sn_cn_dn(y, EllipticModulus(k))
+        with np.errstate(over="ignore"):
+            expected = forms(y[:4])
+        for a, b in zip(got, expected):
+            assert np.array_equal(a[:4], b)
+            assert np.isnan(a[4:]).all()
+        assert jacobi_sn_cn_dn(800.0, EllipticModulus(1.0))[1] == 0.0
+
     def test_quadrature_inversion_oracle(self):
         k = 1.0 / math.sqrt(2.0)
         sn_o, cn_o, dn_o = jacobi_oracle(1.0, k)

@@ -678,40 +678,64 @@ class TestLadder:
 
 
 class TestZeroFill:
-    def test_the_study_fills_masked_cells_before_the_residual(self):
-        seen = []
-
+    def test_the_study_fills_masked_cells_before_the_residual(self, monkeypatch):
+        # every window is the zero-filled strided rows of its strip with their
+        # halo, and the windows of a level cover each interior row once; at 60
+        # points the h/4 level (31 interior columns) is strips of one row and
+        # the h/2 level (15 columns) strips of 4 rows, the last of 3
         def sample(X, T):
             defined = X < 0.8
             return defined, np.where(defined, X, np.nan), np.where(defined, T, np.inf)
 
         def level_residual(fields, hx, ht):
-            seen.append(fields)
+            # copies: the study packs its squares into the finest field's rows it is done with
+            seen.append((hx, [np.array(a) for a in fields]))
             return 0.0 * fields[0][1:-1, 1:-1]
 
         grid = Grid2D(0.0, 1.0, 9, 0.0, 1.0, 9)
-        verify._refinement_study(sample, grid, level_residual, 4, "")
-        finest = grid.refined().refined()
-        X, T = np.meshgrid(finest.x, finest.t, indexing="ij")
-        assert len(seen) == 3
-        for stride, (x, t) in zip((4, 2, 1), seen):
-            assert np.array_equal(x, np.where(X < 0.8, X, 0.0)[::stride, ::stride])
-            assert np.array_equal(t, np.where(X < 0.8, T, 0.0)[::stride, ::stride])
+        levels = [grid, grid.refined(), grid.refined().refined()]
+        X, T = np.meshgrid(levels[-1].x, levels[-1].t, indexing="ij")
+        filled = [np.where(X < 0.8, X, 0.0), np.where(X < 0.8, T, 0.0)]
+        for points, windows in ((8192, [1, 1, 1]), (60, [1, 4, 31])):
+            monkeypatch.setattr(verify, "_STRIP_POINTS", points)
+            seen = []
+            verify._refinement_study(sample, grid, level_residual, (1, 1), 4, "")
+            # the levels run coarse to fine, each its windows in row order
+            assert [hx for hx, _ in seen] == [g.h_x for g, n in zip(levels, windows)
+                                              for _ in range(n)]
+            for stride, g in zip((4, 2, 1), levels):
+                row = 0  # the first interior row the next window serves
+                for fields in (w for hx, w in seen if hx == g.h_x):
+                    for a, b in zip(fields, filled):
+                        assert np.array_equal(a, b[::stride, ::stride][row:row + a.shape[0]])
+                    row += fields[0].shape[0] - 2
+                assert row == g.n_x - 2  # every interior row once
+
+    def test_a_residual_off_its_margin_is_refused(self):
+        def sample(X, T):
+            return np.ones(X.shape, dtype=bool), X
+
+        grid = Grid2D(0.0, 1.0, 9, 0.0, 1.0, 9)
+        with pytest.raises(ValueError, match="margin"):
+            verify._refinement_study(sample, grid, lambda f, hx, ht: f[0][1:-1, 1:-1],
+                                     (2, 1), 4, "")
 
 
-def reference_refinement_study(sample, grid, level_residual, stencil_order, masked_where):
+def reference_refinement_study(sample, grid, level_residual, margin, stencil_order,
+                               masked_where):
     """The whole-grid study: one sample call on the meshgrid of the finest grid,
     zero-filled copies, and the statistics taken from full-grid temporaries."""
     grids = [grid, grid.refined(), grid.refined().refined()]
     X, T = np.meshgrid(grids[-1].x, grids[-1].t, indexing="ij")
     defined, *fields = sample(X, T)
     fields = [np.where(defined, a, 0.0) for a in fields]
+    rx, rt = margin
     maxima, fractions = [], []
     for lvl, g in enumerate(grids):
         stride = 2 ** (len(grids) - 1 - lvl)
         level_defined = defined[::stride, ::stride]
         res = level_residual([a[::stride, ::stride] for a in fields], g.h_x, g.h_t)
-        rx, rt = ((n - m) // 2 for n, m in zip(level_defined.shape, res.shape))
+        assert res.shape == (level_defined.shape[0] - 2 * rx, level_defined.shape[1] - 2 * rt)
         plus, clear = _usable(level_defined, rx, rt)
         valid = plus & clear
         if np.count_nonzero(valid & ~np.isfinite(res)):
@@ -730,10 +754,10 @@ def reference_refinement_study(sample, grid, level_residual, stencil_order, mask
     if all(f > 0.5 for f in fractions) and all(math.isfinite(o) for o in orders):
         order_estimate = float(np.mean(orders))
     Xc, Tc = X[rx:-rx, rt:-rt], T[rx:-rx, rt:-rt]
+    # the 10 largest scores, ties in row-major order; the unusable ones are dropped
     score = np.abs(np.where(valid, res, 0.0)).ravel()
-    top = np.argpartition(score, -10)[-10:]
     worst = []
-    for idx in top[np.argsort(score[top])[::-1]]:
+    for idx in np.argsort(-score, kind="stable")[:10]:
         i, j = np.unravel_index(idx, res.shape)
         if valid[i, j]:
             worst.append((float(Xc[i, j]), float(Tc[i, j]), float(res[i, j])))
@@ -742,8 +766,31 @@ def reference_refinement_study(sample, grid, level_residual, stencil_order, mask
                           tuple(worst), stencil_order)
 
 
+def holed_plane_wave() -> ZSampler:
+    """The plane-wave potential with a masked hole at |x| < 0.2, 0.1 < t < 0.15."""
+    base = z_plane_wave(2.0, -1.0, 0.8, 0.0)
+
+    def fn(x, t):
+        zv, zt, ok = base.fn(x, t)
+        return zv, zt, ok & ~((np.abs(x) < 0.2) & (t > 0.1) & (t < 0.15))
+
+    return ZSampler(fn=fn, label="holed")
+
+
+def level_strip_edges(grid: Grid2D, margin, points: int) -> list[tuple[int, list[int]]]:
+    """(interior rows, first interior row of every strip but the first) of
+    each level of grid's refinement triple, coarse first, at strips of at
+    most points stencils."""
+    rx, rt = margin
+    levels = []
+    for g in (grid, grid.refined(), grid.refined().refined()):
+        n_i, span = g.n_x - 2 * rx, max(1, points // (g.n_t - 2 * rt))
+        levels.append((n_i, list(range(span, n_i, span))))
+    return levels
+
+
 class TestStripStudy:
-    """The strip-sampled study reports, to the last bit, what the whole-grid
+    """The strip-wise study reports, to the last bit, what the whole-grid
     study reports on the same sampler and grid."""
 
     @staticmethod
@@ -779,19 +826,89 @@ class TestStripStudy:
         assert len(crossed) >= 2
         self.assert_matches_whole_grid(monkeypatch, lambda: [pde_residual(s, s.equation, grid, 4)])
 
-    @pytest.mark.parametrize("z, params, grid", [
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_levels_of_several_strips_with_a_short_last_one(self, monkeypatch, order):
+        # 200 stencils a strip: at order 4 the h, h/2 and h/4 levels are
+        # 29, 61 and 125 interior rows in strips of 15, 6 and 3 rows
+        monkeypatch.setattr(verify, "_STRIP_POINTS", 200)
+        grid = Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17)
+        r = order // 2
+        for n_i, edges in level_strip_edges(grid, (r, r), 200):
+            assert len(edges) >= 1 and n_i % edges[0] != 0
+        s = fisher_front("tanh")
+        self.assert_matches_whole_grid(monkeypatch, lambda: [
+            pde_residual(s, s.equation, grid, order),
+            pde_residual(s.perturbed(), s.equation, grid, order)])
+
+    def test_masked_cells_cross_strip_boundaries_on_every_level(self, monkeypatch):
+        # 500 stencils a strip: the bell's masked half-plane x < 0.367 t
+        # leaves rows partly masked on both sides of 3, 11 and 47 strip
+        # boundaries of the h, h/2 and h/4 levels
+        monkeypatch.setattr(verify, "_STRIP_POINTS", 500)
+        s = build_family("bell", {})
+        grid = Grid2D(-1.0, 7.0, 161, 0.0, 8.0, 25)
+        finest = grid.refined().refined()
+        _, defined = s.sample(finest.x[:, None], finest.t)
+        for stride, (_, edges) in zip((4, 2, 1), level_strip_edges(grid, (2, 2), 500)):
+            rows = defined[::stride, ::stride]
+            partial = rows.any(axis=1) & ~rows.all(axis=1)
+            # interior row b sits on level row b + 2
+            assert sum(partial[b + 1] and partial[b + 2] for b in edges) >= 3
+        self.assert_matches_whole_grid(monkeypatch, lambda: [pde_residual(s, s.equation, grid, 4)])
+
+    POTENTIALS = [
         (z_from_phi(0), {"k": 1.0}, Grid2D(0.45, 0.85, 33, 0.04, 0.1, 17)),
         (z_plane_wave(2.0, -1.0, 0.8, 0.0), {"k": 2.0, "lambda1": 3.0, "lambda2": 0.0},
          Grid2D(-2.0, 2.0, 33, 0.0, 0.3, 17)),
-    ])
+        (holed_plane_wave(), {"k": 2.0, "lambda1": 3.0, "lambda2": 0.0},
+         Grid2D(-2.0, 2.0, 33, 0.0, 0.3, 17)),
+    ]
+
+    @pytest.mark.parametrize("z, params, grid", POTENTIALS)
     def test_potential(self, monkeypatch, z, params, grid):
         self.assert_matches_whole_grid(monkeypatch, lambda: [potential_residual(z, params, grid)])
 
-    def test_chain_verdict_peak_memory(self):
-        # the whole-grid study peaked at 6.4 MB of numpy allocations here, the
-        # sampler's temporaries on all 385 x 193 finest points among them
+    @pytest.mark.parametrize("z, params, grid", POTENTIALS)
+    def test_potential_margin_in_strips(self, monkeypatch, z, params, grid):
+        # at 300 stencils the (3, 2) margin's windows are 4 + 6 rows at h/4
+        # (123 rows, 61 columns), and every level's last strip is short
+        monkeypatch.setattr(verify, "_STRIP_POINTS", 300)
+        for n_i, edges in level_strip_edges(grid, (3, 2), 300):
+            assert len(edges) >= 1 and n_i % edges[0] != 0
+        self.assert_matches_whole_grid(monkeypatch, lambda: [potential_residual(z, params, grid)])
+
+    def test_non_finite_count_covers_the_whole_level(self, monkeypatch):
+        # at 300 stencils a strip the h/2 level's overflowing stencils lie in
+        # 4 of its 6 strips; the error names all 498 usable ones, the count
+        # of the whole-level study
+        monkeypatch.setattr(verify, "_STRIP_POINTS", 300)
+        z = z_plane_wave(2, -1, 0.8, 0)
+        g = Grid2D(-800, -600, 33, 0, 0.3, 17)
+        with np.errstate(all="ignore"), pytest.raises(
+                VerificationImpossibleError,
+                match=r"^498 usable stencils give a non-finite residual on the h/2 level"):
+            potential_residual(z, {"k": 2, "lambda1": 3}, g)
+
+    def test_worst_ties_in_row_major_order(self):
+        # the plane wave's defaults tie 7 stencils at |res| = 7.4076e-10, and
+        # the next 3 at 7.4051e-10: each tie lists its stencils by x, then t
+        s = build_family("plane-wave", {})
+        worst = pde_residual(s, s.equation, suggested_grid(s), 4).worst
+        assert [w[:2] for w in worst[:7]] == [
+            (0.1875, 0.004166666666666667), (0.203125, 0.007291666666666667),
+            (0.234375, 0.013541666666666667), (0.296875, 0.026041666666666668),
+            (0.3125, 0.029166666666666667), (0.359375, 0.03854166666666667),
+            (0.390625, 0.04479166666666667)]
+        assert {w[2] for w in worst[:7]} == {7.407621183119772e-10}
+        assert {w[2] for w in worst[7:]} == {7.405087654177578e-10}
+        assert [w[:2] for w in worst[7:]] == sorted(w[:2] for w in worst[7:])
+
+    @staticmethod
+    def chain_verdict_peak(nx: int) -> tuple[int, int]:
+        """(numpy allocation peak of the chain direct 0 verdict on its default
+        window at nx coarse x-points, finest points)."""
         s = build_family("chain", {"kind": "direct", "index": 0})
-        (x0, x1, t0, t1), (nx, nt) = s.suggested_window, s.suggested_resolution
+        (x0, x1, t0, t1), (_, nt) = s.suggested_window, s.suggested_resolution
         grid = Grid2D(x0, x1, nx, t0, t1, nt)
         pde_residual(s, s.equation, grid, 4)
         tracing = tracemalloc.is_tracing()
@@ -804,7 +921,23 @@ class TestStripStudy:
         finally:
             if not tracing:
                 tracemalloc.stop()
+        finest = grid.refined().refined()
+        return peak, finest.n_x * finest.n_t
+
+    def test_chain_verdict_peak_memory(self):
+        # the whole-grid study peaked at 6.4 MB of numpy allocations here, the
+        # sampler's temporaries on all 385 x 193 finest points among them
+        peak, points = self.chain_verdict_peak(97)
+        assert points == 385 * 193
         assert peak <= 4.0e6
+
+    def test_peak_beyond_the_sample_grows_under_8_bytes_a_point(self):
+        # the two sampled fields (u and f(u)) and the defined mask take 17
+        # bytes a finest point; whole-level residual temporaries took 28.4
+        # bytes a point more, where the level masks and strips take about 3
+        (small, n_small), (large, n_large) = map(self.chain_verdict_peak, (97, 385))
+        assert (n_small, n_large) == (385 * 193, 1537 * 193)
+        assert (large - small) / (n_large - n_small) - 17 < 8
 
 
 class TestPotentialResidual:
@@ -857,18 +990,12 @@ class TestPotentialResidual:
     def test_defined_fraction_counts_before_the_standoff(self):
         # the same meaning as pde_residual's: the finest level's plus share,
         # not the smaller share that also clears the standoff around the hole
-        base = z_plane_wave(2.0, -1.0, 0.8, 0.0)
-
-        def fn(x, t):
-            zv, zt, ok = base.fn(x, t)
-            return zv, zt, ok & ~((np.abs(x) < 0.2) & (t > 0.1) & (t < 0.15))
-
+        z = holed_plane_wave()
         g = Grid2D(-2.0, 2.0, 33, 0.0, 0.3, 17)
-        rep = potential_residual(ZSampler(fn=fn, label="holed"),
-                                 {"k": 2.0, "lambda1": 3.0, "lambda2": 0.0}, g)
+        rep = potential_residual(z, {"k": 2.0, "lambda1": 3.0, "lambda2": 0.0}, g)
         fine = g.refined().refined()
         X, T = np.meshgrid(fine.x, fine.t, indexing="ij")
-        plus, clear = _usable(fn(X, T)[2], 3, 2)
+        plus, clear = _usable(z.fn(X, T)[2], 3, 2)
         assert rep.defined_fraction == float(plus.mean())
         assert rep.defined_fraction > float((plus & clear).mean())
 
