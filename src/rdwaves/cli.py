@@ -30,15 +30,7 @@ from . import __version__
 from ._csvfmt import grid_csv as _grid_csv, profile_csv as _profile_csv
 from .catalog import CatalogError, Sampler, build_family, chain_constant, family_info, phi_chain
 from .equations import spec_to_json
-from .simulate import (
-    AmbiguousFrontError,
-    SimConfig,
-    SimHistory,
-    SimulationError,
-    compare_exact,
-    front_velocity,
-    integrate,
-)
+from .simulate import SimConfig, SimulationError, compare_exact, integrate
 from .verify import (
     Grid2D,
     VerificationImpossibleError,
@@ -236,7 +228,7 @@ def cmd_simulate(args) -> int:
                  safety=args.safety, space_order=args.space_order, n_checkpoints=args.checkpoints)
     _usage("--window/--time/--checkpoints", _check_work, cfg, cfg.h)
     hist = _usage("--window/--time/--safety", integrate, sampler.equation, sampler, cfg)
-    rep = _usage("--window/--time/--level", compare_exact, hist, sampler, level=args.level,
+    rep = _usage("--window/--time/--registration", compare_exact, hist, sampler,
                  registration=args.registration)
     outputs: list[Path] = []
     prefix = Path(args.out)
@@ -305,8 +297,8 @@ def _check_samples(index: int, n: int) -> None:
                          f"budget of {_MAX_WORK} point-levels")
 
 
-def _velocity_setup(sampler, h: float):
-    """Simulation window, duration and level for a front-speed measurement."""
+def _velocity_setup(sampler, h: float) -> SimConfig:
+    """Simulation window and duration for a front-speed measurement."""
     v = sampler.predicted_velocity
     if v is None:
         raise SystemExit("--family: this family carries no predicted velocity")
@@ -317,7 +309,7 @@ def _velocity_setup(sampler, h: float):
         p = sampler.params
         edge = p.get("x_shift", 0.0) - v * p.get("t_shift", 0.0) - 2.0 * p["C"]
         x0 = max(0.0, v * duration) + max(0.0, edge) + 0.7
-        x1, width, level, registration = x0 + 8.0, 8.0, None, True
+        x1, width = x0 + 8.0, 8.0
     else:
         # locate the mid-level crossing of the initial profile near the origin
         probe = np.linspace(-30.0, 30.0, 4001)
@@ -340,35 +332,21 @@ def _velocity_setup(sampler, h: float):
         x_front = float(probe[idx[0]]) if idx.size else 0.0
         x0 = x_front - 7.0 - max(0.0, -v) * duration - 2.0
         x1 = x_front + 7.0 + max(0.0, v) * duration + 2.0
-        width, level, registration = x1 - x0, float(mid), False
+        width = x1 - x0
     # the window widens with the predicted speed: refuse it before allocating it
     if not width / h < _VELOCITY_MAX_POINTS:
         raise ValueError(f"a window {width:.6g} wide at step {h:g} needs more than "
                          f"{_VELOCITY_MAX_POINTS} points (predicted speed {v:.6g})")
     cfg = SimConfig(x0, x1, int(width / h) + 1, 0.0, duration, n_checkpoints=9, method="rkc")
     _check_work(cfg, h)
-    return cfg, level, registration
-
-
-def _exact_tracks(sampler, cfg: SimConfig, level: float) -> None:
-    """Refuse a level that front_velocity would not track in the exact
-    solution's checkpoint profiles: the march could not track it either."""
-    u, _ = sampler.sample(cfg.x[None, :], cfg.checkpoints[:, None])
-    try:
-        front_velocity(SimHistory(cfg.x, cfg.checkpoints, u), level)
-    except AmbiguousFrontError as exc:
-        raise AmbiguousFrontError(f"{exc} of the exact solution") from None
+    return cfg
 
 
 def cmd_velocity(args) -> int:
     sampler = _build(args)
-    cfg, level, registration = _usage("--h", _velocity_setup, sampler, args.h)
-    if args.level is not None:
-        level = args.level
-    if not registration:
-        _usage("--level", _exact_tracks, sampler, cfg, level)
+    cfg = _usage("--h", _velocity_setup, sampler, args.h)
     hist = _usage("--h", integrate, sampler.equation, sampler, cfg)
-    rep = _usage("--level", compare_exact, hist, sampler, level=level, registration=registration)
+    rep = _usage("--h", compare_exact, hist, sampler, registration=True)
     predicted = sampler.predicted_velocity
     measured = rep.measured_velocity
     # a front predicted to stand still has no relative error: judge the absolute one
@@ -385,6 +363,7 @@ def cmd_velocity(args) -> int:
         "measured_velocity": measured,
         f"{kind}_error": err,
         "r2": rep.velocity_fit_r2,
+        "shape_error": rep.shape_error,
         "method": rep.velocity_method + note,
     }, {"family": args.family, "params": sampler.params})
     return 0 if err <= 0.01 else 1
@@ -540,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", type=int, default=9)
     p.add_argument("--safety", type=float, default=0.9)
     p.add_argument("--space-order", type=int, default=4, choices=(2, 4))
-    p.add_argument("--level", type=float, default=None)
     p.add_argument("--registration", action="store_true")
     p.add_argument("--out", required=True, help="output prefix")
 
@@ -548,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_velocity)
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None)
-    p.add_argument("--level", type=float, default=None)
     p.add_argument("--h", type=float, default=0.05)
     p.add_argument("--out", default=None)
 

@@ -164,7 +164,9 @@ def jacobi_sn_cn_dn(y, m: EllipticModulus):
     s2 *= period
     z -= s2
     z /= prod
-    sn, cn, dn = np.sin(z), np.cos(z), np.ones_like(z)
+    sn, cn = np.sin(z), np.cos(z)
+    # the ascent writes dn; without a step (k^2 < 2^-53) dn carries z's nan itself
+    dn = np.ones_like(z) if ladder else np.where(np.isnan(z), np.nan, 1.0)
     d = z  # z is not read again
     # one step of DLMF 22.7.1-22.7.3 from modulus k_n to k_{n-1}; 22.7.3 is used
     # as dn = (1 - k s^2)/(1 + k s^2), since its printed form

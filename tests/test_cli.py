@@ -286,8 +286,11 @@ class TestMalformedFlags:
         ("--depth", ["chain", "--depth", "600", "--out", "c.json"]),
         ("--window/--time", ["simulate", "--family", "bell", "--window=1.2,9.5,81",
                              "--time", "0,400", "--out", "run"]),
-        ("--level", ["velocity", "--family", "fisher-front", "--level", "5",
-                     "--out", "v.json"]),
+        # the bell's final shift, 2.94, is past a quarter of the window (2.7):
+        # registration pinned it there and reported a speed of 0.3515 for 0.3674
+        ("--window/--time/--registration", ["simulate", "--family", "bell", "--params",
+                                            '{"epsilon":0.3}', "--window=3.2,14,217", "--time",
+                                            "0,8", "--registration", "--out", "b"]),
         # every stencil masked, and stencils defined but none clear of the standoff
         ("--grid", ["verify", "--family", "bell", "--grid=-10,-5,20,0,1,20",
                     "--out", "v.json"]),
@@ -431,13 +434,16 @@ class TestVelocityRefusals:
                                              r"x in \[-30, 30\] holds no single bounded front"):
             main(["velocity", "--family", family, "--params", params, "--out", "v.json"])
 
-    # the level was judged only after the whole march
-    @pytest.mark.parametrize("family, level", [("fisher-front", "5"), ("fisher-front", "-0.5"),
-                                               ("generalized-fisher", "1e300")])
-    def test_level_the_exact_solution_does_not_track(self, family, level):
-        with pytest.raises(SystemExit, match=r"--level: level \S+ tracked in only 0/9 "
-                                             r"checkpoints of the exact solution"):
-            main(["velocity", "--family", family, f"--level={level}", "--out", "v.json"])
+    # speed has one estimator, shift registration: neither command takes a level
+    @pytest.mark.parametrize("command, level", [("velocity", "5"), ("velocity", "-0.5"),
+                                                ("simulate", "1e300")])
+    def test_level_is_not_a_flag(self, capsys, command, level):
+        argv = [command, "--family", "fisher-front", f"--level={level}", "--out", "v"]
+        argv += ["--window=-10,14,481", "--time", "0,2"] if command == "simulate" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --level" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family, h", [("fisher-front", "0.002"),
                                            ("generalized-fisher", "0.005"),
@@ -471,7 +477,7 @@ class TestWorkBudgets:
     @pytest.mark.parametrize("family", ["fisher-front", "generalized-fisher", "bell"])
     def test_planned_velocity_steps_are_the_steps_taken(self, family):
         sampler = build_family(family, {})
-        cfg, _, _ = cli._velocity_setup(sampler, 0.05)
+        cfg = cli._velocity_setup(sampler, 0.05)
         assert cli._planned_steps(cfg) == integrate(sampler.equation, sampler, cfg).steps_taken
 
     @pytest.mark.parametrize("fields, label, fits, over", [
@@ -540,19 +546,20 @@ class TestParserPerProcess:
         assert orders == [2, 4, 2]
 
     def test_consecutive_velocity_calls_share_no_parsed_value(self, monkeypatch):
-        levels = []
+        steps = []
 
-        def stop(sampler, cfg, level):
-            levels.append(level)
+        def stop(equation, sampler, cfg):
+            steps.append(cfg.h)
             raise SystemExit("stopped before the march")
 
-        monkeypatch.setattr(cli, "_exact_tracks", stop)
-        for argv in (["velocity", "--family", "fisher-front", "--level", "0.3"],
+        monkeypatch.setattr(cli, "integrate", stop)
+        for argv in (["velocity", "--family", "fisher-front", "--h", "0.1"],
                      ["velocity", "--family", "fisher-front"]):
             with pytest.raises(SystemExit, match="stopped"):
                 main(argv)
-        default = cli._velocity_setup(build_family("fisher-front"), 0.05)[1]
-        assert levels == [0.3, default] and default != 0.3
+        default = cli._velocity_setup(build_family("fisher-front"), 0.05).h
+        assert steps == [pytest.approx(0.1, rel=1e-2), default]
+        assert default == pytest.approx(0.05, rel=1e-2)
 
 
 # every JSON type, with the edge magnitudes drawn as often as the rest
@@ -577,7 +584,7 @@ def _family_argv(draw):
     return command, family, json.dumps(params)
 
 
-# --h and --level values: malformed, non-finite, huge, tiny, negative, usable.
+# --h values: malformed, non-finite, huge, tiny, negative, usable.
 # Steps below 1e-3 are refused by the point cap or the work budget before any
 # march, and steps from 0.05 up march in well under a second
 _MALFORMED = st.sampled_from(["abc", "", "1e", "0x10", "1,2", "--", "nan", "inf", "-inf",
@@ -585,8 +592,6 @@ _MALFORMED = st.sampled_from(["abc", "", "1e", "0x10", "1,2", "--", "nan", "inf"
 _H = st.one_of(st.none(), _MALFORMED,
                st.sampled_from([0.0, -0.05, 1e-300, 5e-324, 1e-3, 0.05, 0.1, 0.3, 7.0, 1e300]),
                st.floats(max_value=1e-3), st.floats(min_value=0.05))
-_LEVEL = st.one_of(st.none(), _MALFORMED,
-                   st.sampled_from([0.0, 0.5, -0.5, 1e-300, 1e300, -1e300]), st.floats())
 
 
 def _no_grid(*args):
@@ -700,12 +705,11 @@ class TestArgvProperty:
                           "g.csv" if command == "sample" else "r.json")
 
     @settings(derandomize=True, deadline=None, max_examples=120)
-    @given(st.sampled_from(sorted(catalog.FAMILIES)), _H, _LEVEL)
-    def test_velocity_flags_return_or_exit(self, family, h, level):
+    @given(st.sampled_from(sorted(catalog.FAMILIES)), _H)
+    def test_velocity_flags_return_or_exit(self, family, h):
         # the = form hands argparse a value that starts with "-" as a value
         argv = ["velocity", "--family", family]
         argv += [] if h is None else [f"--h={h}"]
-        argv += [] if level is None else [f"--level={level}"]
         _returns_or_exits(argv, "r.json")
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -831,15 +835,24 @@ class TestSimulateVelocity:
         x, u = np.array([row.split(",") for row in text.splitlines()[1:]], float).T
         assert_same_rows(text, reference_profile_csv(x, u))
 
+    def test_simulate_registration_reports_speed_and_shape(self, capsys, tmp_path):
+        code, _ = run(capsys, "simulate", "--family", "fisher-front", "--window=-10,14,481",
+                      "--time", "0,2", "--registration", "--out", str(tmp_path / "run"))
+        report = json.loads((tmp_path / "run_report.json").read_text())["report"]
+        assert code == 0 and report["velocity_method"] == "registration"
+        assert report["measured_velocity"] == pytest.approx(5.0 / math.sqrt(6.0), rel=1e-4)
+        assert 0.0 < report["shape_error"] < 1e-4
+
     @pytest.mark.parametrize("family", ["fisher-front", "bell"])
     def test_velocity_fisher(self, capsys, tmp_path, family):
-        # the bell measures its speed by shift registration, the front by level crossing
+        # every family's speed comes from shift registration, with its shape error
         out = tmp_path / "vel.json"
         code, text = run(capsys, "velocity", "--family", family,
                          "--out", str(out))
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["method"].startswith("registration" if family == "bell" else "level")
+        assert payload["method"] == "registration"
+        assert 0.0 < payload["shape_error"] < 1e-3
         assert payload["relative_error"] < 0.01
         assert payload["measured_velocity"] == pytest.approx(
             payload["predicted_velocity"], rel=0.01)
@@ -857,7 +870,7 @@ class TestSimulateVelocity:
 
     @pytest.mark.parametrize("C", [0.0, 0.2, 0.4])
     def test_velocity_bell_window_unshifted(self, C):
-        cfg = cli._velocity_setup(build_family("bell", {"C": C}), 0.05)[0]
+        cfg = cli._velocity_setup(build_family("bell", {"C": C}), 0.05)
         v = build_family("bell").predicted_velocity
         assert (cfg.x_min, cfg.x_max) == (3.0 * v + 0.7, 3.0 * v + 0.7 + 8.0)
 
@@ -893,7 +906,7 @@ class TestSimulateVelocity:
     ])
     def test_velocity_work_budget_admits_default_runs(self, family, params):
         # every default-h run plans at most 29 steps of 65,536 points: far inside the budget
-        cfg = cli._velocity_setup(build_family(family, params), 0.05)[0]
+        cfg = cli._velocity_setup(build_family(family, params), 0.05)
         assert cfg.method == "rkc"
         assert math.ceil(cfg.t1 / cfg.dt_max) * cfg.n_x <= 29 * 65536 < cli._MAX_WORK
 
@@ -1015,14 +1028,16 @@ REFERENCE_TO_JSON = {
     "SimReport": lambda r: {
         "times": list(r.times), "max_abs_errors": list(r.max_abs_errors),
         "l2_errors": list(r.l2_errors), "measured_velocity": r.measured_velocity,
-        "velocity_fit_r2": r.velocity_fit_r2, "velocity_method": r.velocity_method},
+        "velocity_fit_r2": r.velocity_fit_r2, "velocity_method": r.velocity_method,
+        "shape_error": r.shape_error},
 }
 
 
-def _simulated_report():
+def _simulated_reports():
+    """The front's report under level crossing and under registration."""
     front = build_family("fisher-front")
     hist = integrate(front.equation, front, SimConfig(-8.0, 10.0, 91, 0.0, 0.5, n_checkpoints=4))
-    return compare_exact(hist, front, level=0.5)
+    return [compare_exact(hist, front, level=0.5), compare_exact(hist, front, registration=True)]
 
 
 def _pde_report():
@@ -1037,7 +1052,7 @@ REPORTS = {
                                              Grid2D(0.3, 0.5, 9, 0.02, 0.04, 9))],
     "ode": lambda: [ode_residual(phi_chain(3), clean_chain_samples(3, 50))],
     "propositions": lambda: proposition_suite(max_index=2, n_samples=50),
-    "simulate": lambda: [_simulated_report()],
+    "simulate": _simulated_reports,
     "no-velocity": lambda: [SimReport((0.0, 1.0), (1e-8, 2e-8), (1e-9, 2e-9), None, None)],
 }
 

@@ -168,6 +168,17 @@ class TestJacobiTriple:
             assert list(np.isfinite(got[:, :9]).all(axis=0)) == [True, True, True] + [False] * 6
             assert np.isnan(got[:, 3:9]).all() and np.isfinite(got[:, 9:]).all()
 
+    @pytest.mark.parametrize("k", [1e-9, 1e-12])
+    def test_an_empty_gauss_ladder_keeps_the_argument_bound(self, k):
+        # k^2 < 2^-53 leaves no ascent step to write dn; past the bound dn is
+        # nan with sn and cn, and inside it the values stay sin, cos and 1
+        y = np.array([0.5, 1e300, np.inf, -np.inf, np.nan])
+        with np.errstate(all="raise"):
+            got = jacobi_sn_cn_dn(y, EllipticModulus(k))
+            assert all(np.isnan(v) for v in jacobi_sn_cn_dn(1e300, EllipticModulus(k)))
+        for a, b in zip(got, (np.sin(0.5), np.cos(0.5), 1.0)):
+            assert a[0] == b and np.isnan(a[1:]).all()
+
     def test_periodicity(self):
         for m in MODULI:
             K = complete_elliptic_K(m)

@@ -8,11 +8,13 @@ import pytest
 from rdwaves import simulate
 from rdwaves.catalog import (
     Sampler,
+    build_family,
     fisher_front,
     generalized_fisher,
     perturbed_fisher_bell,
     plane_wave,
 )
+from rdwaves.cli import _velocity_setup
 from rdwaves.equations import Fisher, KPPGeneric, central_difference
 from rdwaves.simulate import (
     BLOCK_STEPS,
@@ -602,4 +604,58 @@ class TestRegistration:
         hist = integrate(s.equation, s, cfg)
         rep = compare_exact(hist, s, registration=True)
         assert rep.velocity_method == "registration"
+        assert rep.measured_velocity == pytest.approx(s.predicted_velocity, rel=1e-2)
+        assert rep.shape_error == registration_velocity(hist)[2] and 0.0 < rep.shape_error < 1e-4
+        assert compare_exact(hist, s).shape_error is None
+
+    @pytest.mark.parametrize("profile", [lambda z: 0.5 * (1.0 - np.tanh(z)),
+                                         lambda z: 1.5 / np.cosh(0.5 * z) ** 2],
+                             ids=["tanh", "sech2"])
+    @pytest.mark.parametrize("s_true", [-2.1, -0.3, 0.7312, 1.9])
+    def test_gauss_newton_recovers_analytic_shifts(self, profile, s_true):
+        # at h = 1/160 linear interpolation biases the shift by about 2.5e-10
+        x = np.linspace(-10.0, 10.0, 3201)
+        for start in (0.0, s_true - 0.2):
+            assert register_shift(x, profile(x), profile(x - s_true), start) == pytest.approx(
+                s_true, abs=1e-9)
+
+    def test_the_chained_solve_needs_its_warm_start(self):
+        # the bell at eps = 0.8 on velocity's window moves 1.8 of the window's
+        # 8: from 0, the step to the last checkpoint overshoots a quarter of
+        # the window; from the previous checkpoint's shift it converges
+        s = perturbed_fisher_bell(0.8)
+        hist = integrate(s.equation, s, _velocity_setup(s, 0.05))
+        with pytest.raises(AmbiguousFrontError, match="leaves a quarter of the window"):
+            register_shift(hist.x, hist.fields[0], hist.fields[-1])
+        v, r2, shape_err = registration_velocity(hist)
+        assert v == pytest.approx(s.predicted_velocity, rel=1e-5) and shape_err < 1e-4
+
+    def test_pinned_shift_is_refused(self):
+        # the true shift, 0.5, is past a quarter of this window (0.45)
+        x = np.linspace(-0.9, 0.9, 181)
+        with pytest.raises(AmbiguousFrontError, match="leaves a quarter of the window"):
+            register_shift(x, np.tanh(x), np.tanh(x - 0.5), 0.4)
+
+    @pytest.mark.parametrize("u_ref, u", [(1.0, 1.0), (0.0, 2.0), (np.nan, 1.0)])
+    def test_flat_reference_is_refused(self, u_ref, u):
+        # <J, J> is 0 on a constant reference, where the step would divide by
+        # zero, and nan on a non-finite one
+        x = np.linspace(-5.0, 5.0, 101)
+        with np.errstate(all="raise"):
+            with pytest.raises(AmbiguousFrontError, match="no finite slope"):
+                register_shift(x, np.full_like(x, u_ref), np.full_like(x, u))
+
+    def test_iteration_cap_is_refused(self, monkeypatch):
+        x = np.linspace(-10.0, 10.0, 401)
+        monkeypatch.setattr(simulate, "REGISTRATION_ITERATIONS", 2)
+        with pytest.raises(AmbiguousFrontError, match="did not converge in 2 steps"):
+            register_shift(x, np.tanh(x), np.tanh(x - 1.0))
+
+    @pytest.mark.parametrize("family", ["bell", "fisher-exp", "fisher-front",
+                                        "generalized-fisher", "plane-wave"])
+    def test_registration_speed_of_every_velocity_family(self, family):
+        # the families velocity marches at their defaults, on its own window
+        s = build_family(family)
+        hist = integrate(s.equation, s, _velocity_setup(s, 0.05))
+        rep = compare_exact(hist, s, registration=True)
         assert rep.measured_velocity == pytest.approx(s.predicted_velocity, rel=1e-2)

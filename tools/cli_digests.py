@@ -73,6 +73,7 @@ def commands() -> list[tuple[str, list[str]]]:
                                         "--grid=-1,1,9,5e-324,1e-310,8", "--out", "f.csv"]))
     runs.append(("sample-masked", ["sample", "--family", "bell", "--grid=-2,2,9,0,0.1,8",
                                    "--out", "f.csv"]))
+    # velocity takes no --level: argparse's refusal, exit 2
     runs.append(("velocity-level-untracked", ["velocity", "--family", "fisher-front",
                                               "--level", "5", "--out", "f.json"]))
     # every proposition, the largest C_n and the deepest recurrence ladder
@@ -112,6 +113,13 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("sample-gnuplot-quote", ["sample", "--family", "fisher-front",
                                           "--grid=-3,3,12,0,0.2,9", "--out", "it's.csv",
                                           "--gnuplot"]))
+    # speed by shift registration: simulate's one way to ask for it, and the
+    # fastest front that velocity measures
+    runs.append(("simulate-registration", ["simulate", "--family", "fisher-front",
+                                           "--window=-10,14,481", "--time", "0,2",
+                                           "--registration", "--out", "simulate"]))
+    runs.append(("velocity-plane-wave", ["velocity", "--family", "plane-wave",
+                                         "--out", "f.json"]))
     return runs
 
 
