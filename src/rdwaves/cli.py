@@ -32,6 +32,7 @@ from .catalog import CatalogError, Sampler, build_family, chain_constant, family
 from .equations import spec_to_json
 from .simulate import SimConfig, SimulationError, compare_exact, integrate
 from .verify import (
+    CANDIDATES_PER_SAMPLE,
     Grid2D,
     VerificationImpossibleError,
     _residual_tol,
@@ -250,51 +251,43 @@ def cmd_simulate(args) -> int:
 
 
 _VELOCITY_MAX_POINTS = 1 << 16
-# planned steps times grid points of one march, 3.4e7: up to about 10 s of RKC
-# marching (the bell at h = 0.005 plans 2.8e7 and took 8.4 s on a 2-CPU host).
-# velocity's default h = 0.05 plans at most 1.9e6 (29 steps of 65,536 points);
-# h = 0.01 plans 1.5e6 to 8.3e6 at each family's default parameters, and the
-# README simulate run 8.6e5.  ode-check's sample draw shares the budget, and so
-# do the values sample and verify hold on their grids (1.5e5 at most by default)
+# steps times points of one march, 3.4e7: about 10 s of RKC (the bell at h = 0.005
+# plans 2.8e7, 8.4 s on a 2-CPU host); velocity plans at most 1.9e6 at h = 0.05 and
+# 8.3e6 at h = 0.01.  ode-check's draws and sample's and verify's grid values share it
 _MAX_WORK = 1 << 25
 
 
+def _check_budget(work, refusal: str) -> None:
+    """ValueError(refusal) where work exceeds _MAX_WORK: the one comparison with it."""
+    if work > _MAX_WORK:
+        raise ValueError(refusal)
+
+
 def _check_grid(grid: Grid2D, fields: int, label: str) -> None:
-    """Refuse a grid whose points times the float fields held on it exceed
-    _MAX_WORK, before any of them is allocated."""
+    """Refuse a grid of more than _MAX_WORK values, fields a point, before allocating any."""
     values = grid.n_x * grid.n_t * fields
-    if values > _MAX_WORK:
-        raise ValueError(f"{values} values ({fields} a point on a {grid.n_x} x {grid.n_t} "
-                         f"{label} grid) exceed the budget of {_MAX_WORK}")
-
-
-def _planned_steps(cfg: SimConfig) -> int | float:
-    """The steps integrate takes, ceil(interval / dt_max) in each checkpoint
-    interval.  Where the intervals alone, at one step each, are over the work
-    budget, or the span is infinite, it returns that lower bound before any
-    checkpoint time exists."""
-    span = cfg.t1 - cfg.t0  # inf where t0 and t1 lie near either end of the floats
-    intervals = cfg.n_checkpoints - 1
-    if span < math.inf and intervals * cfg.n_x <= _MAX_WORK:
-        return int(np.ceil(np.diff(cfg.checkpoints) / cfg.dt_max).sum())
-    return max(span, intervals)
+    _check_budget(values, f"{values} values ({fields} a point on a {grid.n_x} x {grid.n_t} "
+                          f"{label} grid) exceed the budget of {_MAX_WORK}")
 
 
 def _check_work(cfg: SimConfig, step: float) -> None:
-    """Refuse a march that would run for hours: its step count grows as h^-2."""
-    steps = _planned_steps(cfg)
-    if steps * cfg.n_x > _MAX_WORK:
-        raise ValueError(f"{steps} steps of {cfg.n_x} points at step {step:g} exceed the "
-                         f"budget of {_MAX_WORK} point-steps")
+    """Refuse a march whose steps (cfg.interval_steps summed) times points exceed _MAX_WORK,
+    before any checkpoint time exists where one step an interval, or an infinite span, does."""
+    span = cfg.t1 - cfg.t0  # inf where t0 and t1 lie near either end of the floats
+    intervals = cfg.n_checkpoints - 1
+    refusal = (f"{{}} steps of {cfg.n_x} points at step {step:g} exceed the budget of "
+               f"{_MAX_WORK} point-steps").format
+    _check_budget(intervals * cfg.n_x if span < math.inf else span, refusal(max(span, intervals)))
+    steps = int(cfg.interval_steps.sum())
+    _check_budget(steps * cfg.n_x, refusal(steps))
 
 
 def _check_samples(index: int, n: int) -> None:
-    """Refuse a sample count whose worst-case draw, clean_chain_samples' 200 n
-    candidates walked through index + 1 recurrence levels, exceeds _MAX_WORK."""
-    if 200 * n * (index + 1) > _MAX_WORK:
-        raise ValueError(f"{n} samples at chain index {index} may draw {200 * n} candidates, "
-                         f"each walked through {index + 1} recurrence levels: over the "
-                         f"budget of {_MAX_WORK} point-levels")
+    """Refuse n samples whose worst-case draw times index + 1 recurrence levels tops _MAX_WORK."""
+    draws = CANDIDATES_PER_SAMPLE * n
+    _check_budget(draws * (index + 1), f"{n} samples at chain index {index} may draw {draws} "
+                  f"candidates, each walked through {index + 1} recurrence levels: over the "
+                  f"budget of {_MAX_WORK} point-levels")
 
 
 def _velocity_setup(sampler, h: float) -> SimConfig:
@@ -332,6 +325,9 @@ def _velocity_setup(sampler, h: float) -> SimConfig:
         x_front = float(probe[idx[0]]) if idx.size else 0.0
         x0 = x_front - 7.0 - max(0.0, -v) * duration - 2.0
         x1 = x_front + 7.0 + max(0.0, v) * duration + 2.0
+        # a quarter of the window holds 1.1 x the travel, as far as the point cap allows
+        trail = max(0.0, min(4.4 * abs(v) * duration, (_VELOCITY_MAX_POINTS - 1) * h) - (x1 - x0))
+        x0, x1 = (x0 - trail, x1) if v > 0 else (x0, x1 + trail)
         width = x1 - x0
     # the window widens with the predicted speed: refuse it before allocating it
     if not width / h < _VELOCITY_MAX_POINTS:

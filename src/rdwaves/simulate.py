@@ -1,7 +1,8 @@
 """Direct integration of the reaction-diffusion equations (method of lines).
 
 Space is discretized with 2nd- or 4th-order central stencils.  Time is
-marched by one of two explicit methods, chosen by SimConfig.method:
+marched ceil(interval / dt_max) steps to each checkpoint, the last ending on
+it (SimConfig.interval_steps), by one of two explicit methods, SimConfig.method:
 
 - "rk4", the default: the classic four-stage Runge-Kutta scheme under the
   diffusive step restriction dt <= safety * h^2 / 2.  `rdwaves simulate`
@@ -17,15 +18,14 @@ marched by one of two explicit methods, chosen by SimConfig.method:
 
 Boundary values are pinned to the exact sampler at every stage time, which
 removes boundary-induced error when checking that exact profiles translate
-as predicted; one sampler call gives them at every stage time of a block of
-up to BLOCK_STEPS steps.  The integrator owns its stage buffers and forms
-each stage and the update in place; the only fresh arrays of a stage are
-f(u), copied into a buffer, and the Laplacian from
-equations.central_difference (one np.correlate call on the 1-D field),
-added into it.  Front speed has one estimator: each checkpoint is registered
-against the initial profile by a Gauss-Newton shift, warm-started from the
-previous checkpoint's, and a line through the shifts gives the speed.  The
-level-crossing fit, front_velocity, stays as an independent oracle.
+as predicted.  The integrator owns its stage buffers and forms each stage
+and the update in place; the only fresh arrays of a stage are f(u), copied
+into a buffer, and the Laplacian from equations.central_difference (one
+np.correlate call on the 1-D field), added into it.  Front speed has one
+estimator: each checkpoint is registered against the initial profile by a
+Gauss-Newton shift, warm-started from the previous checkpoint's, and a line
+through the shifts gives the speed.  The level-crossing fit, front_velocity,
+stays as an independent oracle.
 """
 
 from __future__ import annotations
@@ -192,6 +192,10 @@ class SimConfig:
     def checkpoints(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n_checkpoints)
 
+    @property
+    def interval_steps(self) -> np.ndarray:  # floats: a count past 2^63 cannot wrap
+        return np.ceil(np.diff(self.checkpoints) / self.dt_max)
+
 
 @dataclass(frozen=True)
 class SimHistory:
@@ -286,9 +290,10 @@ def integrate(eq: EquationSpec, init: Sampler, cfg: SimConfig) -> SimHistory:
     order, two at 4th) come from the exact sampler; the initial data must be
     defined across the whole window.  Each distinct stage time of a step is
     sampled once: two a step for RK4 (t + dt/2, t + dt), RKC_STAGES for RKC
-    (t + c_j dt, the last t + dt).  The march runs in blocks of at most
-    BLOCK_STEPS steps whose step sizes are fixed up front, and both layers at
-    all of a block's stage times come from one call.
+    (t + c_j dt, the last t + dt); one call pins both layers for up to
+    BLOCK_STEPS steps.  An interval takes ceil(interval / dt_max) steps
+    (cfg.interval_steps), each min(dt_max, target - t); the last, target - t,
+    ends on the checkpoint, so none is negative.  One of length 0 counts.
     """
     x = cfg.x
     nb = 1 if cfg.space_order == 2 else 2
@@ -319,15 +324,16 @@ def integrate(eq: EquationSpec, init: Sampler, cfg: SimConfig) -> SimHistory:
     fields[0] = u
     t = cfg.t0
     steps = 0
-    for k, target in enumerate(checkpoints[1:], start=1):
-        while t < target - 1e-13:
-            # the stage times of each step, in step order
+    for k, (target, n) in enumerate(zip(checkpoints[1:], map(int, cfg.interval_steps)), 1):
+        for first in range(0, n, BLOCK_STEPS):
+            # the stage times of each step, in step order; the last ends the step
             dts, stage_times = [], []
-            while t < target - 1e-13 and len(dts) < BLOCK_STEPS:
-                dt = min(dt_max, target - t)
+            for j in range(first, min(first + BLOCK_STEPS, n)):
+                dt = target - t if j == n - 1 else min(dt_max, target - t)
                 dts.append(dt)
-                stage_times += (t + c * dt for c in fractions)
-                t += dt
+                stage_times += (t + c * dt for c in fractions[:-1])
+                t = target if j == n - 1 else min(t + dt, target)
+                stage_times.append(t)
             vb, okb = init.sample(x_edges, np.array(stage_times)[:, None])
             defined = okb.all(axis=1)
             first_masked = len(stage_times) if defined.all() else int(np.argmin(defined))

@@ -41,6 +41,7 @@ _STANDOFF_FACTOR = 5  # stencils within 5 x-radii of a masked point are skipped
 _STRIP_POINTS = 8192
 # finest max residual of a converging verdict by stencil order; at 2 the order alone decides
 RESIDUAL_TOL = {2: math.inf, 4: 1e-6}
+CANDIDATES_PER_SAMPLE = 200  # the most candidates clean_chain_samples draws a kept sample
 
 
 def _residual_tol(stencil_order: int, tol: float | None) -> float:
@@ -428,9 +429,9 @@ def clean_chain_samples(max_index: int, n: int, seed: int = 77) -> np.ndarray:
     Conditioning filter only: each element's magnitude must stay below
     2.5 |C_j|^(1/4) (its natural scale), which keeps the whole ladder away
     from pole neighborhoods - an element blowing up is exactly what flags
-    proximity to a zero of its predecessor.  Up to 200 n candidates are
-    drawn in chunks of 4n, 8n, ... from one uniform stream, so the kept
-    samples are the first n of the one-shot draw; VerificationImpossibleError
+    proximity to a zero of its predecessor.  Up to CANDIDATES_PER_SAMPLE n
+    candidates are drawn in chunks of 4n, 8n, ... from one uniform stream, so
+    the kept samples are the first n of the one-shot draw; VerificationImpossibleError
     when all of them leave fewer than n.  n must be positive (ValueError).
     """
     if n < 1:
@@ -439,7 +440,7 @@ def clean_chain_samples(max_index: int, n: int, seed: int = 77) -> np.ndarray:
     state = phi_chain(max_index)
     kept: list[np.ndarray] = []
     n_kept = 0
-    remaining, chunk = 200 * n, 4 * n
+    remaining, chunk = CANDIDATES_PER_SAMPLE * n, 4 * n
     while remaining:
         y = rng.uniform(0.05, 2 * CHAIN_K - 0.05, min(chunk, remaining))
         remaining -= y.size

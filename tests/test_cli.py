@@ -1,5 +1,6 @@
 """CLI surface: determinism, schemas, exit codes, figure gates."""
 
+import ast
 import contextlib
 import io
 import json
@@ -454,6 +455,25 @@ class TestVelocityRefusals:
             main(["velocity", "--family", family, "--h", h, "--out", "v.json"])
 
 
+def max_work_reads(node, function="<module>", comparison=None, in_message=False):
+    """(function, comparison, in_message) of every read of _MAX_WORK under node:
+    the comparison is None outside one, in_message tells a read inside an f-string,
+    and an import under another name counts as a read outside both."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    elif isinstance(node, ast.Compare):
+        comparison = ast.unparse(node)
+    elif isinstance(node, ast.JoinedStr):
+        in_message = True
+    elif ((isinstance(node, ast.Name) and node.id == "_MAX_WORK"
+           and isinstance(node.ctx, ast.Load))
+          or (isinstance(node, ast.Attribute) and node.attr == "_MAX_WORK")
+          or (isinstance(node, ast.alias) and node.name == "_MAX_WORK")):
+        yield function, comparison, in_message
+    for child in ast.iter_child_nodes(node):
+        yield from max_work_reads(child, function, comparison, in_message)
+
+
 class TestWorkBudgets:
     # the budget of 2^25 point-steps: 69,759 steps of 481 points fit, 69,760 do not
     _README = dict(x_min=-10.0, x_max=14.0, n_x=481, t0=0.0, t1=2.0)
@@ -471,14 +491,28 @@ class TestWorkBudgets:
     def test_planned_steps_are_the_steps_taken(self, checkpoints, steps):
         # integrate takes ceil(interval / dt_max) steps in every checkpoint interval
         cfg = SimConfig(**self._README, n_checkpoints=checkpoints)
-        assert cli._planned_steps(cfg) == steps
+        assert int(cfg.interval_steps.sum()) == steps
         assert integrate(Fisher(), fisher_front("tanh"), cfg).steps_taken == steps
 
     @pytest.mark.parametrize("family", ["fisher-front", "generalized-fisher", "bell"])
     def test_planned_velocity_steps_are_the_steps_taken(self, family):
         sampler = build_family(family, {})
         cfg = cli._velocity_setup(sampler, 0.05)
-        assert cli._planned_steps(cfg) == integrate(sampler.equation, sampler, cfg).steps_taken
+        steps = integrate(sampler.equation, sampler, cfg).steps_taken
+        assert int(cfg.interval_steps.sum()) == steps
+
+    def test_budget_is_compared_in_one_function(self):
+        # _check_grid, both halves of _check_work and _check_samples call
+        # _check_budget; formatting the budget into a message is the only other read
+        compared, other = set(), set()
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for function, comparison, in_message in max_work_reads(ast.parse(path.read_text())):
+                if comparison is not None:
+                    compared.add((path.name, function, comparison))
+                elif not in_message:
+                    other.add((path.name, function))
+        assert compared == {("cli.py", "_check_budget", "work > _MAX_WORK")}
+        assert other == set()
 
     @pytest.mark.parametrize("fields, label, fits, over", [
         # sample holds n_x n_t values
@@ -873,6 +907,27 @@ class TestSimulateVelocity:
         cfg = cli._velocity_setup(build_family("bell", {"C": C}), 0.05)
         v = build_family("bell").predicted_velocity
         assert (cfg.x_min, cfg.x_max) == (3.0 * v + 0.7, 3.0 * v + 0.7 + 8.0)
+
+    @pytest.mark.parametrize("c1", ["-3", "3"])
+    def test_velocity_measures_a_fast_front(self, capsys, tmp_path, c1):
+        # predicted speed -5 c1, so +-15: registration's shift once left a
+        # quarter of the window, and every front faster than about 12 was refused
+        out = tmp_path / "vel.json"
+        code, _ = run(capsys, "velocity", "--family", "plane-wave", "--params",
+                      f'{{"n": 2, "c1": {c1}, "lambda2": 0}}', "--h", "0.02", "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["relative_error"] < 0.01
+
+    @pytest.mark.parametrize("c1, h", [(c1, h) for h in (0.01, 0.05)
+                                       for c1 in (-0.5, -1.0, -2.0, -3.0, -4.0, -10.0, 2.0, 3.0)]
+                             + [(100.0, 0.05), (1000.0, 0.05)])
+    def test_velocity_window_holds_the_front_travel(self, c1, h):
+        # a quarter of the window bounds registration's shift; only the point
+        # cap, which the window at speed 5000 reaches, stops its widening
+        s = build_family("plane-wave", {"n": 2, "c1": c1, "lambda2": 0.0})
+        cfg = cli._velocity_setup(s, h)
+        travel = abs(s.predicted_velocity) * cfg.t1
+        assert travel < 0.25 * (cfg.x_max - cfg.x_min) or cfg.n_x == 65536
 
     def test_velocity_stationary_front_absolute_error(self, capsys, tmp_path):
         # c1 = 3/2 gives predicted speed 0: no relative error exists, so the

@@ -38,9 +38,10 @@ from rdwaves.simulate import (
 SQRT6 = math.sqrt(6.0)
 
 
-def heat_kernel_sampler() -> Sampler:
+def heat_kernel_sampler(t_start: float = -1.0) -> Sampler:
+    """The heat kernel of a point source at t_start."""
     def fn(x, t):
-        s = t + 1.0
+        s = t - t_start
         u = np.exp(-(x**2) / (4.0 * s)) / np.sqrt(4.0 * math.pi * s)
         return u, np.ones_like(u, dtype=bool)
 
@@ -442,6 +443,82 @@ class TestHotPath:
         assert np.array_equal(handed[-1], kept[-1])
         ref_fields, _ = reference_rk4(KPPGeneric(f=lambda u: -0.5 * u), s, cfg)
         assert np.array_equal(hist.fields, ref_fields)
+
+
+SCHEMES = {"_rk4": simulate._rk4, "_rkc": simulate._rkc}
+
+
+def recorded_march(monkeypatch, cfg: SimConfig):
+    """(history, dt of every step, stage times of every step as rows) of a march
+    of the heat kernel; each row's last entry is its step's end."""
+    dts = []
+    for name, scheme in SCHEMES.items():
+        def make(rhs, u, edges, scheme=scheme):
+            fractions, step = scheme(rhs, u, edges)
+
+            def recording_step(dt, b):
+                dts.append(dt)
+                step(dt, b)
+
+            return fractions, recording_step
+
+        monkeypatch.setattr(simulate, name, make)
+    s, calls = recording(heat_kernel_sampler(min(cfg.t0, 0.0) - 1.0))
+    hist = integrate(s.equation, s, cfg)
+    per_step = 2 if cfg.method == "rk4" else RKC_STAGES
+    times = np.concatenate([t[:, 0] for _, t in calls[1:]]).reshape(-1, per_step)
+    return hist, np.array(dts), times
+
+
+def assert_schedule_kept(monkeypatch, cfg: SimConfig) -> int:
+    """The march takes the steps cfg.interval_steps plans, none negative, and the
+    last step of each interval ends on its checkpoint exactly; returns the count."""
+    planned = cfg.interval_steps
+    hist, dts, times = recorded_march(monkeypatch, cfg)
+    assert hist.steps_taken == len(dts) == len(times) == int(planned.sum())
+    assert np.all(dts >= 0.0)
+    # a last step may exceed dt_max by the rounding of the steps before it
+    assert np.all(dts <= cfg.dt_max * (1.0 + 1e-5))
+    # each step spans its dt, to the rounding of t, and the interval's last ends on
+    # its checkpoint
+    ends = times[:, -1]
+    assert np.all(np.abs(np.diff(ends, prepend=cfg.t0) - dts) <= 4 * np.spacing(np.abs(ends)))
+    assert np.array_equal(ends[np.cumsum(planned).astype(int) - 1], cfg.checkpoints[1:])
+    return hist.steps_taken
+
+
+class TestSchedule:
+    # the time loop once ran while t < target - 1e-13: from t0 = 1e4 it took 84
+    # steps where the budget counted 82, and in the second case 26 for 27.  In
+    # the third, t += dt from t0 < 0 ends its last step one ulp short of t1
+    @pytest.mark.parametrize("cfg, steps", [
+        (SimConfig(0.0, 3.152573252877113, 79, 10000.0, 10000.06027920750074075,
+                   n_checkpoints=3), 82),
+        (SimConfig(0.0, 4.801854785303741, 55, 0.0, 0.09251590182990053, n_checkpoints=2), 27),
+        (SimConfig(0.0, 2.1251358976280725, 32, -0.00034377030774753744, 0.003885763849431158,
+                   n_checkpoints=2), 2),
+    ], ids=["t0-1e4", "t0-0", "t0-below-0"])
+    def test_planned_steps_are_marched(self, monkeypatch, cfg, steps):
+        assert assert_schedule_kept(monkeypatch, cfg) == steps
+
+    # spans of k (n_checkpoints - 1) dt_max (1 + delta): within rounding of a whole
+    # number of steps an interval, where a tolerance on t decided whether one more
+    # step was taken.  A t0 of None starts each window a drawn share of its span
+    # before 0, where t + (target - t) can round off the checkpoint
+    @pytest.mark.parametrize("method", ["rk4", "rkc"])
+    @pytest.mark.parametrize("t0", [0.0, 123.456, 1e3, 1e4, 1e5, None])
+    def test_spans_of_whole_steps(self, monkeypatch, method, t0):
+        rng = np.random.default_rng([int(t0 or 0), t0 is None, method == "rkc"])
+        for delta in (0.0, 3e-16, -3e-16, 1e-15, -1e-15, 1e-14):
+            for _ in range(4):
+                x0, width = rng.uniform(-3.0, 0.0), rng.uniform(1.0, 5.0)
+                n_x, n_checkpoints, k = (int(v) for v in rng.integers((16, 2, 1), (41, 6, 6)))
+                dt_max = SimConfig(x0, x0 + width, n_x, 0.0, 0.0, method=method).dt_max
+                span = k * (n_checkpoints - 1) * dt_max * (1.0 + delta)
+                start = -rng.uniform(0.0, 1.0) * span if t0 is None else t0
+                assert_schedule_kept(monkeypatch, SimConfig(
+                    x0, x0 + width, n_x, start, start + span, n_checkpoints=n_checkpoints,
+                    method=method))
 
 
 def rkc_amplification(z, scheme=RKC):

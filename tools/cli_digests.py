@@ -120,6 +120,23 @@ def commands() -> list[tuple[str, list[str]]]:
                                            "--registration", "--out", "simulate"]))
     runs.append(("velocity-plane-wave", ["velocity", "--family", "plane-wave",
                                          "--out", "f.json"]))
+    # a window whose intervals are within rounding of whole steps far from t = 0:
+    # the march takes the steps the work budget counts
+    runs.append(("simulate-large-t0", ["simulate", "--family", "fisher-front",
+                                       "--params", '{"t_shift": 10000.0}',
+                                       "--window=0,3.152573252877113,79",
+                                       "--time", "10000,10000.06027920750074075",
+                                       "--checkpoints", "3", "--out", "s"]))
+    # a front predicted at speed 15, and one so fast that its window is refused
+    runs.append(("velocity-plane-wave-fast", ["velocity", "--family", "plane-wave", "--params",
+                                              '{"n": 2, "c1": -3, "lambda2": 0}', "--h", "0.02",
+                                              "--out", "f.json"]))
+    runs.append(("velocity-window-over-point-cap", ["velocity", "--family", "plane-wave",
+                                                    "--params", '{"c1": 1e4}', "--out", "f.json"]))
+    # the README's simulate window that the work budget refuses
+    runs.append(("simulate-window-over-work-budget",
+                 ["simulate", "--family", "fisher-front", "--window=0,1e-3,24", "--time", "0,1",
+                  "--out", "simulate"]))
     return runs
 
 
