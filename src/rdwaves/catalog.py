@@ -1,4 +1,4 @@
-"""Every exact solution family, constructed as samplers (x, t) -> value/mask.
+"""Every exact solution family, constructed as samplers (x, t) -> value.
 
 The chain elements are defined from the seed phi = ds(y, 1/sqrt2) by the
 logarithmic-derivative recurrence phi -> phi'/phi, with derivatives
@@ -10,6 +10,11 @@ an exact dyadic lattice of zeros and poles (PhiState.lattice); the recurrence
 (PhiState.levels) is the oracle that verify and the closed-form cross-check walk.
 Sign conventions follow exact differentiation of the seed; transcribed
 closed forms are matched up to overall sign by the cross-check helpers.
+
+nan is the mask: every evaluator here (a sampler's fn, PhiState.eval and
+levels, a ZSampler's fn, closed_forms) returns values alone, nan where the
+point is masked, and a masked denominator is nan before it divides.
+Sampler.sample alone returns a flag beside u, defined = np.isfinite(u).
 
 Each sampler carries the equation it actually solves, a validity note, and
 a suggested verification window.  Where a transcribed closed form failed
@@ -33,7 +38,6 @@ from .elliptic import (
     WeierstrassInvariants,
     _off_pole,
     _pole_div,
-    _pole_safe,
     complete_elliptic_K,
     jacobi_sn_cn_dn,
     weierstrass_p,
@@ -100,7 +104,7 @@ def _as_grid(x, t):
 
 
 def _masked_pow(base, p: float):
-    """(base**p, defined): signed for integer p, principal branch otherwise; nan where masked.
+    """base**p: signed for integer p, principal branch otherwise; nan where masked.
 
     The values are equations._frac_pow's: an integer power of a negative base
     is the mirror of its power at |base|, (-1)**p |base|**p, so the odd chain
@@ -110,15 +114,14 @@ def _masked_pow(base, p: float):
         defined = np.isfinite(base) if round(p) >= 0 else _off_pole(base)
     else:
         defined = base > POLE_EPS if p < 0 else base >= 0.0
-    return np.where(defined, _frac_pow(base, p), np.nan), defined
+    return np.where(defined, _frac_pow(base, p), np.nan)
 
 
 @dataclass(frozen=True)
 class Sampler:
-    """Exact solution u(x, t) with domain mask and the equation it solves.
+    """Exact solution u(x, t) and the equation it solves.
 
-    fn(x, t) returns (u, defined); u is unspecified where defined is False,
-    and sample() is where those cells become nan.
+    fn(x, t) returns u on the broadcast grid, nan where the point is masked.
     """
 
     fn: Callable = field(compare=False)
@@ -132,11 +135,9 @@ class Sampler:
     suggested_resolution: tuple[int, int] = (49, 25)  # base residual grid (n_x, n_t)
 
     def sample(self, x, t):
-        """Vectorized (u, defined), broadcasting x and t; u is nan where not defined."""
-        xg, tg = _as_grid(x, t)
-        u, defined = self.fn(xg, tg)
-        u = np.where(defined, u, np.nan)
-        return u, defined
+        """Vectorized (u, defined), broadcasting x and t; defined = np.isfinite(u)."""
+        u = self.fn(*_as_grid(x, t))
+        return u, np.isfinite(u)
 
     def shifted(self, dx: float = 0.0, dt: float = 0.0) -> "Sampler":
         """Translate u and its window: the equations are autonomous, so shifts stay solutions."""
@@ -154,8 +155,7 @@ class Sampler:
         inner = self.fn
 
         def fn(x, t):
-            u, defined = inner(x, t)
-            return u + amplitude * np.sin(x), defined
+            return inner(x, t) + amplitude * np.sin(x)
 
         return replace(self, fn=fn, residual_clean=False,
                        domain_note=f"perturbed by {amplitude}*sin(x): not a solution")
@@ -176,7 +176,7 @@ def chain_constant(n: int) -> float:
 
 @dataclass(frozen=True)
 class PhiState:
-    """Chain element: y -> (phi, phi') with its first-integral constant.
+    """Chain element: y -> (phi, phi'), both nan where masked, with its first-integral constant.
 
     All elements satisfy phi'' = 2 phi^3 and (phi')^2 - phi^4 = C_n; the
     derivative of the next element comes from the analytic step
@@ -187,50 +187,48 @@ class PhiState:
     c_n: float
 
     def levels(self, y):
-        """Yield (phi, phi', defined) at y for the elements 0..index in turn.
+        """Yield (phi, phi') at y for the elements 0..index in turn.
 
         One pass of the recurrence walks the whole ladder; phi and phi' are
-        nan where not defined, as in eval.
+        nan where masked, as in eval.
         """
         y = np.asarray(y, dtype=float)
         sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
-        phi, defined = _pole_div(dn, sn)
-        dphi = _pole_div(-cn, sn, 2)[0]
-        yield phi, dphi, defined
+        phi, dphi = _pole_div(dn, sn), _pole_div(-cn, sn, 2)
+        yield phi, dphi
         c = -0.25
         for _ in range(self.index):
-            # one mask a step for both quotients; phi^4 as sq * sq, because
-            # ** 4 leaves numpy's vector loop on a mixed-sign field
-            safe, defined = _pole_safe(phi, defined)
-            sq = safe * safe
-            phi, dphi = (np.where(defined, dphi / safe, np.nan),
-                         np.where(defined, (sq * sq - c) / sq, np.nan))
+            # one masked denominator a step for both quotients; phi^4 as
+            # sq * sq, because ** 4 leaves numpy's vector loop on a mixed-sign field
+            den = np.where(_off_pole(phi), phi, np.nan)
+            sq = den * den
+            phi, dphi = dphi / den, (sq * sq - c) / sq
             c = -4.0 * c
-            yield phi, dphi, defined
+            yield phi, dphi
 
     def eval(self, y):
-        """(phi, phi', defined) at y from the closed form; both values are nan
-        where not defined.
+        """(phi, phi') at y from the closed form, both nan where masked.
 
         With m, r = divmod(index, 2), phi_n(y) = s_n 2^m B_r(2^m y) and
         phi_n'(y) = s_n 4^m B_r'(2^m y), where B_0 = ds, B_1 = -cn/(sn dn)
         and s_n = -1 for even n >= 2, +1 otherwise (phi_{n+2}(y) =
         2 phi_n(2y) for n >= 1; DLMF 22.6, 22.13).  One sn/cn/dn evaluation
-        at any depth; the mask is |sn(2^m y)| >= POLE_EPS.  levels() walks
-        the recurrence and stays the independent oracle for this form.
+        at any depth; a point is kept where |sn(2^m y)| >= POLE_EPS, and for
+        odd index, whose phi divides by sn dn, where |sn dn| >= POLE_EPS for
+        both values.  levels() walks the recurrence and stays the independent
+        oracle for this form.
         """
         m, r = divmod(self.index, 2)
         scale = 2.0**m
         sign = -1.0 if r == 0 and m > 0 else 1.0
         sn, cn, dn = jacobi_sn_cn_dn(scale * np.asarray(y, dtype=float), MODULUS_INV_SQRT2)
         if r == 0:
-            phi, defined = _pole_div(dn, sn)
-            dphi = _pole_div(-cn, sn, 2)[0]
+            phi, dphi = _pole_div(dn, sn), _pole_div(-cn, sn, 2)
         else:
-            dphi, defined = _pole_div(1.0, sn, 2)
-            phi = _pole_div(-cn, sn * dn, ok=defined)[0]
-            dphi = dphi - cn * cn / (2.0 * dn * dn)
-        return sign * scale * phi, sign * scale * scale * dphi, defined
+            sn = np.where(_off_pole(sn * dn), sn, np.nan)  # one mask for both quotients
+            phi = -cn / (sn * dn)
+            dphi = 1.0 / sn**2 - cn * cn / (2.0 * dn * dn)
+        return sign * scale * phi, sign * scale * scale * dphi
 
     @property
     def lattice_level(self) -> int:
@@ -279,11 +277,11 @@ def _chain_factor(kind: str, index: int) -> float:
     raise CatalogError(f"unknown chain kind {kind!r}; valid: {_CHAIN_KINDS}")
 
 
-def _chain_u(kind: str, amp, phi, defined):
-    """(u, defined) of amp * phi (direct) or amp / phi (inverse/focusing), nan where masked."""
+def _chain_u(kind: str, amp, phi):
+    """amp * phi (direct) or amp / phi (inverse/focusing), nan where masked."""
     if kind == "direct":
-        return amp * phi, defined
-    return _pole_div(amp, phi, ok=defined)
+        return amp * phi
+    return _pole_div(amp, phi)
 
 
 _CHAIN_WINDOWS = {
@@ -324,8 +322,7 @@ def elliptic_solution(kind: str, index: int, sign: int = 1) -> Sampler:
         raise CatalogError("sign must be +1 or -1")
 
     def fn(x, t, state=state, factor=factor, sign=sign, kind=kind):
-        phi, _, defined = state.eval(x * x + 6.0 * t)
-        return _chain_u(kind, sign * factor * x, phi, defined)
+        return _chain_u(kind, sign * factor * x, state.eval(x * x + 6.0 * t)[0])
 
     return Sampler(
         fn=fn,
@@ -372,8 +369,7 @@ def cosh_cos_solution(sign: int, k1: float, k2: float, kind: str, index: int) ->
             damp = np.exp(-3.0 * t)
             w = k1 * np.cos(arg) * damp
             wx = -k1 * np.sin(arg) * damp
-        phi, _, defined = state.eval(w)
-        return _chain_u(kind, (factor / 2.0) * wx, phi, defined)
+        return _chain_u(kind, (factor / 2.0) * wx, state.eval(w)[0])
 
     shape = "cosh" if use_cosh else "cos"
     # keep w inside the clean chain interval; the cosh exponential grows, so
@@ -407,8 +403,7 @@ def plane_wave(n: float, c1: float, c2: float, lambda2: float) -> Sampler:
     k_is_int = abs(k - round(k)) < 1e-12
     if not k_is_int and c1 < 0.0:
         raise CatalogError("fractional k needs c1 > 0 for a real amplitude c1^k")
-    amp_defined = _masked_pow(np.asarray(c1), k)[1]
-    if not bool(amp_defined):
+    if np.isnan(_masked_pow(np.asarray(c1), k)):
         raise CatalogError("c1^k is not a real number for these parameters")
     rate = (2.0 * k + 1.0) * c1**2 - lambda2 * c1
 
@@ -416,9 +411,7 @@ def plane_wave(n: float, c1: float, c2: float, lambda2: float) -> Sampler:
         theta = -c1 * x - rate * t
         with np.errstate(over="ignore"):
             den = 1.0 + c2 * np.exp(theta)
-        base = _pole_div(c1, den)[0]
-        u, defined = _masked_pow(base, k)
-        return u, defined & np.isfinite(base)
+        return _masked_pow(_pole_div(c1, den), k)
 
     velocity = lambda2 - (2.0 * k + 1.0) * c1
     note = "smooth for c2 >= 0" if c2 >= 0 else "singular line where 1 + c2 e^theta = 0 (masked)"
@@ -474,10 +467,10 @@ def solitary_wave(n: float, nu: float, sigma: float, branch: str, C: float = 0.0
 
         def fn(x, t):
             base = x - sigma * t / SQRT2 + C
-            u, defined = _masked_pow(base, -k_exp)
+            u = _masked_pow(base, -k_exp)
             if half_sensitive:
-                defined = defined & (base > 0.0)
-            return amp * u, defined
+                u = np.where(base > 0.0, u, np.nan)
+            return amp * u
 
         note = "moving singular point at x = sigma t/sqrt2 - C (masked)"
         x0 = 1.0 - C + drift
@@ -490,16 +483,13 @@ def solitary_wave(n: float, nu: float, sigma: float, branch: str, C: float = 0.0
         def fn(x, t):
             theta = b * (x - sigma * t / SQRT2) + C
             if branch == "tan":
-                s = -np.tan(theta)
-                defined0 = _off_pole(np.cos(theta))
+                s = np.where(_off_pole(np.cos(theta)), -np.tan(theta), np.nan)
             else:
                 s = np.tanh(theta)
-                defined0 = np.ones_like(theta, dtype=bool)
-            u, defined = _masked_pow(s, p)
-            defined = defined & defined0
+            u = _masked_pow(s, p)
             if half_sensitive:
-                defined = defined & (s > 0.0)
-            return amp * u, defined
+                u = np.where(s > 0.0, u, np.nan)
+            return amp * u
 
         if branch == "tan":
             note = "periodic poles of tan masked; valid on the -tan > 0 half-periods"
@@ -529,11 +519,9 @@ def solitary_wave(n: float, nu: float, sigma: float, branch: str, C: float = 0.0
 
 
 def _tanh_or_coth(form: str, theta):
-    """(tanh or coth of theta, defined); coth is masked where |tanh| < POLE_EPS."""
+    """tanh or coth of theta; coth is nan where |tanh| < POLE_EPS."""
     th = np.tanh(theta)
-    if form == "tanh":
-        return th, np.ones_like(theta, dtype=bool)
-    return _pole_div(1.0, th)
+    return th if form == "tanh" else _pole_div(1.0, th)
 
 
 def fisher_front(form: str = "tanh", complement: bool = False, c: float = 0.0,
@@ -552,11 +540,8 @@ def fisher_front(form: str = "tanh", complement: bool = False, c: float = 0.0,
 
     def fn(y, tau):
         theta = sgn_y * y / (2.0 * SQRT6) - 5.0 * tau / 12.0 - c
-        h, defined = _tanh_or_coth(form, theta)
-        u = 0.25 * (1.0 - h) ** 2
-        if complement:
-            u = 1.0 - u
-        return u, defined
+        u = 0.25 * (1.0 - _tanh_or_coth(form, theta)) ** 2
+        return 1.0 - u if complement else u
 
     v = 5.0 / SQRT6 * sgn_y
     if form == "coth":
@@ -612,8 +597,7 @@ def fisher_weierstrass(C: float, k_shift: float = 0.0, reflect_y: bool = False) 
 
     def fn(y, tau):
         z = np.exp(-sgn_y * y / SQRT6 + 5.0 * tau / 6.0 + k_shift)
-        p, _, defined = weierstrass_p(z, inv)
-        return WEIERSTRASS_PREFACTOR * z * z * p, defined
+        return WEIERSTRASS_PREFACTOR * z * z * weierstrass_p(z, inv)[0]
 
     omega = weierstrass_real_half_period(inv)
     # rectangle keeping z inside [0.03, 0.45] * 2*omega: scales with C so
@@ -653,10 +637,10 @@ def generalized_fisher(c1: float, form: str = "tanh", c: float = 0.0,
 
     def fn(y, tau):
         theta = c1 * sgn_y * y / (2.0 * SQRT6) + c1 * (2.0 * c1 - 3.0) * tau / 12.0 - c
-        h, defined = _tanh_or_coth(form, theta)
+        h = _tanh_or_coth(form, theta)
         if form == "coth":
-            defined = defined & (theta > 0.0)  # coth < -1 side rides the flipped sqrt branch
-        return 0.25 * c1**2 * (1.0 + h) ** 2, defined
+            h = np.where(theta > 0.0, h, np.nan)  # coth < -1 side rides the flipped sqrt branch
+        return 0.25 * c1**2 * (1.0 + h) ** 2
 
     v = -(2.0 * c1 - 3.0) / SQRT6 * sgn_y
     if form == "coth" and c1 != 0.0:
@@ -694,7 +678,7 @@ def perturbed_fisher_bell(epsilon: float, C: float = 0.0) -> Sampler:
 
     def fn(x, t):
         s = 0.5 * (x - velocity * t) + C
-        return 1.5 / np.cosh(s) ** 2, s > 0.0
+        return np.where(s > 0.0, 1.5 / np.cosh(s) ** 2, np.nan)
 
     return Sampler(
         fn=fn,
@@ -726,8 +710,8 @@ def quadratic_rational(sign: int = 1) -> Sampler:
 
     def fn(x, t):
         den = x * x + beta * t
-        ok = np.abs(den) >= 1e-6 * (1.0 + x * x + np.abs(beta * t))
-        return _pole_div(a * x * x + b * t, den, 2, ok=ok)
+        den = np.where(np.abs(den) >= 1e-6 * (1.0 + x * x + np.abs(beta * t)), den, np.nan)
+        return _pole_div(a * x * x + b * t, den, 2)
 
     return Sampler(
         fn=fn,
@@ -744,8 +728,8 @@ def quadratic_rational(sign: int = 1) -> Sampler:
 class ZSampler:
     """Potential-level solution z(x, t) with its analytic x-derivative.
 
-    fn(x, t) returns (z, z_x, defined) from one evaluation on arrays of one
-    shape; z and z_x are unspecified where defined is False.
+    fn(x, t) returns (z, z_x) from one evaluation on arrays of one shape,
+    both nan where the point is masked.
     """
 
     fn: Callable = field(compare=False)
@@ -757,9 +741,8 @@ def potential_transform(z: ZSampler, k: float) -> Sampler:
     under a fractional exponent."""
 
     def fn(x, t):
-        zv, zx, ok = z.fn(x, t)
-        base = _pole_div(zx, zv, ok=ok)[0]
-        return _masked_pow(base, k)  # the nan base of a masked point stays masked
+        zv, zx = z.fn(x, t)
+        return _masked_pow(_pole_div(zx, zv), k)  # the nan base of a masked point stays masked
 
     return Sampler(
         fn=fn,
@@ -775,8 +758,8 @@ def z_from_phi(index: int) -> ZSampler:
     state = phi_chain(index)
 
     def fn(x, t):
-        phi, dphi, defined = state.eval(x * x + 6.0 * t)
-        return phi, 2.0 * x * dphi, defined
+        phi, dphi = state.eval(x * x + 6.0 * t)
+        return phi, 2.0 * x * dphi
 
     return ZSampler(fn=fn, label=f"chain-potential[{index}]")
 
@@ -789,7 +772,8 @@ def z_plane_wave(n: float, c1: float, c2: float, lambda2: float) -> ZSampler:
         with np.errstate(over="ignore"):  # an overflowed z is masked, not an error
             lead = np.exp(c1 * x + k * c1**2 * t)
             zv = lead + c2 * np.exp((lambda2 * c1 - (k + 1.0) * c1**2) * t)
-        return zv, c1 * lead, np.isfinite(zv)
+        ok = np.isfinite(zv)
+        return np.where(ok, zv, np.nan), np.where(ok, c1 * lead, np.nan)
 
     return ZSampler(fn=fn, label="plane-wave-potential")
 
@@ -797,32 +781,30 @@ def z_plane_wave(n: float, c1: float, c2: float, lambda2: float) -> ZSampler:
 def closed_forms(y):
     """Transcribed closed forms of the low chain elements, per unit 2x.
 
-    Returns a dict name -> (value, defined), value nan where not defined.
-    'u3_printed'/'tilde3_printed' keep the transcribed inner constant
-    (9/4) sqrt2, which the recurrence refutes; 'u3_corrected' carries the
-    derived inner constant 1/2 that matches the chain exactly.
+    Returns a dict name -> value, nan where masked: every form but 'hat2',
+    which divides by no Jacobi function, is masked at the poles of sn and of
+    cn alike.  'u3_printed'/'tilde3_printed' keep the transcribed inner
+    constant (9/4) sqrt2, which the recurrence refutes; 'u3_corrected'
+    carries the derived inner constant 1/2 that matches the chain exactly.
     """
     y = np.asarray(y, dtype=float)
     sn, cn, dn = jacobi_sn_cn_dn(y, MODULUS_INV_SQRT2)
-    ds, ok = _pole_div(dn, sn)
-    dc, ok = _pole_div(dn, cn, ok=ok)
-    cs = _pole_div(cn, sn, ok=ok)[0]
-    sd = _pole_div(sn, dn, ok=ok)[0]
-    cd = _pole_div(cn, dn, ok=ok)[0]
-    out = {}
-    out["u1"] = (cs / dn, ok)
-    out["u2"] = (_pole_div(cd - dc, sn, ok=ok)[0] - cn * ds, ok)
+    hat2 = -4.0 * sn * cn * dn / (cn**4 + 1.0)
+    ok = _off_pole(sn) & _off_pole(cn)
+    sn, cn = np.where(ok, sn, np.nan), np.where(ok, cn, np.nan)
+    ds, dc, cs, sd, cd = dn / sn, dn / cn, cn / sn, sn / dn, cn / dn
+    out = {"u1": cs / dn}
+    out["u2"] = (cd - dc) / sn - cn * ds
     c_printed = 2.25 * SQRT2
     den_printed = dn * cs * (c_printed * cn**2 - ds**2)
-    out["u3_printed"] = _pole_div(cs**4 - dn**4, den_printed, ok=ok)
+    out["u3_printed"] = _pole_div(cs**4 - dn**4, den_printed)
     den_corr = dn * cs * (0.5 * cn**2 - ds**2)
-    out["u3_corrected"] = _pole_div(cs**4 - dn**4, den_corr, ok=ok)
-    out["tilde1"] = (dn / cs, ok)
+    out["u3_corrected"] = _pole_div(cs**4 - dn**4, den_corr)
+    out["tilde1"] = dn / cs
     num_t3 = 2.0 * dn * cs * (c_printed * cn**2 - ds**2)
-    den_t3 = cs**4 - dn**4
-    out["tilde3_printed"] = _pole_div(num_t3, den_t3, ok=ok)
-    out["hat0"] = (sd / 2.0, ok)
-    out["hat2"] = (-4.0 * sn * cn * dn / (cn**4 + 1.0), np.isfinite(sn))
+    out["tilde3_printed"] = _pole_div(num_t3, cs**4 - dn**4)
+    out["hat0"] = sd / 2.0
+    out["hat2"] = hat2
     return out
 
 
@@ -848,13 +830,12 @@ def crosscheck_closed_forms(n_samples: int = 100) -> dict:
         ("hat0", 0, "focusing"),
         ("hat2", 2, "focusing"),
     ):
-        phi, _, ok = ladder[idx]
-        chain_vals[name] = _chain_u(kind, _chain_factor(kind, idx) / 2.0, phi, ok)
+        chain_vals[name] = _chain_u(kind, _chain_factor(kind, idx) / 2.0, ladder[idx][0])
 
     report = {}
-    for name, (closed, ok_c) in forms.items():
-        chain, ok_h = chain_vals[name]
-        ok = ok_c & ok_h & np.isfinite(closed) & np.isfinite(chain)
+    for name, closed in forms.items():
+        chain = chain_vals[name]
+        ok = np.isfinite(closed) & np.isfinite(chain)
         ok = ok & (np.abs(closed) > 1e-6) & (np.abs(closed) < 1e6)
         sel = np.where(ok)[0][:n_samples]
         a = np.abs(chain[sel])

@@ -277,7 +277,8 @@ def _check_work(cfg: SimConfig, step: float) -> None:
     intervals = cfg.n_checkpoints - 1
     refusal = (f"{{}} steps of {cfg.n_x} points at step {step:g} exceed the budget of "
                f"{_MAX_WORK} point-steps").format
-    _check_budget(intervals * cfg.n_x if span < math.inf else span, refusal(max(span, intervals)))
+    counted = intervals if span < math.inf else span  # an infinite span is refused as it is
+    _check_budget(counted * cfg.n_x, refusal(counted))
     steps = int(cfg.interval_steps.sum())
     _check_budget(steps * cfg.n_x, refusal(steps))
 

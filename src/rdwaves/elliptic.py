@@ -6,11 +6,14 @@ period 4K, sin and cos at the smallest modulus are climbed back with
 rational steps; K itself comes from the AGM.  Quotients of sn, cn, dn (ds,
 cs, ...) are formed where they are used, by _pole_div.  _off_pole is the
 package's one pole rule: a denominator within POLE_EPS of zero masks the
-point, and _pole_div leaves nan there.  The Weierstrass function of the
-g2 = 0 lattices is the square of one such quotient, P = e2 + H2
-(cn/(sn dn))^2 (the half-angle form of Abramowitz & Stegun 18.9.12), so it
-shares the Jacobi kernel and its pole rule.  Everything accepts numpy arrays
-and is pure: safe to evaluate concurrently over grids.
+point.  nan is the mask: a masked point's value is nan, and no evaluator
+returns a boolean mask beside its values.  _pole_div turns a masked
+denominator into nan before it divides, so a nan denominator stays masked
+too.  The Weierstrass function of the g2 = 0 lattices is the square of one
+such quotient, P = e2 + H2 (cn/(sn dn))^2 (the half-angle form of
+Abramowitz & Stegun 18.9.12), so it shares the Jacobi kernel and its pole
+rule.  Everything accepts numpy arrays and is pure: safe to evaluate
+concurrently over grids.
 """
 
 from __future__ import annotations
@@ -36,26 +39,20 @@ __all__ = [
 POLE_EPS = 1e-8  # a quotient/pole is declared undefined below this threshold
 
 
-def _off_pole(den, ok=True):
-    """The one pole rule, ok & (|den| >= POLE_EPS): where a point may divide by den."""
-    return ok & (np.abs(den) >= POLE_EPS)
+def _off_pole(den):
+    """The one pole rule, |den| >= POLE_EPS: where a point may divide by den (never at nan)."""
+    return np.abs(den) >= POLE_EPS
 
 
-def _pole_safe(den, ok=True):
-    """(safe, defined), defined = _off_pole(den, ok) and safe = den where defined, 1 elsewhere.
+def _pole_div(num, den, power: int = 1):
+    """num / den**power, nan where den is nan or fails _off_pole.
 
-    Dividing by any power of safe never warns about discarded points, and
-    quotients that share a denominator share one mask.
+    The masked denominator is nan before the division, so no discarded point
+    divides by zero, and an inf / inf, which numpy reports as invalid, is nan.
     """
-    defined = _off_pole(den, ok)
-    return np.where(defined, den, 1.0), defined
-
-
-def _pole_div(num, den, power: int = 1, ok=True):
-    """(num / den**power, defined), defined = _off_pole(den, ok); nan where not defined."""
-    safe, defined = _pole_safe(den, ok)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(defined, num / (safe if power == 1 else safe**power), np.nan), defined
+    den = np.where(_off_pole(den), den, np.nan)
+    with np.errstate(invalid="ignore"):
+        return num / (den if power == 1 else den**power)
 
 
 class EllipticError(ValueError):
@@ -223,7 +220,7 @@ def weierstrass_real_half_period(inv: WeierstrassInvariants) -> float:
 
 
 def weierstrass_p(z, inv: WeierstrassInvariants):
-    """Vectorized (P, P', defined) on the real ray z > 0.
+    """Vectorized (P, P') on the real ray z > 0, both nan where masked.
 
     For g3 != 0, P is the half-angle form of Abramowitz & Stegun 18.9.12
     (DLMF 23.6): P = e2 + H2 B^2 with B = cn/(sn dn) at v = z sqrt(H2), and
@@ -232,17 +229,16 @@ def weierstrass_p(z, inv: WeierstrassInvariants):
     and arguments too large for jacobi_sn_cn_dn's reduction are masked too.
     """
     z = np.asarray(z, dtype=float)
-    defined = np.isfinite(z) & (z > 0.0)
+    z = np.where(np.isfinite(z) & (z > 0.0), z, np.nan)
     if inv.g3 == 0.0:  # the degenerate lattice: P collapses to 1/z^2
-        p, defined = _pole_div(1.0, z, 2, ok=defined)
-        return p, _pole_div(-2.0, z, 3, ok=defined)[0], defined
+        return _pole_div(1.0, z, 2), _pole_div(-2.0, z, 3)
 
     e2, h2, m = _weierstrass_jacobi(inv)
     rt = math.sqrt(h2)
     with np.errstate(over="ignore"):  # an infinite argument comes back nan
         v = z * rt
     sn, cn, dn = jacobi_sn_cn_dn(v, m)
-    q, defined = _pole_div(1.0, sn * dn, ok=defined)
+    q = _pole_div(1.0, sn * dn)
     b = cn * q
     db = (m.k2 * (sn * cn) ** 2 - dn * dn) * (q * q)  # k^2 cn^2/dn^2 - 1/sn^2
-    return e2 + h2 * b * b, (2.0 * h2 * rt) * b * db, defined
+    return e2 + h2 * b * b, (2.0 * h2 * rt) * b * db

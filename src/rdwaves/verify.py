@@ -6,7 +6,9 @@ observed convergence order of the max residual is itself part of the check
 (an exact solution must converge at the stencil's order, a mismatched pair
 must not).  ODE-level checks validate the chain elements: second-order
 residuals by Richardson-extrapolated finite differences, first integrals
-from the analytically propagated derivative pairs.
+from the analytically propagated derivative pairs.  The catalog's
+evaluators mark a masked point by a nan value, so every check here reads
+its mask as np.isfinite of the values it was given.
 """
 
 from __future__ import annotations
@@ -177,9 +179,10 @@ def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, i
 
     Only the finest grid is sampled, and every point of it once, in strips:
     sample(X, T) gets broadcast views of whole x-rows, at most _STRIP_POINTS
-    points a call (one row where a row alone is longer), and returns
-    (defined, *fields) on them.  The strips land in arrays allocated once per
-    study, each field zero-filled there, once, where defined is False.  Strips
+    points a call (one row where a row alone is longer), and returns the
+    fields on them; a point is defined where every field is finite.  The
+    strips land in arrays allocated once per study, each field zero-filled
+    there, once, where a point is not defined.  Strips
     keep a sampler's temporaries cache-sized: on the whole finest grid each
     temporary would be a fresh mapping, page-faulted in on every study.
     refined() keeps every coarse point and divides the spacing by a power of
@@ -218,10 +221,12 @@ def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, i
     fields: list[np.ndarray] = []
     for start in range(0, x.size, rows):
         strip = np.s_[start:start + rows]
-        ok, *values = sample(*np.broadcast_arrays(x[strip, None], t))
+        values = sample(*np.broadcast_arrays(x[strip, None], t))
         if not fields:
             fields = [np.empty(defined.shape) for _ in values]
-        defined[strip] = ok
+        ok = np.isfinite(values[0], out=defined[strip])
+        for a in values[1:]:
+            ok &= np.isfinite(a)
         for out, a in zip(fields, values):
             out[strip] = np.where(ok, a, 0.0)
     rx, rt = margin
@@ -336,10 +341,10 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
     r = stencil_order // 2
 
     def sample(X, T):
-        u, defined = sampler.sample(X, T)
+        u, _ = sampler.sample(X, T)  # u is nan where masked
         with np.errstate(all="ignore"):
             f = eq.rhs(u)
-        return np.isfinite(u) & np.isfinite(f), u, f  # u is nan where not defined
+        return u, f
 
     def level_residual(fields, hx, ht):
         u, f = fields
@@ -377,8 +382,8 @@ def _chain_scale(c_n: float) -> float:
 
 
 def _ladder(state: PhiState, y: np.ndarray):
-    """(phi, phi', defined, h) on _fd_second's rows y + _FD_ROWS h, the last
-    level of one walk of the recurrence (nan where not defined), at C_n's step
+    """(phi, phi', h) on _fd_second's rows y + _FD_ROWS h, the last level of
+    one walk of the recurrence (nan where masked), at C_n's step
     h = 0.012 / |C_n|^(1/4): its oscillation length, balancing truncation
     against the rounding noise of the chain values."""
     h = 0.012 / _chain_scale(state.c_n)
@@ -399,9 +404,10 @@ def ode_residual(state: PhiState, y_samples) -> OdeResidualReport:
     return _ode_report(*_ladder(state, np.asarray(y_samples, dtype=float)))
 
 
-def _ode_report(phis, dphis, ok, h) -> OdeResidualReport:
+def _ode_report(phis, dphis, h) -> OdeResidualReport:
     """ode_residual's report from a _ladder walk."""
-    phis, dphi = phis[:, ok[2]], dphis[2, ok[2]]  # row 2 holds the values at y
+    ok = np.isfinite(phis[2])  # row 2 holds the values at y
+    phis, dphi = phis[:, ok], dphis[2, ok]
     if dphi.size == 0:
         raise VerificationImpossibleError("all samples masked at chain poles")
     second_order_max = float(np.max(np.abs(_fd_second(phis, h) - 2.0 * phis[2]**3)))
@@ -415,11 +421,11 @@ def _ode_report(phis, dphis, ok, h) -> OdeResidualReport:
 
 
 def _well_conditioned(state: PhiState, y: np.ndarray) -> np.ndarray:
-    """Mask of the y where every element of state's ladder is defined and
-    below 2.5 |C_j|^(1/4), read through the recurrence."""
+    """Mask of the y where every element of state's ladder is finite and
+    below 2.5 |C_j|^(1/4), read through the recurrence (a nan compares False)."""
     keep = np.ones_like(y, dtype=bool)
-    for j, (phi, _, ok) in enumerate(state.levels(y)):
-        keep &= ok & (np.abs(phi) <= 2.5 * _chain_scale(chain_constant(j)))
+    for j, (phi, _) in enumerate(state.levels(y)):
+        keep &= np.abs(phi) <= 2.5 * _chain_scale(chain_constant(j))
     return keep
 
 
@@ -490,7 +496,7 @@ def proposition_suite(max_index: int = 6, n_samples: int = 200) -> list[Proposit
     for index in range(max_index + 1):
         y = clean_chain_samples(index, n_samples, seed=77 + index)
         ladder = _ladder(phi_chain(index), y)
-        phis, dphis, _, h = ladder
+        phis, dphis, h = ladder
         phi, dphi = phis[2], dphis[2]
         c_n = chain_constant(index)
         s = _chain_scale(c_n)
@@ -540,8 +546,7 @@ def potential_residual(z: ZSampler, params: dict, grid: Grid2D) -> ResidualRepor
     l4 = params.get("lambda4", 0.0)
 
     def sample(X, T):
-        zv, _, ok = z.fn(X, T)
-        return ok, zv
+        return z.fn(X, T)[:1]  # z alone: the form needs no analytic z_x
 
     def level_residual(fields, hx, ht):
         (zfill,) = fields

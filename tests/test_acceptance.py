@@ -64,8 +64,8 @@ def test_criterion_02_chain_first_integrals():
     worst = 0.0
     for index in range(7):
         y = clean_chain_samples(index, 200, seed=100 + index)
-        phi, dphi, okm = phi_chain(index).eval(y)
-        assert okm.all()
+        phi, dphi = phi_chain(index).eval(y)
+        assert np.isfinite(phi).all() and np.isfinite(dphi).all()
         dev = float(np.max(np.abs(dphi**2 - phi**4 - chain_constant(index))))
         worst = max(worst, dev)
     ok = worst <= 1e-7

@@ -486,6 +486,19 @@ class TestWorkBudgets:
         with pytest.raises(ValueError, match=r"^69760 steps of 481 points at step 0\.05 exceed"):
             cli._check_work(SimConfig(**self._README, n_checkpoints=69_761), 0.05)
 
+    def test_lower_bound_refusal_names_the_count_it_compared(self, tmp_path, monkeypatch):
+        # 59 intervals of 600,000 points are 3.5e7 point-steps before any step is
+        # planned; the span of 100 is not a step count
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=r"^--window/--time/--checkpoints: 59 steps of "
+                                             r"600000 points at step 1\.66667e-06 exceed "):
+            main(["simulate", "--family", "fisher-front", "--window=0,1,600000",
+                  "--time", "0,100", "--checkpoints", "60", "--out", "s"])
+        # an infinite span is refused as it is, whatever the checkpoint count
+        cfg = SimConfig(x_min=0.0, x_max=1.5e154, n_x=16, t0=-1e308, t1=1e308)
+        with pytest.raises(ValueError, match=r"^inf steps of 16 points at step 1e\+153 exceed "):
+            cli._check_work(cfg, cfg.h)
+
     @pytest.mark.parametrize("checkpoints, steps", [(9, 1784), (1778, 3554), (2, 1778),
                                                     (3, 1778), (17, 1792), (333, 1992)])
     def test_planned_steps_are_the_steps_taken(self, checkpoints, steps):

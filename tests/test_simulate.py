@@ -42,8 +42,7 @@ def heat_kernel_sampler(t_start: float = -1.0) -> Sampler:
     """The heat kernel of a point source at t_start."""
     def fn(x, t):
         s = t - t_start
-        u = np.exp(-(x**2) / (4.0 * s)) / np.sqrt(4.0 * math.pi * s)
-        return u, np.ones_like(u, dtype=bool)
+        return np.exp(-(x**2) / (4.0 * s)) / np.sqrt(4.0 * math.pi * s)
 
     return Sampler(fn=fn, equation=KPPGeneric(f=lambda u: np.zeros_like(u), label="diffusion"),
                    family_id="heat-kernel", params={})
@@ -176,7 +175,7 @@ class TestIntegrate:
         # 101 entries of 5e306 sum to inf in floating point, yet every entry is finite
         def fn(x, t):
             shape = np.broadcast_shapes(np.shape(x), np.shape(t))
-            return np.full(shape, 5e306), np.ones(shape, dtype=bool)
+            return np.full(shape, 5e306)
 
         s = Sampler(fn=fn, equation=KPPGeneric(f=np.zeros_like, label="diffusion"),
                     family_id="constant", params={})
@@ -310,8 +309,7 @@ def reference_stage_times(eq, base: Sampler, cfg: SimConfig) -> list[float]:
 
 def masked_from(base: Sampler, t_bad: float) -> Sampler:
     def fn(x, t):
-        u, defined = base.fn(x, t)
-        return u, defined & (t < t_bad)
+        return np.where(t < t_bad, base.fn(x, t), np.nan)
 
     return Sampler(fn=fn, equation=base.equation, family_id="masked-late", params={})
 

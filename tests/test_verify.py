@@ -45,8 +45,7 @@ SQRT6 = math.sqrt(6.0)
 
 def constant_sampler(value: float, equation) -> Sampler:
     def fn(x, t):
-        u = np.full_like(np.asarray(x, dtype=float), value)
-        return u, np.ones_like(u, dtype=bool)
+        return np.full_like(np.asarray(x, dtype=float), value)
 
     return Sampler(fn=fn, equation=equation, family_id="constant", params={"value": value})
 
@@ -296,14 +295,12 @@ class TestPdeResidual:
             pde_residual(s, s.equation, g, 3)
 
     def test_masked_hole_does_not_leak(self):
-        # garbage values under the mask must never touch any used stencil
+        # the masked hole, zero-filled by the study, must never touch any used stencil
         base = fisher_front("tanh")
 
         def fn(x, t):
-            u, ok = base.fn(x, t)
             hole = (np.abs(x) < 1.0) & (t > 0.2) & (t < 0.3)
-            u = np.where(hole, 1e300, u)
-            return u, ok & ~hole
+            return np.where(hole, np.nan, base.fn(x, t))
 
         s = Sampler(fn=fn, equation=Fisher(), family_id="holed", params={})
         g = Grid2D(-10.0, 10.0, 65, 0.0, 0.5, 33)
@@ -313,9 +310,7 @@ class TestPdeResidual:
 
     def test_verification_impossible_when_mostly_masked(self):
         def fn(x, t):
-            u = np.zeros_like(x)
-            ok = np.abs(x) < 0.05
-            return u, ok
+            return np.where(np.abs(x) < 0.05, 0.0, np.nan)
 
         sliver = Sampler(fn=fn, equation=Fisher(), family_id="sliver", params={},
                          domain_note="almost everything masked")
@@ -435,8 +430,7 @@ def negated(s: Sampler) -> Sampler:
     inner = s.fn
 
     def fn(x, t):
-        u, defined = inner(x, t)
-        return -u, defined
+        return -inner(x, t)
 
     return replace(s, fn=fn)
 
@@ -548,7 +542,7 @@ class TestOdeResidual:
     def test_reciprocal_element_first_integral_constant(self):
         # hat element sqrt(B0)/phi with B0 = 1/4: (hat')^2 + hat^4 constant
         y = clean_chain_samples(0, 300)
-        phi, dphi, _ = phi_chain(0).eval(y)
+        phi, dphi = phi_chain(0).eval(y)
         hphi = 0.5 / phi
         hdphi = -0.5 * dphi / phi**2
         first = hdphi**2 + hphi**4
@@ -571,8 +565,8 @@ def reference_clean_chain_samples(max_index: int, n: int, seed: int = 77) -> np.
     rng = np.random.default_rng(seed)
     y = rng.uniform(0.05, 2 * CHAIN_K - 0.05, 200 * n)
     keep = np.ones_like(y, dtype=bool)
-    for j, (phi, _, ok) in enumerate(phi_chain(max_index).levels(y)):
-        keep &= ok & (np.abs(phi) <= 2.5 * abs(chain_constant(j)) ** 0.25)
+    for j, (phi, _) in enumerate(phi_chain(max_index).levels(y)):
+        keep &= np.isfinite(phi) & (np.abs(phi) <= 2.5 * abs(chain_constant(j)) ** 0.25)
     y = y[keep]
     if y.size < n:
         raise VerificationImpossibleError(
@@ -672,7 +666,7 @@ class TestLadder:
     @pytest.mark.parametrize("index", [0, 5, 12, 17])
     def test_second_derivative_matches_the_callable_form(self, index):
         state, y = phi_chain(index), clean_chain_samples(index, 200)
-        phis, _, _, h = verify._ladder(state, y)
+        phis, _, h = verify._ladder(state, y)
         expected = reference_fd_second(lambda q: list(state.levels(q))[-1][0], y, h)
         assert np.array_equal(verify._fd_second(phis, h), expected)
 
@@ -684,8 +678,9 @@ class TestZeroFill:
         # points the h/4 level (31 interior columns) is strips of one row and
         # the h/2 level (15 columns) strips of 4 rows, the last of 3
         def sample(X, T):
+            # a point is masked where any field is not finite: nan in one, inf in the other
             defined = X < 0.8
-            return defined, np.where(defined, X, np.nan), np.where(defined, T, np.inf)
+            return np.where(defined, X, np.nan), np.where(defined, T, np.inf)
 
         def level_residual(fields, hx, ht):
             # copies: the study packs its squares into the finest field's rows it is done with
@@ -713,7 +708,7 @@ class TestZeroFill:
 
     def test_a_residual_off_its_margin_is_refused(self):
         def sample(X, T):
-            return np.ones(X.shape, dtype=bool), X
+            return (X,)
 
         grid = Grid2D(0.0, 1.0, 9, 0.0, 1.0, 9)
         with pytest.raises(ValueError, match="margin"):
@@ -724,10 +719,12 @@ class TestZeroFill:
 def reference_refinement_study(sample, grid, level_residual, margin, stencil_order,
                                masked_where):
     """The whole-grid study: one sample call on the meshgrid of the finest grid,
-    zero-filled copies, and the statistics taken from full-grid temporaries."""
+    defined where every field is finite, zero-filled copies, and the
+    statistics taken from full-grid temporaries."""
     grids = [grid, grid.refined(), grid.refined().refined()]
     X, T = np.meshgrid(grids[-1].x, grids[-1].t, indexing="ij")
-    defined, *fields = sample(X, T)
+    fields = sample(X, T)
+    defined = np.all([np.isfinite(a) for a in fields], axis=0)
     fields = [np.where(defined, a, 0.0) for a in fields]
     rx, rt = margin
     maxima, fractions = [], []
@@ -771,8 +768,8 @@ def holed_plane_wave() -> ZSampler:
     base = z_plane_wave(2.0, -1.0, 0.8, 0.0)
 
     def fn(x, t):
-        zv, zt, ok = base.fn(x, t)
-        return zv, zt, ok & ~((np.abs(x) < 0.2) & (t > 0.1) & (t < 0.15))
+        hole = (np.abs(x) < 0.2) & (t > 0.1) & (t < 0.15)
+        return tuple(np.where(hole, np.nan, a) for a in base.fn(x, t))
 
     return ZSampler(fn=fn, label="holed")
 
@@ -995,13 +992,12 @@ class TestPotentialResidual:
         rep = potential_residual(z, {"k": 2.0, "lambda1": 3.0, "lambda2": 0.0}, g)
         fine = g.refined().refined()
         X, T = np.meshgrid(fine.x, fine.t, indexing="ij")
-        plus, clear = _usable(z.fn(X, T)[2], 3, 2)
+        plus, clear = _usable(np.isfinite(z.fn(X, T)[0]), 3, 2)
         assert rep.defined_fraction == float(plus.mean())
         assert rep.defined_fraction > float((plus & clear).mean())
 
     def test_constant_z_identically_zero(self):
-        z = ZSampler(fn=lambda x, t: (np.ones_like(x), np.zeros_like(x), np.ones_like(x, bool)),
-                     label="const")
+        z = ZSampler(fn=lambda x, t: (np.ones_like(x), np.zeros_like(x)), label="const")
         g = Grid2D(-1.0, 1.0, 17, 0.0, 1.0, 9)
         rep = potential_residual(z, {"k": 2.0, "lambda1": 1.0}, g)
         assert rep.max_abs == 0.0

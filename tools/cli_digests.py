@@ -137,6 +137,11 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("simulate-window-over-work-budget",
                  ["simulate", "--family", "fisher-front", "--window=0,1e-3,24", "--time", "0,1",
                   "--out", "simulate"]))
+    # checkpoint intervals that alone exceed the work budget: the refusal names
+    # the 59 intervals it compared
+    runs.append(("simulate-intervals-over-work-budget",
+                 ["simulate", "--family", "fisher-front", "--window=0,1,600000",
+                  "--time", "0,100", "--checkpoints", "60", "--out", "s"]))
     return runs
 
 
