@@ -23,6 +23,7 @@ __all__ = [
     "EquationError",
     "EquationSpec",
     "STENCILS",
+    "stencil_kernel",
     "central_difference",
     "Fisher",
     "KPPGeneric",
@@ -94,6 +95,25 @@ _KERNELS = MappingProxyType({key: np.array(weights, dtype=float)
                              for key, (weights, _, _) in STENCILS.items() if all(weights)})
 
 
+def stencil_kernel(derivative: int, order: int, h: float) -> tuple[np.ndarray | None, float]:
+    """(kernel, scale) of the central stencil of STENCILS for a derivative at
+    an order and grid step h: np.correlate(a, kernel, "valid") / scale is the
+    derivative of a 1-D a, bit for bit as central_difference returns it.
+    scale is denominator * h**power; kernel is None for a stencil with a zero
+    weight, which only the weighted-slice sum of central_difference evaluates.
+    A caller that differentiates many fields on one grid binds both once.
+    """
+    entry = STENCILS.get((derivative, order))
+    if entry is None:
+        raise ValueError(f"no central stencil for derivative {derivative} at order {order}")
+    _, den, power = entry
+    try:
+        scale = den * h**power
+    except OverflowError:  # a Python float power raises where numpy would warn
+        raise ValueError(f"grid step {h:g} overflows when raised to the power {power}") from None
+    return _KERNELS.get((derivative, order)), scale
+
+
 def central_difference(a, h: float, derivative: int, order: int) -> np.ndarray:
     """Central-difference derivative of a along axis 0 at grid spacing h.
 
@@ -101,22 +121,20 @@ def central_difference(a, h: float, derivative: int, order: int) -> np.ndarray:
     the weights of STENCILS (Fornberg, Math. Comp. 51 (1988) 699-706).  The
     result loses the stencil radius r at each end of axis 0; transpose a to
     difference along another axis.  A 1-D a at least as long as the stencil,
-    with no zero weight, is one np.correlate call, whose sum may round
-    differently in the last bits.  Any other a sums the weighted slices
-    a[r + j : n - r + j] in ascending offset j, skipping zero weights, so an
-    inf or nan under a zero weight stays out of the result.  Either way the
-    sum is divided by denominator * h**power last.
+    with no zero weight, is one np.correlate call with stencil_kernel's
+    kernel, whose sum may round differently in the last bits.  Any other a
+    sums the weighted slices a[r + j : n - r + j] in ascending offset j,
+    skipping zero weights, so an inf or nan under a zero weight stays out of
+    the result.  Either way the sum is divided by stencil_kernel's scale,
+    denominator * h**power, last.
     """
-    entry = STENCILS.get((derivative, order))
-    if entry is None:
-        raise ValueError(f"no central stencil for derivative {derivative} at order {order}")
-    weights, den, power = entry
+    kernel, scale = stencil_kernel(derivative, order, h)
     a = np.asarray(a, dtype=float)
-    width = len(weights)
-    kernel = _KERNELS.get((derivative, order))
-    if a.ndim == 1 and len(a) >= width and kernel is not None:
+    if a.ndim == 1 and kernel is not None and len(a) >= len(kernel):
         out = np.correlate(a, kernel, "valid")
     else:
+        weights = STENCILS[derivative, order][0]
+        width = len(weights)
         terms = [(float(w), a[j:j + 1 - width or None]) for j, w in enumerate(weights) if w]
         (w0, s0), *rest = terms
         out = w0 * s0
@@ -127,10 +145,6 @@ def central_difference(a, h: float, derivative: int, order: int) -> np.ndarray:
                 out -= s
             else:
                 out += w * s
-    try:
-        scale = den * h**power
-    except OverflowError:  # a Python float power raises where numpy would warn
-        raise ValueError(f"grid step {h:g} overflows when raised to the power {power}") from None
     out /= scale
     return out
 

@@ -19,13 +19,16 @@ it (SimConfig.interval_steps), by one of two explicit methods, SimConfig.method:
 Boundary values are pinned to the exact sampler at every stage time, which
 removes boundary-induced error when checking that exact profiles translate
 as predicted.  The integrator owns its stage buffers and forms each stage
-and the update in place; the only fresh arrays of a stage are f(u), copied
-into a buffer, and the Laplacian from equations.central_difference (one
-np.correlate call on the 1-D field), added into it.  Front speed has one
-estimator: each checkpoint is registered against the initial profile by a
-Gauss-Newton shift, warm-started from the previous checkpoint's, and a line
-through the shifts gives the speed.  The level-crossing fit, front_velocity,
-stays as an independent oracle.
+and the update in place.  It binds the second-derivative stencil once per
+march (equations.stencil_kernel: the np.correlate kernel and the divisor
+denominator * h^power), so a stage's only fresh arrays are f(u), copied
+into a buffer, and the Laplacian, one np.correlate call divided in place by
+that divisor and added into it: equations.central_difference's 1-D result,
+bit for bit, without its per-call lookups.  Front speed has one estimator:
+each checkpoint is registered against the initial profile by a Gauss-Newton
+shift, warm-started from the previous checkpoint's, on the profile's
+gradient taken once, and a line through the shifts gives the speed.  The
+level-crossing fit, front_velocity, stays as an independent oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Sampler
-from .equations import STENCILS, EquationSpec, central_difference
+from .equations import STENCILS, EquationSpec, stencil_kernel
 
 __all__ = [
     "SimulationError",
@@ -229,6 +232,7 @@ def _rk4(rhs, u: np.ndarray, edges: np.ndarray):
     stage 4 and the end-of-step pin.
     """
     k1, k2, k3, k4, stage = np.empty((5, u.size))
+    multiply, add = np.multiply, np.add  # closure cells: no module lookup per call
 
     def step(dt: float, b: np.ndarray) -> None:
         # stage field (c dt) k + u; the update u + (dt/6) (((k1 + 2 k2) + 2 k3)
@@ -236,17 +240,17 @@ def _rk4(rhs, u: np.ndarray, edges: np.ndarray):
         rhs(u, k1)
         for k_in, k_out, c, row in ((k1, k2, 0.5, b[0]), (k2, k3, 0.5, b[0]),
                                     (k3, k4, 1.0, b[1])):
-            np.multiply(k_in, c * dt, out=stage)
-            np.add(stage, u, out=stage)
+            multiply(k_in, c * dt, out=stage)
+            add(stage, u, out=stage)
             stage[edges] = row
             rhs(stage, k_out)
-        np.multiply(k2, 2.0, out=k2)
-        np.add(k2, k1, out=k2)
-        np.multiply(k3, 2.0, out=k3)
-        np.add(k2, k3, out=k2)
-        np.add(k2, k4, out=k2)
-        np.multiply(k2, dt / 6.0, out=k2)
-        np.add(u, k2, out=u)
+        multiply(k2, 2.0, out=k2)
+        add(k2, k1, out=k2)
+        multiply(k3, 2.0, out=k3)
+        add(k2, k3, out=k2)
+        add(k2, k4, out=k2)
+        multiply(k2, dt / 6.0, out=k2)
+        add(u, k2, out=u)
         u[edges] = b[1]
 
     return (0.5, 1.0), step
@@ -261,24 +265,25 @@ def _rkc(rhs, u: np.ndarray, edges: np.ndarray):
     mu, nu, mu_t, gamma_t = RKC.mu, RKC.nu, RKC.mu_t, RKC.gamma_t
     f0, f, scratch, *ring = np.empty((6, u.size))
     Y = [u] + [ring[(j - 1) % 3] for j in range(1, RKC_STAGES + 1)]
+    multiply, copyto = np.multiply, np.copyto  # closure cells: no module lookup per call
 
     def step(dt: float, b: np.ndarray) -> None:
         # Y_j = (((mu_j Y_{j-1} + nu_j Y_{j-2}) + (1 - mu_j - nu_j) u)
         # + (mu_t_j dt) F_{j-1}) + (gamma_t_j dt) F_0, in place and in that order
         rhs(u, f0)
-        np.multiply(f0, mu_t[1] * dt, out=Y[1])
+        multiply(f0, mu_t[1] * dt, out=Y[1])
         Y[1] += u
         Y[1][edges] = b[0]
         for j in range(2, RKC_STAGES + 1):
             rhs(Y[j - 1], f)
             y = Y[j]
-            np.multiply(Y[j - 1], mu[j], out=y)
+            multiply(Y[j - 1], mu[j], out=y)
             for coef, term in ((nu[j], Y[j - 2]), (1.0 - mu[j] - nu[j], u),
                                (mu_t[j] * dt, f), (gamma_t[j] * dt, f0)):
-                np.multiply(term, coef, out=scratch)
+                multiply(term, coef, out=scratch)
                 y += scratch
             y[edges] = b[j - 1]
-        np.copyto(u, Y[RKC_STAGES])
+        copyto(u, Y[RKC_STAGES])
 
     return RKC.c[1:], step
 
@@ -304,18 +309,23 @@ def integrate(eq: EquationSpec, init: Sampler, cfg: SimConfig) -> SimHistory:
             f"({init.domain_note})"
         )
     u = np.array(u0, dtype=float)
-    h = cfg.h
     dt_max = cfg.dt_max
     edges = np.r_[0:nb, cfg.n_x - nb:cfg.n_x]
     x_edges = x[edges]
+    # bound once per march: each stage then skips central_difference's table
+    # lookups and the divisor's power, with the same arithmetic in the same order
+    kernel, scale = stencil_kernel(2, cfg.space_order, cfg.h)
+    reaction, copyto, correlate = eq.rhs, np.copyto, np.correlate
 
     def rhs(values: np.ndarray, out: np.ndarray) -> None:
         """f(u) plus the interior second derivative, into out; the boundary
         layers carry f(u) alone because they are pinned to the exact sampler.
         f's own array is copied, never written: f may return its argument,
         a cached buffer, a read-only view or a scalar."""
-        np.copyto(out, eq.rhs(values))
-        out[nb:-nb] += central_difference(values, h, 2, cfg.space_order)
+        copyto(out, reaction(values))
+        lap = correlate(values, kernel, "valid")
+        lap /= scale
+        out[nb:-nb] += lap
 
     fractions, step = (_rk4 if cfg.method == "rk4" else _rkc)(rhs, u, edges)
     per_step = len(fractions)
@@ -419,18 +429,22 @@ def _shift_misfit(x: np.ndarray, u_ref: np.ndarray, u: np.ndarray, s: float) -> 
     return u[core] - np.interp(x[core], x + s, u_ref)
 
 
-def register_shift(x: np.ndarray, u_ref: np.ndarray, u: np.ndarray, start: float = 0.0) -> float:
+def register_shift(x: np.ndarray, u_ref: np.ndarray, u: np.ndarray, start: float = 0.0, *,
+                   du_ref: np.ndarray | None = None) -> float:
     """Shift s minimizing sum (u(x) - u_ref(x - s))^2: the one speed estimator's step.
 
     Gauss-Newton from start: the Jacobian J of the misfit r in s is
-    u_ref'(x - s) on the same core, with u_ref' from np.gradient, and
-    s -= <J, r>/<J, J> until a step is below 1e-12.  Raises
+    u_ref'(x - s) on the same core, with u_ref' = du_ref, by default
+    np.gradient(u_ref, x[1] - x[0]), and s -= <J, r>/<J, J> until a step is
+    below 1e-12.  A caller registering many fields against one reference
+    passes its gradient once.  Raises
     AmbiguousFrontError where |s| leaves a quarter of the window, where
     <J, J> is not positive (a flat reference), or after
     REGISTRATION_ITERATIONS steps.
     """
     max_shift = 0.25 * (x[-1] - x[0])
-    du_ref = np.gradient(u_ref, x[1] - x[0])
+    if du_ref is None:
+        du_ref = np.gradient(u_ref, x[1] - x[0])
     s = float(start)
     for _ in range(REGISTRATION_ITERATIONS):
         jac = np.interp(x[_core(x, s)], x + s, du_ref)
@@ -453,14 +467,16 @@ def registration_velocity(history: SimHistory) -> tuple[float, float, float]:
     """(velocity, r2, worst shape error) from optimal-shift registration.
 
     Each checkpoint is registered against the initial profile, starting from
-    the previous checkpoint's shift; the fitted slope of shift vs time is the
+    the previous checkpoint's shift, with the profile's gradient taken once
+    for all of them; the fitted slope of shift vs time is the
     translation speed and the post-shift residual measures shape preservation.
     """
     x = history.x
     u0 = history.fields[0]
+    du0 = np.gradient(u0, x[1] - x[0])
     shifts, errs = [0.0], [0.0]
     for u in history.fields[1:]:
-        s = register_shift(x, u0, u, shifts[-1])
+        s = register_shift(x, u0, u, shifts[-1], du_ref=du0)
         shifts.append(s)
         errs.append(float(np.max(np.abs(_shift_misfit(x, u0, u, s)))))
     tt = np.asarray(history.times, dtype=float)

@@ -247,6 +247,34 @@ class TestWeightTable:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= bound
 
+    @pytest.mark.parametrize("n", [5, 16, 481])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_bound_kernel_is_the_one_dimensional_path(self, order, n):
+        # the integrator binds the second-derivative kernel and scale once per
+        # march and divides the correlation in place: central_difference's
+        # result bit for bit, non-finite entries included
+        rng = np.random.default_rng(n)
+        a = scaled_draws(n, n)
+        a[rng.choice(n, 3, replace=False)] = np.inf, -np.inf, np.nan
+        for h in (0.05, 0.0123, 3.7):
+            kernel, scale = equations.stencil_kernel(2, order, h)
+            with np.errstate(invalid="ignore"):
+                got = np.correlate(a, kernel, "valid")
+                got /= scale
+                want = central_difference(a, h, 2, order)
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_bound_kernel_only_without_zero_weights(self):
+        # derivatives 1 and 3 weigh their centre by 0, so they are summed by slices
+        for (derivative, order), (_, den, power) in equations.STENCILS.items():
+            kernel, scale = equations.stencil_kernel(derivative, order, 0.5)
+            assert scale == den * 0.5**power
+            assert (kernel is None) == (derivative != 2)
+        with pytest.raises(ValueError, match="no central stencil"):
+            equations.stencil_kernel(2, 6, 0.5)
+        with pytest.raises(ValueError, match="overflows when raised to the power 2"):
+            central_difference(np.zeros(9), 1e200, 2, 4)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("derivative, order", STENCILS)
     def test_one_dimensional_finiteness_pattern(self, derivative, order, bad):

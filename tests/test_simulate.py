@@ -354,7 +354,12 @@ REFERENCE_CASES = pytest.mark.parametrize("sampler, window, n_x, t1, n_checkpoin
     # one interval of more than BLOCK_STEPS RK4 steps
     (fisher_front("tanh"), (-6.0, 8.0), 161, 1.0, 2),
     (perturbed_fisher_bell(0.3), (1.2, 9.5), 161, 0.4, 2),
-], ids=["fisher-front", "bell", "fisher-front-long", "bell-long"])
+    # with fisher-front and the bell, every reaction that velocity marches:
+    # c1 = 2 takes _frac_pow's half power, the plane wave GeneralFamily's square
+    (generalized_fisher(2.0), (-9.0, 10.0), 81, 0.5, 5),
+    (build_family("plane-wave"), (-9.5, 10.5), 81, 0.5, 5),
+], ids=["fisher-front", "bell", "fisher-front-long", "bell-long", "generalized-fisher",
+        "plane-wave"])
 
 
 class TestHotPath:
@@ -725,6 +730,20 @@ class TestRegistration:
         monkeypatch.setattr(simulate, "REGISTRATION_ITERATIONS", 2)
         with pytest.raises(AmbiguousFrontError, match="did not converge in 2 steps"):
             register_shift(x, np.tanh(x), np.tanh(x - 1.0))
+
+    @pytest.mark.parametrize("family", ["fisher-front", "bell"])
+    def test_velocity_is_the_per_checkpoint_loop(self, family):
+        # the reference gradient, taken once for all checkpoints, gives what a
+        # loop of plain register_shift calls, each taking its own, gives
+        s = build_family(family)
+        hist = integrate(s.equation, s, _velocity_setup(s, 0.05))
+        x, u0 = hist.x, hist.fields[0]
+        shifts, errs = [0.0], [0.0]
+        for u in hist.fields[1:]:
+            shifts.append(register_shift(x, u0, u, shifts[-1]))
+            errs.append(float(np.max(np.abs(simulate._shift_misfit(x, u0, u, shifts[-1])))))
+        slope, r2 = _line_fit(hist.times - hist.times[0], np.array(shifts))
+        assert registration_velocity(hist) == (slope, r2, max(errs))
 
     @pytest.mark.parametrize("family", ["bell", "fisher-exp", "fisher-front",
                                         "generalized-fisher", "plane-wave"])
