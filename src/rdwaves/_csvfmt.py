@@ -15,8 +15,12 @@ lies on one side of the half-way point.  nan, +-inf and every cell the
 arithmetic does not settle are formatted by ``%`` itself, one at a time.
 
 Each number becomes a WIDTH-byte field, padded with NUL bytes where its sign
-or a third exponent digit is absent, and each CSV row a fixed-width record
-of fields and separators.  Dropping the NUL bytes gives the CSV text.
+or a third exponent digit is absent (a ``%`` field is padded at its end).  A
+block of CSV rows is a block of fixed-width records of slots and separators,
+each slot trimmed to the byte columns that some cell of the block uses: the
+sign column or the third exponent digit's column is left out where it is NUL
+in every cell.  Dropping the NUL bytes that remain (mixed signs or exponent
+widths, nan and ``%`` cells) gives the CSV text.
 """
 
 from __future__ import annotations
@@ -99,9 +103,10 @@ def _round(m: np.ndarray, e: np.ndarray, L: np.ndarray):
     # point, c in 1 ... 12 since 2^179 <= m T < 2^181 and 10^16 <= N < 10^19
     c = (128 + e + _SHIFT.take(i)).astype(np.uint64)
     cols = [_ZERO] * 7  # m T in 32-bit columns; limbs zero in every cell are skipped
+    halves = (m & _MASK32, m >> _U32)
     for j in range(int(_LOWEST.take(i).min(initial=3)), 4):
         t = _LIMBS[j].take(i)
-        for h, part in enumerate((m & _MASK32, m >> _U32)):
+        for h, part in enumerate(halves):
             p = part * t  # 32 x 32 bits
             cols[j + h] += p & _MASK32
             cols[j + h + 1] += p >> _U32
@@ -190,7 +195,15 @@ def fields(v) -> np.ndarray:
     return out
 
 
-_NAN = np.frombuffer(b"nan".ljust(WIDTH, b"\0"), np.uint8)
+# a masked cell: nan where the digits go, so that it leaves the sign and
+# third exponent digit columns NUL
+_NAN = np.frombuffer(b"\0nan".ljust(WIDTH, b"\0"), np.uint8)
+
+
+def _used(f: np.ndarray) -> slice:
+    """The byte columns of the fields f that some cell uses: the sign column
+    and the third exponent digit's column only where some cell fills them."""
+    return slice(0 if f[:, 0].any() else 1, WIDTH if f[:, -1].any() else WIDTH - 1)
 
 
 def _text(records: np.ndarray) -> str:
@@ -200,43 +213,67 @@ def _text(records: np.ndarray) -> str:
 
 def grid_csv(x, t, u, defined) -> str:
     """CSV of u on the 1-D axes x (varying slowest) and t, header x,t,u,defined;
-    a masked cell reads nan with flag 0."""
+    a masked cell reads nan with flag 0.
+
+    t's slot is trimmed to its used columns once, x's and u's once a block of
+    rows (``_used``); the NUL pass removes what padding remains in a slot."""
     xf, tf = fields(x), fields(t)
     nx, nt = len(xf), len(tf)
+    tf = tf[:, _used(tf)]
+    wt = tf.shape[1]
     defined = np.asarray(defined, bool)
     rows = max(1, BLOCK // max(nt, 1))
-    # x,t,u,1\n: three fields and five bytes
-    rec = np.empty((min(rows, nx), nt, 3 * WIDTH + 5), np.uint8)
-    rec[:, :, WIDTH::WIDTH + 1] = ord(",")
-    rec[:, :, -1] = ord("\n")
-    rec[:, :, WIDTH + 1:2 * WIDTH + 1] = tf
+    most = min(rows, nx)
+    # x,t,u,1\n: three slots and five bytes a record, at most WIDTH bytes a slot
+    buf = np.empty(most * nt * (3 * WIDTH + 5), np.uint8)
+    widths = None
     parts = ["x,t,u,defined\n"]
     for r0 in range(0, nx, rows):
-        block, d = rec[:min(rows, nx - r0)], defined[r0:r0 + rows]
-        block[:, :, :WIDTH] = xf[r0:r0 + rows, None]
-        cells = block[:, :, 2 * WIDTH + 2:3 * WIDTH + 2]
-        if d.all():
-            cells[...] = fields(u[r0:r0 + rows]).reshape(cells.shape)
+        d = defined[r0:r0 + rows]
+        xs = xf[r0:r0 + rows]
+        xs = xs[:, _used(xs)]
+        full = d.all()
+        uf = fields(u[r0:r0 + rows] if full else u[r0:r0 + rows][d])
+        us = _used(uf)
+        wx, wu = xs.shape[1], us.stop - us.start
+        if widths != (wx, wu):  # lay out the separators and t at these widths
+            widths = wx, wu
+            width = wx + wt + wu + 5
+            rec = buf[:most * nt * width].reshape(most, nt, width)
+            rec[:, :, [wx, wx + wt + 1, -3]] = ord(",")
+            rec[:, :, -1] = ord("\n")
+            rec[:, :, wx + 1:wx + wt + 1] = tf
+        block = rec[:len(d)]
+        block[:, :, :wx] = xs[:, None]
+        cells = block[:, :, wx + wt + 2:-3]
+        if full:
+            cells[...] = uf[:, us].reshape(cells.shape)
         else:
-            cells[~d] = _NAN
-            cells[d] = fields(u[r0:r0 + rows][d])
+            cells[~d] = _NAN[us]
+            cells[d] = uf[:, us]
         block[:, :, -2] = np.where(d, ord("1"), ord("0"))
         parts.append(_text(block))
     return "".join(parts)
 
 
 def profile_csv(x, u) -> str:
-    """CSV of the profile u on the grid x, header x,u."""
+    """CSV of the profile u on the grid x, header x,u.
+
+    x's and u's slots are trimmed to their used columns once a block of rows
+    (``_used``); the NUL pass removes what padding remains in a slot."""
     rows = BLOCK // 2
-    # x,u\n: two fields and two bytes
-    rec = np.empty((min(rows, len(x)), 2 * WIDTH + 2), np.uint8)
-    rec[:, WIDTH] = ord(",")
-    rec[:, -1] = ord("\n")
+    # x,u\n: two slots and two bytes a record, at most WIDTH bytes a slot
+    buf = np.empty(min(rows, len(x)) * (2 * WIDTH + 2), np.uint8)
     parts = ["x,u\n"]
     for r0 in range(0, len(x), rows):
         xu = fields(np.stack([x[r0:r0 + rows], u[r0:r0 + rows]], axis=1))
-        block = rec[:len(xu) // 2]
-        block[:, :WIDTH] = xu[0::2]
-        block[:, WIDTH + 1:-1] = xu[1::2]
+        xs, us = xu[0::2], xu[1::2]
+        xs, us = xs[:, _used(xs)], us[:, _used(us)]
+        wx = xs.shape[1]
+        block = buf[:len(xs) * (wx + us.shape[1] + 2)].reshape(len(xs), -1)
+        block[:, :wx] = xs
+        block[:, wx] = ord(",")
+        block[:, wx + 1:-1] = us
+        block[:, -1] = ord("\n")
         parts.append(_text(block))
     return "".join(parts)

@@ -45,9 +45,16 @@ from .verify import (
 SCHEMA = 1
 
 
+# characters a write: each slice is encoded on its own, so no encoded copy of
+# a whole file is held at once
+_WRITE_SLICE = 1 << 16
+
+
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with tmp.open("w") as f:
+        for i in range(0, len(text), _WRITE_SLICE):
+            f.write(text[i:i + _WRITE_SLICE])
     os.replace(tmp, path)
 
 

@@ -30,6 +30,7 @@ from rdwaves.verify import (
     potential_residual,
     proposition_suite,
 )
+from test_csvfmt import near_tie
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -158,11 +159,62 @@ class TestCsvBlocks:
         assert_same_rows(cli._grid_csv(x, t, u, defined),
                          reference_grid_csv(x[:, None], t[None, :], u, defined))
 
-    def test_profile_over_several_blocks(self):
+    @staticmethod
+    def _widths_change(rng, rows, nt):
+        # x negative for two blocks, then from 0 on; u positive with 2-digit
+        # exponents, but for a negative cell in the second block and 3-digit
+        # exponents in the third and fourth
+        nx = 3 * rows + 10
+        x = np.arange(nx, dtype=float) - 2 * rows
+        u = 0.5 + rng.random((nx, nt))
+        u[rows + 5, 7] = -0.25
+        u[2 * rows + 3, 50] = 1e-150
+        u[-1, -1] = 1e200
+        return x, u, np.ones((nx, nt), bool)
+
+    @staticmethod
+    def _nan_and_unsettled(rng, rows, nt):
+        # positive x and u beside a masked cell, a defined nan and a cell
+        # left to % (near a tie): % writes the last two from the sign column
+        # on, so u's slot keeps it and drops only the third exponent digit's
+        x = np.linspace(0.5, 3.0, 2 * rows)
+        u = 0.5 + rng.random((len(x), nt))
+        defined = np.ones(u.shape, bool)
+        defined[0, 3] = False
+        u[0, 4] = np.nan
+        u[rows + 1, 5] = near_tie(14, -1)
+        return x, u, defined
+
+    @pytest.mark.parametrize("case", ["_widths_change", "_nan_and_unsettled"])
+    def test_slots_trimmed_per_block(self, case):
+        rng = np.random.default_rng(10)
+        nt = 97
+        rows = _csvfmt.BLOCK // nt
+        t = np.linspace(0.0, 2.0, nt)
+        x, u, defined = getattr(self, case)(rng, rows, nt)
+        assert_same_rows(cli._grid_csv(x, t, u, defined),
+                         reference_grid_csv(x[:, None], t[None, :], u, defined))
+
+    # x's slot keeps its sign column in the first block and drops it in the
+    # next two; u's keeps every column for random bits and drops both trimmed
+    # columns for values in [0.5, 1.5)
+    @pytest.mark.parametrize("values", ["bits", "positive"])
+    def test_profile_over_several_blocks(self, values):
         rng = np.random.default_rng(9)
         n = _csvfmt.BLOCK + 5
-        x, u = np.linspace(-10.0, 14.0, n), _block_values(rng, n)
+        x = np.linspace(-10.0, 14.0, n)
+        u = _block_values(rng, n) if values == "bits" else 0.5 + rng.random(n)
         assert_same_rows(cli._profile_csv(x, u), reference_profile_csv(x, u))
+
+
+class TestAtomicWrite:
+    def test_text_longer_than_two_slices(self, tmp_path):
+        text = "x,u\n" + "é" + "0123456789abcdef" * (cli._WRITE_SLICE // 8) + "end\n"
+        assert len(text) > 2 * cli._WRITE_SLICE
+        path = tmp_path / "f.csv"
+        cli._atomic_write(path, text)
+        assert path.read_text() == text
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
 
 
 class TestList:

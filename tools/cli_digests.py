@@ -142,6 +142,10 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("simulate-intervals-over-work-budget",
                  ["simulate", "--family", "fisher-front", "--window=0,1,600000",
                   "--time", "0,100", "--checkpoints", "60", "--out", "s"]))
+    # CSV slots trimmed a block at a time: five blocks of 72 rows, two wholly
+    # masked, one partly masked and two whose x slot has no sign column
+    runs.append(("sample-bell-blocks", ["sample", "--family", "bell",
+                                        "--grid=-20,20,321,0,2,113", "--out", "f.csv"]))
     return runs
 
 
