@@ -211,69 +211,54 @@ def _text(records: np.ndarray) -> str:
     return records.tobytes().replace(b"\0", b"").decode("ascii")
 
 
-def grid_csv(x, t, u, defined) -> str:
-    """CSV of u on the 1-D axes x (varying slowest) and t, header x,t,u,defined;
-    a masked cell reads nan with flag 0.
+def csv_text(x, t, u) -> str:
+    """CSV of the cells u, one record a cell: x (varying slowest), then t where
+    t is an axis, then the cell.  With t, u is a len(x) by len(t) grid, header
+    x,t,u,defined, and each record ends in its flag np.isfinite(u): a cell that
+    is not finite reads nan,0.  With t None, u is a profile on x, header x,u,
+    and each cell reads as ``%`` writes it, nan and inf included.
 
-    t's slot is trimmed to its used columns once, x's and u's once a block of
-    rows (``_used``); the NUL pass removes what padding remains in a slot."""
-    xf, tf = fields(x), fields(t)
-    nx, nt = len(xf), len(tf)
-    tf = tf[:, _used(tf)]
-    wt = tf.shape[1]
-    defined = np.asarray(defined, bool)
+    t is formatted once and its slot trimmed to its used columns (``_used``);
+    a block's x values are formatted in one call with its cells, and x's and
+    u's slots trimmed once a block.  The separators and t are laid out again
+    only where a block's widths change, and the NUL pass removes what padding
+    remains in a slot."""
+    grid = t is not None
+    tf = fields(t) if grid else np.empty((1, 0), np.uint8)
+    if grid:
+        tf = tf[:, _used(tf)]
+    # wt: the separator before t and t's slot; tail: the record's end, ",1\n" or "\n"
+    nx, nt, wt, tail = len(x), len(tf), tf.shape[1] + grid, 3 if grid else 1
+    u = np.reshape(u, (nx, nt))
     rows = max(1, BLOCK // max(nt, 1))
     most = min(rows, nx)
-    # x,t,u,1\n: three slots and five bytes a record, at most WIDTH bytes a slot
-    buf = np.empty(most * nt * (3 * WIDTH + 5), np.uint8)
+    # at most WIDTH bytes an x or u slot, and a separator before the cell
+    buf = np.empty(most * nt * (2 * WIDTH + wt + 1 + tail), np.uint8)
     widths = None
-    parts = ["x,t,u,defined\n"]
+    parts = ["x,t,u,defined\n" if grid else "x,u\n"]
     for r0 in range(0, nx, rows):
-        d = defined[r0:r0 + rows]
-        xs = xf[r0:r0 + rows]
-        xs = xs[:, _used(xs)]
-        full = d.all()
-        uf = fields(u[r0:r0 + rows] if full else u[r0:r0 + rows][d])
-        us = _used(uf)
+        xb, ub = x[r0:r0 + rows], u[r0:r0 + rows]
+        d = np.isfinite(ub) if grid else None
+        full = not grid or d.all()
+        uf = fields(np.concatenate([xb, (ub if full else ub[d]).ravel()]))
+        xs, uf = uf[:len(xb)], uf[len(xb):]
+        xs, us = xs[:, _used(xs)], _used(uf)
         wx, wu = xs.shape[1], us.stop - us.start
         if widths != (wx, wu):  # lay out the separators and t at these widths
             widths = wx, wu
-            width = wx + wt + wu + 5
-            rec = buf[:most * nt * width].reshape(most, nt, width)
-            rec[:, :, [wx, wx + wt + 1, -3]] = ord(",")
+            rec = buf[:most * nt * (wx + wt + wu + 1 + tail)].reshape(most, nt, -1)
+            rec[:, :, [wx, wx + wt, -3] if grid else wx] = ord(",")
             rec[:, :, -1] = ord("\n")
-            rec[:, :, wx + 1:wx + wt + 1] = tf
-        block = rec[:len(d)]
+            rec[:, :, wx + 1:wx + wt] = tf
+        block = rec[:len(ub)]
         block[:, :, :wx] = xs[:, None]
-        cells = block[:, :, wx + wt + 2:-3]
+        cells = block[:, :, wx + wt + 1:-tail]
         if full:
             cells[...] = uf[:, us].reshape(cells.shape)
         else:
             cells[~d] = _NAN[us]
             cells[d] = uf[:, us]
-        block[:, :, -2] = np.where(d, ord("1"), ord("0"))
-        parts.append(_text(block))
-    return "".join(parts)
-
-
-def profile_csv(x, u) -> str:
-    """CSV of the profile u on the grid x, header x,u.
-
-    x's and u's slots are trimmed to their used columns once a block of rows
-    (``_used``); the NUL pass removes what padding remains in a slot."""
-    rows = BLOCK // 2
-    # x,u\n: two slots and two bytes a record, at most WIDTH bytes a slot
-    buf = np.empty(min(rows, len(x)) * (2 * WIDTH + 2), np.uint8)
-    parts = ["x,u\n"]
-    for r0 in range(0, len(x), rows):
-        xu = fields(np.stack([x[r0:r0 + rows], u[r0:r0 + rows]], axis=1))
-        xs, us = xu[0::2], xu[1::2]
-        xs, us = xs[:, _used(xs)], us[:, _used(us)]
-        wx = xs.shape[1]
-        block = buf[:len(xs) * (wx + us.shape[1] + 2)].reshape(len(xs), -1)
-        block[:, :wx] = xs
-        block[:, wx] = ord(",")
-        block[:, wx + 1:-1] = us
-        block[:, -1] = ord("\n")
+        if grid:
+            block[:, :, -2] = np.where(d, ord("1"), ord("0"))
         parts.append(_text(block))
     return "".join(parts)

@@ -3,11 +3,11 @@
 Subcommands: list, sample, verify, ode-check, simulate, velocity, chain,
 figures.  Grids and reports are deterministic: CSV cells use fixed ``%.17e``
 scientific notation (18 significant digits) and repeated invocations produce
-byte-identical files.  All outputs are written atomically (temp + rename)
-and every run that writes files also writes a manifest listing them.
+byte-identical files in any locale.  All outputs are written atomically (temp
++ rename) and every run that writes files also writes a manifest listing them.
 
-Wire formats: sampled grids are CSV with header ``x,t,u,defined`` (masked
-cells carry ``nan`` and flag 0); checkpoint profiles are ``x,u``.  JSON
+Wire formats: sampled grids are CSV with header ``x,t,u,defined`` (cells that
+are not finite carry ``nan`` and flag 0); checkpoint profiles are ``x,u``.  JSON
 reports carry ``schema: 1``; equation objects serialize as
 ``{"variant": <EquationSpec class name>, "params": {<field>: <value>}}``.
 """
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._csvfmt import grid_csv as _grid_csv, profile_csv as _profile_csv
+from ._csvfmt import csv_text as _csv_text
 from .catalog import CatalogError, Sampler, build_family, chain_constant, family_info, phi_chain
 from .equations import spec_to_json
 from .simulate import SimConfig, SimulationError, compare_exact, integrate
@@ -51,11 +51,19 @@ _WRITE_SLICE = 1 << 16
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write text to path by way of a temp file, in the encoding and error handler
+    with which os.fsencode encodes a file name, so a name in the text reads as
+    that file's bytes in every locale; a write that raises leaves no temp file."""
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as f:
-        for i in range(0, len(text), _WRITE_SLICE):
-            f.write(text[i:i + _WRITE_SLICE])
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w", encoding=sys.getfilesystemencoding(),
+                      errors=sys.getfilesystemencodeerrors()) as f:
+            for i in range(0, len(text), _WRITE_SLICE):
+                f.write(text[i:i + _WRITE_SLICE])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _emit(path: Path, text: str, outputs: list[Path]) -> None:
@@ -75,7 +83,8 @@ def _write_manifest(base: Path, command: str, parameters: dict, outputs: list[Pa
         "parameters": parameters,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "outputs": sorted(str(p) for p in outputs),
+        # each name as its bytes read as UTF-8, the same in every locale
+        "outputs": sorted(os.fsencode(p).decode("utf-8", "surrogateescape") for p in outputs),
     }))
 
 
@@ -169,7 +178,7 @@ def cmd_sample(args) -> int:
               file=sys.stderr)
     outputs: list[Path] = []
     out = Path(args.out)
-    _emit(out, _grid_csv(grid.x, grid.t, u, defined), outputs)
+    _emit(out, _csv_text(grid.x, grid.t, u), outputs)
     if args.gnuplot:
         _emit(out.with_suffix(".gp"), _gnuplot_script(out, f"{args.family} {sampler.params}"),
               outputs)
@@ -241,7 +250,7 @@ def cmd_simulate(args) -> int:
     outputs: list[Path] = []
     prefix = Path(args.out)
     for i, u in enumerate(hist.fields):
-        _emit(prefix.parent / f"{prefix.name}_ck{i}.csv", _profile_csv(hist.x, u), outputs)
+        _emit(prefix.parent / f"{prefix.name}_ck{i}.csv", _csv_text(hist.x, None, u), outputs)
     _emit(prefix.parent / f"{prefix.name}_report.json", _json_text({
         "family": args.family,
         "params": sampler.params,
@@ -330,7 +339,7 @@ def _velocity_setup(sampler, h: float) -> SimConfig:
                 f"--family: {sampler.family_id}: the probe window x in [-30, 30] holds no "
                 f"single bounded front (mid level {mid:.6g} crossed {crossings} times, "
                 f"values {np.min(u0[ok]):.6g} to {np.max(u0[ok]):.6g})")
-        x_front = float(probe[idx[0]]) if idx.size else 0.0
+        x_front = float(probe[idx[0]] if idx.size else probe[d == 0.0][0])
         x0 = x_front - 7.0 - max(0.0, -v) * duration - 2.0
         x1 = x_front + 7.0 + max(0.0, v) * duration + 2.0
         # a quarter of the window holds 1.1 x the travel, as far as the point cap allows
@@ -464,7 +473,7 @@ def cmd_figures(args) -> int:
         sampler, X, T, u, defined, spec = figure_data(fig_id)
         gate, ok = _gate(fig_id, sampler, u, defined)
         csv_path = outdir / f"figure{fig_id}.csv"
-        _emit(csv_path, _grid_csv(X[:, 0], T[0, :], u, defined), outputs)
+        _emit(csv_path, _csv_text(X[:, 0], T[0, :], u), outputs)
         _emit(outdir / f"figure{fig_id}.json", _json_text({"caption": spec["caption"], **gate}),
               outputs)
         if args.gnuplot:

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -58,7 +60,8 @@ def gnuplot_strings(line: str) -> list[str]:
     return strings
 
 
-# The per-cell writers that cli's CSV functions replaced: the byte reference.
+# The per-cell writers that cli's CSV writer replaced: the byte reference.  A
+# grid's defined flags are np.isfinite(u), as Sampler.sample forms them.
 def reference_grid_csv(x, t, u, defined) -> str:
     lines = ["x,t,u,defined"]
     X, T = np.broadcast_arrays(x, t)
@@ -90,6 +93,12 @@ SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.225
                     1.0, 123456.789])
 
 
+def assert_grid_matches(x, t, u) -> None:
+    """The grid CSV of u on the axes x and t, byte for byte against the reference."""
+    assert_same_rows(cli._csv_text(x, t, u),
+                     reference_grid_csv(x[:, None], t[None, :], u, np.isfinite(u)))
+
+
 class TestCsvWriters:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 7)])
     def test_grid_matches_reference(self, shape):
@@ -98,18 +107,25 @@ class TestCsvWriters:
         x = np.resize(SPECIAL, nx)
         t = np.resize(SPECIAL[::-1], nt)
         u = rng.permutation(np.resize(SPECIAL, nx * nt)).reshape(shape)
-        defined = np.ones(shape, bool)
-        if u.size > 1:  # masked cells beside defined ones holding nan and +-inf
-            defined.flat[::3] = False
-        for mask in (defined, ~defined):
-            assert_same_rows(cli._grid_csv(x, t, u, mask),
-                             reference_grid_csv(x[:, None], t[None, :], u, mask))
+        keep = np.ones(shape, bool)
+        if u.size > 1:  # nan put where a third of the cells are masked, beside nan and +-inf
+            keep.flat[::3] = False
+        for mask in (keep, ~keep):
+            assert_grid_matches(x, t, np.where(mask, u, np.nan))
+
+    def test_grid_infinities_read_masked(self):
+        # a grid cell that is not finite is masked: +-inf reads nan,0 as nan does
+        u = np.array([[1.5, np.inf], [-np.inf, np.nan], [-2.0, 0.0]])
+        text = cli._csv_text(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]), u)
+        assert [row.split(",", 2)[2] for row in text.splitlines()[1:]] == [
+            "1.50000000000000000e+00,1", "nan,0", "nan,0", "nan,0",
+            "-2.00000000000000000e+00,1", "0.00000000000000000e+00,1"]
 
     @pytest.mark.parametrize("n", [1, 2, len(SPECIAL)])
     def test_profile_matches_reference(self, n):
         x = np.resize(SPECIAL[::-1], n)
         u = np.resize(SPECIAL, n)
-        assert_same_rows(cli._profile_csv(x, u), reference_profile_csv(x, u))
+        assert_same_rows(cli._csv_text(x, None, u), reference_profile_csv(x, u))
 
     def test_sample_file_matches_reference(self, capsys, tmp_path):
         out = tmp_path / "bell.csv"
@@ -143,9 +159,8 @@ class TestCsvBlocks:
         nt = _csvfmt.BLOCK + 3
         x, t = np.linspace(-1.0, 1.0, 3), _block_values(rng, nt)
         u = _block_values(rng, (3, nt))
-        defined = rng.random((3, nt)) < 0.9
-        assert_same_rows(cli._grid_csv(x, t, u, defined),
-                         reference_grid_csv(x[:, None], t[None, :], u, defined))
+        u[rng.random((3, nt)) >= 0.9] = np.nan
+        assert_grid_matches(x, t, u)
 
     def test_blocks_of_rows_with_one_wholly_masked(self):
         rng = np.random.default_rng(8)
@@ -153,11 +168,11 @@ class TestCsvBlocks:
         rows = _csvfmt.BLOCK // nt
         x, t = _block_values(rng, nx), np.linspace(0.005, 200.0, nt)
         u = rng.standard_normal((nx, nt)) * 10.0 ** rng.integers(-30, 30, (nx, nt))
-        defined = rng.random((nx, nt)) < 0.7
-        defined[:rows] = True
-        defined[rows:2 * rows] = False
-        assert_same_rows(cli._grid_csv(x, t, u, defined),
-                         reference_grid_csv(x[:, None], t[None, :], u, defined))
+        masked = rng.random((nx, nt)) >= 0.7
+        masked[:rows] = False
+        masked[rows:2 * rows] = True
+        u[masked] = np.nan
+        assert_grid_matches(x, t, u)
 
     @staticmethod
     def _widths_change(rng, rows, nt):
@@ -170,20 +185,19 @@ class TestCsvBlocks:
         u[rows + 5, 7] = -0.25
         u[2 * rows + 3, 50] = 1e-150
         u[-1, -1] = 1e200
-        return x, u, np.ones((nx, nt), bool)
+        return x, u
 
     @staticmethod
     def _nan_and_unsettled(rng, rows, nt):
-        # positive x and u beside a masked cell, a defined nan and a cell
-        # left to % (near a tie): % writes the last two from the sign column
-        # on, so u's slot keeps it and drops only the third exponent digit's
+        # positive x and u beside masked cells (nan and inf) and a cell left
+        # to % (near a tie): % writes the last from the sign column on, so
+        # u's slot keeps it and drops only the third exponent digit's
         x = np.linspace(0.5, 3.0, 2 * rows)
         u = 0.5 + rng.random((len(x), nt))
-        defined = np.ones(u.shape, bool)
-        defined[0, 3] = False
-        u[0, 4] = np.nan
+        u[0, 3] = np.nan
+        u[0, 4] = np.inf
         u[rows + 1, 5] = near_tie(14, -1)
-        return x, u, defined
+        return x, u
 
     @pytest.mark.parametrize("case", ["_widths_change", "_nan_and_unsettled"])
     def test_slots_trimmed_per_block(self, case):
@@ -191,9 +205,8 @@ class TestCsvBlocks:
         nt = 97
         rows = _csvfmt.BLOCK // nt
         t = np.linspace(0.0, 2.0, nt)
-        x, u, defined = getattr(self, case)(rng, rows, nt)
-        assert_same_rows(cli._grid_csv(x, t, u, defined),
-                         reference_grid_csv(x[:, None], t[None, :], u, defined))
+        x, u = getattr(self, case)(rng, rows, nt)
+        assert_grid_matches(x, t, u)
 
     # x's slot keeps its sign column in the first block and drops it in the
     # next two; u's keeps every column for random bits and drops both trimmed
@@ -204,7 +217,7 @@ class TestCsvBlocks:
         n = _csvfmt.BLOCK + 5
         x = np.linspace(-10.0, 14.0, n)
         u = _block_values(rng, n) if values == "bits" else 0.5 + rng.random(n)
-        assert_same_rows(cli._profile_csv(x, u), reference_profile_csv(x, u))
+        assert_same_rows(cli._csv_text(x, None, u), reference_profile_csv(x, u))
 
 
 class TestAtomicWrite:
@@ -215,6 +228,45 @@ class TestAtomicWrite:
         cli._atomic_write(path, text)
         assert path.read_text() == text
         assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+    @pytest.mark.parametrize("failure", ["encode", "replace"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, failure):
+        # a lone surrogate that escapes no byte cannot be encoded, after a first
+        # slice has reached the temp file; a directory cannot be replaced by a file
+        if failure == "encode":
+            path, text, error = tmp_path / "f.csv", "0" * cli._WRITE_SLICE + "\ud800", UnicodeError
+        else:
+            path, text, error = tmp_path / "d", "x,u\n", OSError
+            path.mkdir()
+        with pytest.raises(error):
+            cli._atomic_write(path, text)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if failure == "encode" else ["d"])
+
+    def test_outputs_do_not_depend_on_the_locale(self, capsys, tmp_path):
+        # the file name's bytes, é in UTF-8: under the C locale Python reads them as
+        # surrogate escapes, which the locale's ascii codec cannot write
+        name = b"\xc3\xa9.csv"
+        argv = ["sample", "--family", "fisher-front", "--grid=-1,1,9,0,1,9", "--gnuplot", "--out"]
+        c_dir, here = tmp_path / "c", tmp_path / "here"
+        c_dir.mkdir()
+        here.mkdir()
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        script = "import sys; from rdwaves.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run([sys.executable, "-c", script, *argv, name], cwd=c_dir, env=env,
+                              capture_output=True)
+        assert done.returncode == 0 and done.stderr == b""
+        code, _ = run(capsys, *argv, str(here / os.fsdecode(name)))
+        assert code == 0
+        assert sorted(os.listdir(c_dir)) == sorted(os.listdir(here))
+        for f in os.listdir(here):
+            got, expected = ((d / f).read_bytes() for d in (c_dir, here))
+            if f.endswith("manifest.json"):  # the paths differ, the names must not
+                got, expected = ([Path(p).name for p in json.loads(b)["outputs"]]
+                                 for b in (got, expected))
+                assert got == ["é.csv", "é.gp"]
+            assert got == expected, f
+        assert b"splot '\xc3\xa9.csv'" in (c_dir / os.fsdecode(b"\xc3\xa9.gp")).read_bytes()
 
 
 class TestList:
@@ -966,6 +1018,18 @@ class TestSimulateVelocity:
                       "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["relative_error"] <= 0.01
+
+    def test_velocity_window_centres_an_exact_crossing(self):
+        # the probe meets tanh(x - 6)'s mid level 0 exactly at its point x = 6, and
+        # tanh(x - 6 - 1e-9)'s between that point and the next: the same window
+        def window(shift):
+            s = catalog.Sampler(fn=lambda x, t: np.tanh(x - shift), equation=Fisher(),
+                                family_id="tanh", params={}, predicted_velocity=1.0)
+            cfg = cli._velocity_setup(s, 0.05)
+            return cfg.x_min, cfg.x_max, cfg.n_x
+
+        assert window(6.0) == window(6.0 + 1e-9)
+        assert window(6.0)[:2] == (-3.0, pytest.approx(16.8))
 
     @pytest.mark.parametrize("C", [0.0, 0.2, 0.4])
     def test_velocity_bell_window_unshifted(self, C):

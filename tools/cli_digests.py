@@ -146,6 +146,11 @@ def commands() -> list[tuple[str, list[str]]]:
     # masked, one partly masked and two whose x slot has no sign column
     runs.append(("sample-bell-blocks", ["sample", "--family", "bell",
                                         "--grid=-20,20,321,0,2,113", "--out", "f.csv"]))
+    # a non-ASCII file name that the gnuplot script and the manifest name: their
+    # bytes are the name's bytes on disk in every locale
+    runs.append(("sample-gnuplot-non-ascii", ["sample", "--family", "fisher-front",
+                                              "--grid=-1,1,9,0,1,9", "--gnuplot",
+                                              "--out", os.fsdecode(b"\xc3\xa9.csv")]))
     return runs
 
 
@@ -169,7 +174,9 @@ def run_all() -> list[str]:
                 code = refusal if isinstance(refusal, int) else 1
             finally:
                 os.chdir(cwd)
-            lines.append(f"{digest(stdout.getvalue().encode())}  {name} stdout")
+            # encoded as the CLI encodes its files, so that a file name in stdout
+            # hashes the same in every locale
+            lines.append(f"{digest(os.fsencode(stdout.getvalue()))}  {name} stdout")
             lines.append(f"{digest(str(code).encode())}  {name} exit")
             if refusal is not None:
                 lines.append(f"{digest(str(refusal).encode())}  {name} usage error")
