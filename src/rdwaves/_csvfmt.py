@@ -71,16 +71,18 @@ def _powers():
         p *= 10
     limbs = np.array([[(t >> 32 * j) & 0xFFFFFFFF for t in tops] for j in range(4)],
                      np.uint64)
-    lowest = np.argmax(limbs != 0, axis=0)
-    return limbs, lowest, np.array(shift, np.int64), np.array(exact, bool)
+    tables = limbs, np.argmax(limbs != 0, 0), np.array(shift, np.int64), np.array(exact, bool)
+    for table in tables:
+        table.flags.writeable = False  # every call reads them
+    return tables
 
 
 def _exponents():
     """The exponent text by exponent - _L_MIN, as its first four bytes in one
-    uint32 ("e+05", "e-32") and its fifth (NUL, "4")."""
-    text = np.frombuffer(b"".join((b"e%+03d" % e).ljust(5, b"\0")
-                                  for e in range(_L_MIN, _L_MAX + 2)), np.uint8).reshape(-1, 5)
-    return text[:, :4].copy().view("<u4").ravel(), text[:, 4].copy()
+    uint32 ("e+05", "e-32") and its fifth (NUL, "4"), read-only as bytes are."""
+    text = [(b"e%+03d" % e).ljust(5, b"\0") for e in range(_L_MIN, _L_MAX + 2)]
+    return (np.frombuffer(b"".join(t[:4] for t in text), "<u4"),
+            np.frombuffer(b"".join(t[4:] for t in text), np.uint8))
 
 
 _LIMBS, _LOWEST, _SHIFT, _EXACT = _powers()

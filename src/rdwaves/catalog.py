@@ -34,7 +34,6 @@ import numpy as np
 
 from .elliptic import (
     MODULUS_INV_SQRT2,
-    POLE_EPS,
     WeierstrassInvariants,
     _off_pole,
     _pole_div,
@@ -108,12 +107,11 @@ def _masked_pow(base, p: float):
 
     The values are equations._frac_pow's: an integer power of a negative base
     is the mirror of its power at |base|, (-1)**p |base|**p, so the odd chain
-    and plane-wave powers stay on numpy's vector loop and are exactly odd."""
+    and plane-wave powers stay on numpy's vector loop and are exactly odd.  The
+    mask is the pole rule for p < 0 and finiteness otherwise; _frac_pow is nan
+    at a negative base under a fractional p."""
     base = np.asarray(base, dtype=float)
-    if abs(p - round(p)) < 1e-12:
-        defined = np.isfinite(base) if round(p) >= 0 else _off_pole(base)
-    else:
-        defined = base > POLE_EPS if p < 0 else base >= 0.0
+    defined = _off_pole(base) if p < 0 else np.isfinite(base)
     return np.where(defined, _frac_pow(base, p), np.nan)
 
 
@@ -919,7 +917,7 @@ def family_info() -> dict:
         sampler = info.builder(**info.defaults)
         out[fid] = {
             "description": info.description,
-            "defaults": info.defaults,
+            "defaults": dict(info.defaults),  # a copy: the registry's own stays unwritten
             "equation": sampler.equation.describe(),
             "domain_note": sampler.domain_note,
             "predicted_velocity": sampler.predicted_velocity,

@@ -93,6 +93,9 @@ STENCILS: Mapping[tuple[int, int], tuple[tuple[int, ...], int, int]] = MappingPr
 # the weights as np.correlate's float kernel, for the stencils without a zero weight
 _KERNELS = MappingProxyType({key: np.array(weights, dtype=float)
                              for key, (weights, _, _) in STENCILS.items() if all(weights)})
+for _kernel in _KERNELS.values():
+    _kernel.flags.writeable = False  # stencil_kernel hands every caller this array
+del _kernel
 
 
 def stencil_kernel(derivative: int, order: int, h: float) -> tuple[np.ndarray | None, float]:

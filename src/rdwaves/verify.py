@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,7 +43,7 @@ _STANDOFF_FACTOR = 5  # stencils within 5 x-radii of a masked point are skipped
 # of being mapped, page-faulted in and unmapped
 _STRIP_POINTS = 8192
 # finest max residual of a converging verdict by stencil order; at 2 the order alone decides
-RESIDUAL_TOL = {2: math.inf, 4: 1e-6}
+RESIDUAL_TOL = MappingProxyType({2: math.inf, 4: 1e-6})
 CANDIDATES_PER_SAMPLE = 200  # the most candidates clean_chain_samples draws a kept sample
 
 
@@ -368,6 +369,7 @@ class OdeResidualReport:
 # rows y + _FD_ROWS h of _fd_second: 0-4 at step h/2, 5-9 at step h, row 2 is y;
 # halving is exact, so each row is bit-identical to y + j (h/2) or y + j h
 _FD_ROWS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, -2.0, -1.0, 0.0, 1.0, 2.0])[:, None]
+_FD_ROWS.flags.writeable = False
 
 
 def _fd_second(values: np.ndarray, h: float) -> np.ndarray:

@@ -479,6 +479,14 @@ class TestRegistry:
         with pytest.raises(CatalogError):
             build_family("nope")
 
+    def test_family_info_hands_out_copies(self, monkeypatch):
+        # writing into the summary must not change what the registry builds;
+        # the setitem puts the registry's default back should the write reach it
+        monkeypatch.setitem(FAMILIES["chain"].defaults, "index", 0)
+        family_info()["chain"]["defaults"]["index"] = 5
+        assert build_family("chain").params["index"] == 0
+        assert family_info()["chain"]["defaults"]["index"] == 0
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter_rejected(self, value):
         with pytest.raises(CatalogError, match="'epsilon' must be finite"):
@@ -856,7 +864,8 @@ class TestLattice:
 
 def reference_masked_pow(base, p: float):
     """The masked power as written before it took its values from equations._frac_pow,
-    np.power's bits on every base."""
+    np.power's bits on every base.  Its fractional-power mask is the pole rule's:
+    from POLE_EPS on for p < 0, finite and non-negative for p >= 0."""
     base = np.asarray(base, dtype=float)
     if abs(p - round(p)) < 1e-12:
         ip = int(round(p))
@@ -864,7 +873,7 @@ def reference_masked_pow(base, p: float):
             return np.power(base, ip), np.isfinite(base)
         defined = np.abs(base) >= POLE_EPS
         return np.where(defined, 1.0 / np.where(defined, base, 1.0) ** -ip, np.nan), defined
-    defined = base > POLE_EPS if p < 0 else base >= 0.0
+    defined = base >= POLE_EPS if p < 0 else (base >= 0.0) & (base < np.inf)
     with np.errstate(invalid="ignore"):
         val = np.where(defined, np.power(np.maximum(base, 0.0), p), np.nan)
     return val, defined
@@ -878,7 +887,41 @@ def same_bits(a, b) -> bool:
             and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
 
 
+E, N = POLE_EPS, math.nan
+MASKED_POW_BASES = (-math.inf, -4.0, -1.0, -0.25, -E, -0.0, 0.0, E / 2, E, 0.25, 1.0, 4.0,
+                    math.inf, N)
+# p -> _masked_pow(MASKED_POW_BASES, p), written out; N is a masked cell.  The
+# mask is the pole rule for p < 0 and finiteness for p >= 0, whatever p's
+# integrality, so E itself is kept under -0.5 and -2/3, and +inf is masked
+# under 0.5, 1.5 and 2/3; a negative base under a fractional p is nan
+MASKED_POW_TABLE = {
+    0: (N, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, N, N),
+    1: (N, -4.0, -1.0, -0.25, -E, -0.0, 0.0, E / 2, E, 0.25, 1.0, 4.0, N, N),
+    2: (N, 16.0, 1.0, 1 / 16, E**2, 0.0, 0.0, E**2 / 4, E**2, 1 / 16, 1.0, 16.0, N, N),
+    3: (N, -64.0, -1.0, -1 / 64, -E**3, -0.0, 0.0, E**3 / 8, E**3, 1 / 64, 1.0, 64.0, N, N),
+    -1: (-0.0, -0.25, -1.0, -4.0, -1 / E, N, N, N, 1 / E, 4.0, 1.0, 0.25, 0.0, N),
+    -2: (0.0, 1 / 16, 1.0, 16.0, E**-2, N, N, N, E**-2, 16.0, 1.0, 1 / 16, 0.0, N),
+    0.5: (N, N, N, N, N, 0.0, 0.0, (E / 2) ** 0.5, E**0.5, 0.5, 1.0, 2.0, N, N),
+    1.5: (N, N, N, N, N, 0.0, 0.0, (E / 2) ** 1.5, E**1.5, 1 / 8, 1.0, 8.0, N, N),
+    2 / 3: (N, N, N, N, N, 0.0, 0.0, (E / 2) ** (2 / 3), E ** (2 / 3), 0.25 ** (2 / 3), 1.0,
+            4.0 ** (2 / 3), N, N),
+    -0.5: (N, N, N, N, N, N, N, N, E**-0.5, 2.0, 1.0, 0.5, 0.0, N),
+    -2 / 3: (N, N, N, N, N, N, N, N, E ** (-2 / 3), 0.25 ** (-2 / 3), 1.0, 4.0 ** (-2 / 3),
+             0.0, N),
+}
+
+
 class TestMaskedPow:
+    @pytest.mark.parametrize("p", sorted(MASKED_POW_TABLE))
+    def test_written_out_table(self, p):
+        with np.errstate(all="raise"):  # no masked cell warns
+            got = _masked_pow(np.array(MASKED_POW_BASES), p)
+        expected = np.array(MASKED_POW_TABLE[p])
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        kept = ~np.isnan(expected)
+        assert np.array_equal(np.signbit(got[kept]), np.signbit(expected[kept]))  # signed zeros
+        assert got[kept] == pytest.approx(expected[kept], rel=4e-16)
+
     BASES = np.r_[np.linspace(-3.0, 3.0, 6001), 0.0, -0.0, 1e-8, -1e-8, np.inf, -np.inf,
                   np.nan, 1e200, -1e200, POLE_EPS, -POLE_EPS, 2 * POLE_EPS]
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import rdwaves._csvfmt as _csvfmt
 import rdwaves.catalog as catalog
 import rdwaves.cli as cli
+import rdwaves.simulate as simulate
 from rdwaves.catalog import build_family, fisher_front, phi_chain, z_from_phi
 from rdwaves.cli import FIGURES, figure_data, figure_gate, main
 from rdwaves.equations import Fisher
@@ -994,6 +995,22 @@ class TestSimulateVelocity:
         assert report["measured_velocity"] == pytest.approx(5.0 / math.sqrt(6.0), rel=1e-4)
         assert 0.0 < report["shape_error"] < 1e-4
 
+    def test_speed_is_registered_never_level_crossed(self, capsys, tmp_path, monkeypatch):
+        # the level-crossing oracle is for tests alone: no command reaches it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command called the level-crossing oracle")
+
+        monkeypatch.setattr(simulate, "front_velocity", refuse)
+        monkeypatch.setattr(simulate, "_crossing", refuse)
+        code, _ = run(capsys, "velocity", "--family", "fisher-front",
+                      "--out", str(tmp_path / "v.json"))
+        assert code == 0
+        assert json.loads((tmp_path / "v.json").read_text())["method"] == "registration"
+        code, _ = run(capsys, "simulate", "--family", "fisher-front", "--window=-8,10,91",
+                      "--time", "0,0.5", "--registration", "--out", str(tmp_path / "run"))
+        report = json.loads((tmp_path / "run_report.json").read_text())["report"]
+        assert code == 0 and report["velocity_method"] == "registration"
+
     @pytest.mark.parametrize("family", ["fisher-front", "bell"])
     def test_velocity_fisher(self, capsys, tmp_path, family):
         # every family's speed comes from shift registration, with its shape error
@@ -1218,10 +1235,10 @@ REFERENCE_TO_JSON = {
 
 
 def _simulated_reports():
-    """The front's report under level crossing and under registration."""
+    """The front's report without a speed and under registration."""
     front = build_family("fisher-front")
     hist = integrate(front.equation, front, SimConfig(-8.0, 10.0, 91, 0.0, 0.5, n_checkpoints=4))
-    return [compare_exact(hist, front, level=0.5), compare_exact(hist, front, registration=True)]
+    return [compare_exact(hist, front), compare_exact(hist, front, registration=True)]
 
 
 def _pde_report():

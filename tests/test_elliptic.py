@@ -513,12 +513,11 @@ class TestPoleDiv:
 
 
 # (module, function, comparison) of every read of POLE_EPS in the package: the
-# pole rule, and two bounds that compare no denominator, the one-sided domain
-# of a fractional negative power and the argument range of the Jacobi reduction
+# pole rule, and one bound that compares no denominator, the argument range of
+# the Jacobi reduction
 POLE_EPS_READS = {
     ("elliptic.py", "_off_pole", "np.abs(den) >= POLE_EPS"),
     ("elliptic.py", "jacobi_sn_cn_dn", "np.abs(y) <= POLE_EPS / np.finfo(float).eps"),
-    ("catalog.py", "_masked_pow", "base > POLE_EPS"),
 }
 
 
@@ -538,7 +537,7 @@ def pole_eps_reads(node, function="<module>", comparison=None):
 
 
 class TestOnePoleRule:
-    def test_pole_eps_is_read_by_the_rule_and_two_bounds_only(self):
+    def test_pole_eps_is_read_by_the_rule_and_one_bound_only(self):
         # any other comparison with POLE_EPS would restate the pole rule
         # beside _off_pole, which _pole_div and every mask-only site call
         reads = set()

@@ -1,12 +1,18 @@
 """Equation registry: right-hand sides, derived constants, KPP checks."""
 
+import ast
+import importlib
 import math
+import pkgutil
 import re
 import warnings
+from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rdwaves
 from rdwaves import equations
 from rdwaves.equations import (
     CubicPolynomial,
@@ -290,6 +296,46 @@ class TestWeightTable:
                     got = central_difference(a, 0.1, derivative, order)
                     want = reference_central_difference(a, 0.1, derivative, order)
                 assert np.array_equal(np.isfinite(got), np.isfinite(want)), (i, j)
+
+
+def stencils_reads(tree) -> int:
+    """How many times tree loads or imports STENCILS, under any name."""
+    return sum((isinstance(node, ast.Name) and node.id == "STENCILS"
+                and isinstance(node.ctx, ast.Load))
+               or (isinstance(node, ast.Attribute) and node.attr == "STENCILS")
+               or (isinstance(node, ast.alias) and node.name == "STENCILS")
+               for node in ast.walk(tree))
+
+
+class TestSharedTables:
+    def test_stencils_are_read_in_equations_only(self):
+        # every other module reaches a weight through stencil_kernel or
+        # central_difference, so the table has one reader
+        readers = {path.name for path in Path(rdwaves.__file__).parent.glob("*.py")
+                   if stencils_reads(ast.parse(path.read_text()))}
+        assert readers == {"equations.py"}
+
+    def test_module_arrays_are_read_only(self):
+        # a module's numpy table is shared by every call that reads it: none may
+        # be written, whether it is a global or the value of a global mapping
+        arrays = {}
+        for info in pkgutil.iter_modules(rdwaves.__path__):
+            module = importlib.import_module(f"rdwaves.{info.name}")
+            for name, value in vars(module).items():
+                values = value.values() if isinstance(value, Mapping) else [value]
+                for i, a in enumerate(values):
+                    if isinstance(a, np.ndarray):
+                        arrays[f"{info.name}.{name}[{i}]"] = a.flags.writeable
+        assert len(arrays) >= 10  # the csv, stencil and verify tables
+        assert not any(arrays.values()), arrays
+
+    def test_a_returned_kernel_cannot_be_written(self):
+        kernel, _ = equations.stencil_kernel(2, 4, 0.125)
+        with pytest.raises(ValueError, match="read-only"):
+            kernel[:] = 0.0
+        # (x^2)'' = 2 on the grid of step 1/8, whatever the write attempted
+        x = np.linspace(0.0, 1.0, 9)
+        assert central_difference(x**2, 0.125, 2, 4) == pytest.approx(np.full(5, 2.0))
 
 
 class TestKPPCheck:

@@ -123,10 +123,10 @@ class TestIntegrate:
         s = fisher_front("tanh")
         cfg = SimConfig(-10.0, 14.0, 481, 0.0, 2.0, n_checkpoints=9)
         hist = integrate(s.equation, s, cfg)
-        rep = compare_exact(hist, s, level=0.5)
-        assert max(rep.max_abs_errors) <= 1e-4
-        assert rep.measured_velocity == pytest.approx(5.0 / SQRT6, rel=1e-4)
-        assert rep.velocity_fit_r2 > 0.999999
+        assert max(compare_exact(hist, s).max_abs_errors) <= 1e-4
+        v, r2 = front_velocity(hist, 0.5)
+        assert v == pytest.approx(5.0 / SQRT6, rel=1e-4)
+        assert r2 > 0.999999
 
     def test_zero_length_window_identity(self):
         s = fisher_front("tanh")
