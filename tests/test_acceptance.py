@@ -166,9 +166,9 @@ def test_criterion_05_fisher_velocity():
     for method in METHODS:
         cfg = SimConfig(-10.0, 14.0, 481, 0.0, 2.0, n_checkpoints=9, method=method)  # h = 0.05
         hist = integrate(s.equation, s, cfg)
-        v, _ = front_velocity(hist, 0.5)
-        rels[method] = abs(v - predicted) / predicted
-        report(5, rels[method] <= 0.01, f"{method}: front speed {v:.6f} vs "
+        measured, _ = front_velocity(hist, 0.5)
+        rels[method] = abs(measured - predicted) / predicted
+        report(5, rels[method] <= 0.01, f"{method}: front speed {measured:.6f} vs "
                                         f"5/sqrt6 = {predicted:.6f} (rel err "
                                         f"{rels[method]:.2e} <= 1e-2)")
     assert max(rels.values()) <= 0.01, rels
@@ -185,11 +185,11 @@ def test_criterion_06_generalized_fisher_velocities():
         cfg = SimConfig(x0, x1, int((x1 - x0) / 0.05) + 1, 0.0, 2.0, n_checkpoints=9,
                         method=method)
         hist = integrate(s.equation, s, cfg)
-        v, _ = front_velocity(hist, 0.5 * c1**2)
+        measured, _ = front_velocity(hist, 0.5 * c1**2)
         expected = abs(2.0 * c1 - 3.0) / SQRT6
-        rel = abs(abs(v) - expected) / expected
+        rel = abs(abs(measured) - expected) / expected
         if rel > 0.01:
-            failures.append((c1, method, v, expected))
+            failures.append((c1, method, measured, expected))
     gf = build_family("generalized-fisher", {"c1": -1.0})
     ff = build_family("fisher-front")
     y = np.linspace(-8.0, 8.0, 401)
@@ -262,12 +262,12 @@ def test_criterion_08_plane_wave_velocities():
         x0, x1 = -7.0, 7.0 + v * t1 + 2.0
         cfg = SimConfig(x0, x1, int((x1 - x0) / 0.05) + 1, 0.0, t1, n_checkpoints=9)
         hist = integrate(s.equation, s, cfg)
-        v, _ = front_velocity(hist, level)
+        measured, _ = front_velocity(hist, level)
         k = 2.0 / (n - 1.0)
         expected = k + 1.0 - k * c1
-        rel = abs(v - expected) / abs(expected)
+        rel = abs(measured - expected) / abs(expected)
         if rel > 0.01:
-            failures.append((n, c1, v, expected))
+            failures.append((n, c1, measured, expected))
     ok = not failures
     report(8, ok, "plane-wave speeds k+1-kc1 matched within 1% for "
                   "(n,c1) in {(2,-1),(3,-1),(2,-2)}")
