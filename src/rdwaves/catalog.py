@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -37,6 +39,7 @@ from .elliptic import (
     WeierstrassInvariants,
     _off_pole,
     _pole_div,
+    _sin_cos,
     complete_elliptic_K,
     jacobi_sn_cn_dn,
     weierstrass_p,
@@ -153,7 +156,7 @@ class Sampler:
         inner = self.fn
 
         def fn(x, t):
-            return inner(x, t) + amplitude * np.sin(x)
+            return inner(x, t) + amplitude * _sin_cos(x)[0]
 
         return replace(self, fn=fn, residual_clean=False,
                        domain_note=f"perturbed by {amplitude}*sin(x): not a solution")
@@ -282,13 +285,13 @@ def _chain_u(kind: str, amp, phi):
     return _pole_div(amp, phi)
 
 
-_CHAIN_WINDOWS = {
+_CHAIN_WINDOWS = MappingProxyType({
     # pole-free y-windows per lattice level (PhiState.lattice_level)
     0: (0.65, 2.9),
     1: (0.45, 1.5),
     2: (0.25, 0.68),
     3: (0.54, 0.85),
-}
+})
 
 
 def _chain_xt_window(level: int) -> tuple[float, float, float, float]:
@@ -365,8 +368,9 @@ def cosh_cos_solution(sign: int, k1: float, k2: float, kind: str, index: int) ->
             wx = k1 * np.sinh(arg) * damp
         else:
             damp = np.exp(-3.0 * t)
-            w = k1 * np.cos(arg) * damp
-            wx = -k1 * np.sin(arg) * damp
+            sin, cos = _sin_cos(arg)
+            w = k1 * cos * damp
+            wx = -k1 * sin * damp
         return _chain_u(kind, (factor / 2.0) * wx, state.eval(w)[0])
 
     shape = "cosh" if use_cosh else "cos"
@@ -481,7 +485,7 @@ def solitary_wave(n: float, nu: float, sigma: float, branch: str, C: float = 0.0
         def fn(x, t):
             theta = b * (x - sigma * t / SQRT2) + C
             if branch == "tan":
-                s = np.where(_off_pole(np.cos(theta)), -np.tan(theta), np.nan)
+                s = np.where(_off_pole(_sin_cos(theta)[1]), -np.tan(theta), np.nan)
             else:
                 s = np.tanh(theta)
             u = _masked_pow(s, p)
@@ -849,14 +853,20 @@ def crosscheck_closed_forms(n_samples: int = 100) -> dict:
 
 @dataclass(frozen=True)
 class FamilyInfo:
-    """Registry entry: builder function, defaults for all its keywords, one-line description."""
+    """Registry entry: builder function, defaults for all its keywords, one-line description.
+
+    defaults is a read-only copy of the mapping it is given."""
 
     builder: Callable = field(compare=False)
-    defaults: dict = field(default_factory=dict)
+    defaults: Mapping = field(default_factory=dict)
     description: str = ""
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "defaults", MappingProxyType(dict(self.defaults)))
 
-FAMILIES: dict[str, FamilyInfo] = {
+
+# read-only, as its entries are: a write would change every later build_family
+FAMILIES: Mapping[str, FamilyInfo] = MappingProxyType({
     "chain": FamilyInfo(
         builder=elliptic_solution,
         defaults={"kind": "direct", "index": 0, "sign": 1},
@@ -907,7 +917,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         defaults={"sign": 1},
         description="rational solution of the quadratic-decay equation",
     ),
-}
+})
 
 
 def family_info() -> dict:
@@ -917,7 +927,7 @@ def family_info() -> dict:
         sampler = info.builder(**info.defaults)
         out[fid] = {
             "description": info.description,
-            "defaults": dict(info.defaults),  # a copy: the registry's own stays unwritten
+            "defaults": dict(info.defaults),  # a JSON-ready copy of the read-only registry entry
             "equation": sampler.equation.describe(),
             "domain_note": sampler.domain_note,
             "predicted_velocity": sampler.predicted_velocity,

@@ -21,8 +21,10 @@ import math
 import os
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, astuple
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -396,8 +398,10 @@ def cmd_chain(args) -> int:
     return 0
 
 
-# figure id -> (family, params, window x0,x1,t0,t1, grid nx,nt, caption)
-FIGURES: dict[int, dict] = {
+# figure id -> (family, params, window x0,x1,t0,t1, grid nx,nt, caption); read-only
+# down to each entry's params, so no write can change a later figure
+FIGURES: Mapping[int, Mapping] = MappingProxyType({fig_id: MappingProxyType(
+    {**spec, "params": MappingProxyType(spec["params"])}) for fig_id, spec in {
     1: {"family": "chain", "params": {"kind": "direct", "index": 0},
         "window": (-3.0, 3.0, 0.005, 200.0), "grid": (181, 201),
         "caption": "chain solution, index 0, long-time window"},
@@ -422,7 +426,7 @@ FIGURES: dict[int, dict] = {
     8: {"family": "fisher-weierstrass", "params": {"C": 1e6, "k_shift": 0.0},
         "window": (0.0, 10.0, -6.0, -2.0), "grid": (161, 129),
         "caption": "Weierstrass-family Fisher solution, C = 10^6"},
-}
+}.items()})
 
 
 def figure_data(fig_id: int):

@@ -3,7 +3,10 @@
 Jacobi sn/cn/dn are evaluated by the descending Gauss transformation with
 an algebraic ascent (DLMF 22.7): after argument reduction modulo the real
 period 4K, sin and cos at the smallest modulus are climbed back with
-rational steps; K itself comes from the AGM.  Quotients of sn, cn, dn (ds,
+rational steps; K itself comes from the AGM.  _sin_cos is the package's one
+source of sin and cos: both come from one tangent of the half angle,
+because numpy's float64 tan has a vector loop where its sin and cos may
+take the scalar libm one.  Quotients of sn, cn, dn (ds,
 cs, ...) are formed where they are used, by _pole_div.  _off_pole is the
 package's one pole rule: a denominator within POLE_EPS of zero masks the
 point.  nan is the mask: a masked point's value is nan, and no evaluator
@@ -40,8 +43,10 @@ POLE_EPS = 1e-8  # a quotient/pole is declared undefined below this threshold
 
 
 def _off_pole(den):
-    """The one pole rule, |den| >= POLE_EPS: where a point may divide by den (never at nan)."""
-    return np.abs(den) >= POLE_EPS
+    """The one pole rule, |den| >= POLE_EPS: where a point may divide by den (never at nan).
+
+    Two comparisons instead of np.abs, so no float temporary of den's size is formed."""
+    return (den >= POLE_EPS) | (den <= -POLE_EPS)
 
 
 def _pole_div(num, den, power: int = 1):
@@ -53,6 +58,32 @@ def _pole_div(num, den, power: int = 1):
     den = np.where(_off_pole(den), den, np.nan)
     with np.errstate(invalid="ignore"):
         return num / (den if power == 1 else den**power)
+
+
+def _sin_cos(z, t=None, t2=None, den=None):
+    """(sin z, cos z) from one tangent: t = tan(z/2), sin = 2t/(1 + t^2) and
+    cos = (1 - t^2)/(1 + t^2).
+
+    sin is within a few ulp; cos is within 2 eps absolute, but not relative
+    near its own zeros, where 1 - t^2 cancels.  1 + t^2 is finite and at
+    least 1 for every finite z, since no double lies close enough to an odd
+    multiple of pi for t^2 to overflow; nan stays nan without a warning.
+    t, t2 and den are optional float buffers of z's shape for t, t^2 and
+    1 + t^2 (t may be z itself), which hold those values on return; without
+    them the helper allocates its own.
+    """
+    if t is None:
+        t = np.tan(0.5 * np.asarray(z, dtype=float))
+    else:
+        np.multiply(z, 0.5, out=t)
+        np.tan(t, out=t)
+    t2 = np.multiply(t, t, out=t2)
+    den = np.add(t2, 1.0, out=den)
+    sin = 2.0 * t
+    sin /= den
+    cos = 1.0 - t2
+    cos /= den
+    return sin, cos
 
 
 class EllipticError(ValueError):
@@ -136,16 +167,17 @@ def jacobi_sn_cn_dn(y, m: EllipticModulus):
 
     The result is nan where |y| eps > POLE_EPS, at every modulus: there the
     rounding of y alone exceeds the pole threshold, so a reduction is noise.
-    k = 0 and k = 1 use the exact circular/hyperbolic branches.  Otherwise y
-    is reduced modulo the real period 4K, and the descending Gauss
-    transformation (DLMF 22.7.1-22.7.3) is climbed back algebraically from
-    sin and cos at the bottom modulus.  y is never written.
+    k = 0 and k = 1 use the circular branch, _sin_cos, and the hyperbolic one.
+    Otherwise y is reduced modulo the real period 4K, and the descending
+    Gauss transformation (DLMF 22.7.1-22.7.3) is climbed back algebraically
+    from sin and cos at the bottom modulus, both from one tangent (_sin_cos)
+    in the kernel's own buffers.  y is never written.
     """
     y = np.asarray(y, dtype=float)
     # a fresh array, so the work below is done in buffers the kernel owns
     z = np.where(np.abs(y) <= POLE_EPS / np.finfo(float).eps, y, np.nan)
     if m.k == 0.0:
-        return np.sin(z), np.cos(z), np.where(np.isnan(z), np.nan, 1.0)[()]
+        return *_sin_cos(z), np.where(np.isnan(z), np.nan, 1.0)[()]
     if m.k == 1.0:
         with np.errstate(over="ignore"):  # cosh overflows to inf, and 1/inf = 0 is sech
             sech = 1.0 / np.cosh(z)
@@ -161,9 +193,12 @@ def jacobi_sn_cn_dn(y, m: EllipticModulus):
     s2 *= period
     z -= s2
     z /= prod
-    sn, cn = np.sin(z), np.cos(z)
-    # the ascent writes dn; without a step (k^2 < 2^-53) dn carries z's nan itself
-    dn = np.ones_like(z) if ladder else np.where(np.isnan(z), np.nan, 1.0)
+    # tan(z/2) goes in z's buffer, its square in s2 and 1 + t^2 in dn's, which
+    # 1 + t^2 over itself then resets to 1, nan where z is nan: the ascent
+    # writes dn, and without a step (k^2 < 2^-53) dn carries z's nan itself
+    dn = np.empty_like(z)
+    sn, cn = _sin_cos(z, t=z, t2=s2, den=dn)
+    dn /= dn
     d = z  # z is not read again
     # one step of DLMF 22.7.1-22.7.3 from modulus k_n to k_{n-1}; 22.7.3 is used
     # as dn = (1 - k s^2)/(1 + k s^2), since its printed form

@@ -479,13 +479,24 @@ class TestRegistry:
         with pytest.raises(CatalogError):
             build_family("nope")
 
-    def test_family_info_hands_out_copies(self, monkeypatch):
-        # writing into the summary must not change what the registry builds;
-        # the setitem puts the registry's default back should the write reach it
-        monkeypatch.setitem(FAMILIES["chain"].defaults, "index", 0)
+    def test_family_info_hands_out_copies(self):
+        # writing into the summary must not change what the registry builds
         family_info()["chain"]["defaults"]["index"] = 5
         assert build_family("chain").params["index"] == 0
         assert family_info()["chain"]["defaults"]["index"] == 0
+
+    def test_the_registry_cannot_be_written(self):
+        # a write would change every later build_family in the process
+        with pytest.raises(TypeError):
+            FAMILIES["chain"].defaults["index"] = 5
+        with pytest.raises(TypeError):
+            FAMILIES["chain"] = FAMILIES["bell"]
+        with pytest.raises(TypeError):
+            del FAMILIES["bell"]
+        with pytest.raises(AttributeError):
+            FAMILIES["chain"].defaults = {"index": 5}
+        assert build_family("chain").params["index"] == 0
+        assert sorted(FAMILIES) == sorted(FAMILIES.keys()) and len(FAMILIES) == 10
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter_rejected(self, value):

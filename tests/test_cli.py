@@ -1175,6 +1175,17 @@ class TestFigures:
     def test_registry_has_eight(self):
         assert sorted(FIGURES) == list(range(1, 9))
 
+    def test_the_registry_cannot_be_written(self):
+        # down to each entry's params: a write would change every later figure
+        with pytest.raises(TypeError):
+            FIGURES[1] = FIGURES[2]
+        with pytest.raises(TypeError):
+            FIGURES[1]["grid"] = (3, 3)
+        with pytest.raises(TypeError):
+            FIGURES[1]["params"]["index"] = 5
+        sampler, X, _, _, _, spec = figure_data(1)
+        assert sampler.params["index"] == 0 and X.shape == spec["grid"] == (181, 201)
+
     def test_single_figure_emission(self, capsys, tmp_path):
         code, text = run(capsys, "figures", "--id", "2",
                          "--outdir", str(tmp_path), "--gnuplot")

@@ -4,6 +4,7 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from rdwaves.elliptic import (
     WeierstrassInvariants,
     _off_pole,
     _pole_div,
+    _sin_cos,
     _weierstrass_jacobi,
     complete_elliptic_K,
     jacobi_sn_cn_dn,
@@ -88,10 +90,11 @@ class TestJacobiTriple:
             sn, cn, dn = jacobi_sn_cn_dn(0.0, m)
             assert (sn, cn, dn) == (0.0, 1.0, 1.0)
 
-    # the k = 0 and k = 1 branches are the circular and hyperbolic functions, bit for bit
+    # the k = 0 and k = 1 branches are the circular functions of _sin_cos and the
+    # hyperbolic functions, bit for bit
     def test_circular_degeneration(self):
         y = np.linspace(-40, 40, 4001)
-        for a, b in zip(jacobi_sn_cn_dn(y, EllipticModulus(0.0)), (np.sin(y), np.cos(y), 1.0)):
+        for a, b in zip(jacobi_sn_cn_dn(y, EllipticModulus(0.0)), (*_sin_cos(y), 1.0)):
             assert np.array_equal(a, np.broadcast_to(b, y.shape))
 
     def test_hyperbolic_degeneration(self):
@@ -101,7 +104,7 @@ class TestJacobiTriple:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("k, forms", [
-        (0.0, lambda y: (np.sin(y), np.cos(y), np.ones_like(y))),
+        (0.0, lambda y: (*_sin_cos(y), np.ones_like(y))),
         (1.0, lambda y: (np.tanh(y), 1 / np.cosh(y), 1 / np.cosh(y))),
     ], ids=["k=0", "k=1"])
     def test_degenerate_branches_keep_the_argument_bound(self, k, forms):
@@ -171,12 +174,12 @@ class TestJacobiTriple:
     @pytest.mark.parametrize("k", [1e-9, 1e-12])
     def test_an_empty_gauss_ladder_keeps_the_argument_bound(self, k):
         # k^2 < 2^-53 leaves no ascent step to write dn; past the bound dn is
-        # nan with sn and cn, and inside it the values stay sin, cos and 1
+        # nan with sn and cn, and inside it the values stay _sin_cos's and 1
         y = np.array([0.5, 1e300, np.inf, -np.inf, np.nan])
         with np.errstate(all="raise"):
             got = jacobi_sn_cn_dn(y, EllipticModulus(k))
             assert all(np.isnan(v) for v in jacobi_sn_cn_dn(1e300, EllipticModulus(k)))
-        for a, b in zip(got, (np.sin(0.5), np.cos(0.5), 1.0)):
+        for a, b in zip(got, (*_sin_cos(0.5), 1.0)):
             assert a[0] == b and np.isnan(a[1:]).all()
 
     def test_periodicity(self):
@@ -513,10 +516,11 @@ class TestPoleDiv:
 
 
 # (module, function, comparison) of every read of POLE_EPS in the package: the
-# pole rule, and one bound that compares no denominator, the argument range of
-# the Jacobi reduction
+# pole rule's two halves, and one bound that compares no denominator, the
+# argument range of the Jacobi reduction
 POLE_EPS_READS = {
-    ("elliptic.py", "_off_pole", "np.abs(den) >= POLE_EPS"),
+    ("elliptic.py", "_off_pole", "den >= POLE_EPS"),
+    ("elliptic.py", "_off_pole", "den <= -POLE_EPS"),
     ("elliptic.py", "jacobi_sn_cn_dn", "np.abs(y) <= POLE_EPS / np.finfo(float).eps"),
 }
 
@@ -545,3 +549,98 @@ class TestOnePoleRule:
             for function, comparison in pole_eps_reads(ast.parse(path.read_text())):
                 reads.add((path.name, function, comparison))
         assert reads == POLE_EPS_READS
+
+    def test_the_rule_is_the_absolute_comparison(self):
+        # two comparisons instead of np.abs: the same mask at every edge value
+        edges = [np.nan, np.inf, -np.inf, 0.0, -0.0, POLE_EPS, -POLE_EPS]
+        near = [np.nextafter(v, d) for v in (POLE_EPS, -POLE_EPS, 0.0, -0.0) for d in (-np.inf, np.inf)]
+        near += [np.nextafter(v, 0.0) for v in (np.inf, -np.inf)]
+        den = np.array(edges + near)
+        got = _off_pole(den)
+        assert got.dtype == bool and np.array_equal(got, np.abs(den) >= POLE_EPS)
+        assert list(got[:7]) == [False, True, True, False, False, True, True]
+        for value in den:
+            assert _off_pole(value) == (abs(value) >= POLE_EPS)
+
+
+BOUND = POLE_EPS / np.finfo(float).eps  # the largest argument jacobi_sn_cn_dn reduces
+
+
+def mp_sin_cos(z):
+    """sin and cos of each double in z, correctly rounded (mpmath at 120 bits)."""
+    with mpmath.workprec(120):
+        return (np.array([float(mpmath.sin(mpmath.mpf(float(v)))) for v in z]),
+                np.array([float(mpmath.cos(mpmath.mpf(float(v)))) for v in z]))
+
+
+class TestSinCos:
+    """_sin_cos, the one source of sin and cos: both from tan(z/2)."""
+
+    @pytest.mark.parametrize("half_width", [math.pi, 40.0, BOUND], ids=["pi", "40", "bound"])
+    def test_against_mpmath(self, half_width):
+        z = np.random.default_rng(29).uniform(-half_width, half_width, 3000)
+        sin, cos = _sin_cos(z)
+        sin_mp, cos_mp = mp_sin_cos(z)
+        assert np.all(np.abs(sin - sin_mp) <= 4 * np.spacing(np.abs(sin_mp)))
+        assert np.all(np.abs(cos - cos_mp) <= 2 * np.finfo(float).eps)
+
+    def test_near_odd_multiples_of_pi(self):
+        # tan(z/2) is huge there: sin is 2/t to a few ulp and cos is -1
+        centres = np.pi * np.array([1.0, -1.0, 3.0, -5.0, 101.0, 2.0**20 + 1, 1.4e7 + 1])
+        z = np.concatenate([centres, np.nextafter(centres, np.inf), np.nextafter(centres, -np.inf)])
+        with np.errstate(all="raise"):
+            sin, cos = _sin_cos(z)
+        sin_mp, cos_mp = mp_sin_cos(z)
+        assert np.all(np.abs(sin - sin_mp) <= 4 * np.spacing(np.abs(sin_mp)))
+        assert np.all(np.sign(sin) == np.sign(sin_mp))
+        assert np.all(np.abs(cos + 1.0) <= 2 * np.finfo(float).eps)
+
+    def test_nan_and_signed_zeros(self):
+        z = np.array([np.nan, 0.0, -0.0])
+        with np.errstate(all="raise"):
+            sin, cos = _sin_cos(z)
+        assert np.isnan(sin[0]) and np.isnan(cos[0])
+        assert list(np.signbit(sin[1:])) == [False, True] and (sin[1:] == 0.0).all()
+        assert (cos[1:] == 1.0).all()
+
+    def test_buffers_give_the_same_bits(self):
+        z = np.linspace(-BOUND, BOUND, 1001)
+        t, t2, den = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+        work = z.copy()
+        got = _sin_cos(work, t=work, t2=t2, den=den)
+        for a, b in zip(got, _sin_cos(z)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert np.array_equal(den, 1.0 + t2) and np.array_equal(t2, work * work)
+        got = _sin_cos(z, t=t, t2=t2, den=den)
+        assert np.array_equal(t, np.tan(0.5 * z)) and np.array_equal(got[0], _sin_cos(z)[0])
+
+    def test_scalars_stay_scalars(self):
+        for z in (0.5, np.float64(0.5), np.array(0.5)):
+            for value, expected in zip(_sin_cos(z), (math.sin(0.5), math.cos(0.5))):
+                assert type(value) is np.float64 and value == pytest.approx(expected, rel=1e-15)
+
+
+def circular_calls(node, function="<module>"):
+    """The enclosing function of every sin or cos of np, numpy or math under
+    node, and of every import of one of them."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    elif ((isinstance(node, ast.Attribute) and node.attr in ("sin", "cos")
+           and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy", "math"))
+          or (isinstance(node, ast.alias) and node.name in ("sin", "cos"))):
+        yield function
+    for child in ast.iter_child_nodes(node):
+        yield from circular_calls(child, function)
+
+
+class TestOneTangent:
+    def test_sin_and_cos_are_read_in_sin_cos_only(self):
+        # every other site calls _sin_cos, so a circular function has one source
+        sites = set()
+        for path in sorted(Path(rdwaves.__file__).parent.glob("*.py")):
+            sites.update((path.name, f) for f in circular_calls(ast.parse(path.read_text())))
+        assert sites <= {("elliptic.py", "_sin_cos")}
+
+    def test_the_guard_sees_a_call(self):
+        tree = ast.parse("import math\nfrom numpy import cos\ndef f(x):\n    return np.sin(x) + math.cos(x)\n")
+        assert sorted(circular_calls(tree)) == ["<module>", "f", "f"]

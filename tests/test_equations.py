@@ -1,6 +1,7 @@
 """Equation registry: right-hand sides, derived constants, KPP checks."""
 
 import ast
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -328,6 +329,31 @@ class TestSharedTables:
                         arrays[f"{info.name}.{name}[{i}]"] = a.flags.writeable
         assert len(arrays) >= 10  # the csv, stencil and verify tables
         assert not any(arrays.values()), arrays
+
+    def test_module_tables_are_read_only_containers(self):
+        # no module global holds a dict, list or set, nor does any mapping,
+        # tuple or frozen dataclass under one: the registries and every table
+        # are shared by every call in the process
+        def mutable(value, where):
+            if isinstance(value, (dict, list, set, bytearray)):
+                yield where
+            elif isinstance(value, Mapping):
+                for key, item in value.items():
+                    yield from mutable(item, f"{where}[{key!r}]")
+            elif isinstance(value, tuple):
+                for i, item in enumerate(value):
+                    yield from mutable(item, f"{where}[{i}]")
+            elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+                for f in dataclasses.fields(value):
+                    yield from mutable(getattr(value, f.name), f"{where}.{f.name}")
+
+        found = []
+        for info in pkgutil.iter_modules(rdwaves.__path__):
+            module = importlib.import_module(f"rdwaves.{info.name}")
+            for name, value in vars(module).items():
+                if not name.startswith("__"):
+                    found += mutable(value, f"{info.name}.{name}")
+        assert found == []
 
     def test_a_returned_kernel_cannot_be_written(self):
         kernel, _ = equations.stencil_kernel(2, 4, 0.125)
