@@ -105,6 +105,13 @@ def _as_grid(x, t):
     return np.broadcast_arrays(x, t)
 
 
+def _stored(a):
+    """a cut to length 1 along every axis where it repeats one stored value (stride 0,
+    as a broadcast view does): the same values, each once, broadcasting back to a."""
+    a = np.asarray(a)
+    return a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides)]
+
+
 def _masked_pow(base, p: float):
     """base**p: signed for integer p, principal branch otherwise; nan where masked.
 
@@ -156,7 +163,8 @@ class Sampler:
         inner = self.fn
 
         def fn(x, t):
-            return inner(x, t) + amplitude * _sin_cos(x)[0]
+            # sin(x) once per stored x: on a broadcast grid x repeats along t
+            return inner(x, t) + amplitude * _sin_cos(_stored(x))[0]
 
         return replace(self, fn=fn, residual_clean=False,
                        domain_note=f"perturbed by {amplitude}*sin(x): not a solution")

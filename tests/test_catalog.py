@@ -14,6 +14,7 @@ from rdwaves.catalog import (
     FAMILIES,
     CatalogError,
     _masked_pow,
+    _stored,
     build_family,
     chain_constant,
     closed_forms,
@@ -426,6 +427,24 @@ class TestSamplers:
         assert s.suggested_window == (-6.0, 10.0, 0.5, 1.0)
         z = potential_transform(z_from_phi(0), 1.0)
         assert z.suggested_window is None and z.shifted(2.0, 0.5).suggested_window is None
+
+    def test_perturbation_is_the_same_on_a_broadcast_grid(self):
+        # perturbed() takes sin once per stored x; on a broadcast view (x repeated
+        # along t, as the refinement study samples) its values are the bits it
+        # gives on a grid of fresh arrays, and on one x with many t it is one sin
+        s = fisher_front("tanh").perturbed(0.01)
+        x, t = np.linspace(-3.0, 3.0, 7), np.linspace(0.0, 1.0, 5)
+        views = np.broadcast_arrays(x[:, None], t)
+        assert views[0].strides[1] == 0
+        fresh = [a.copy() for a in views]
+        assert np.array_equal(s.fn(*views), s.fn(*fresh))
+        assert np.array_equal(s.sample(x[:, None], t)[0], s.fn(*fresh))
+        row = s.fn(*np.broadcast_arrays(np.float64(0.7), t))
+        assert row.shape == t.shape
+        assert np.array_equal(row, s.fn(np.full(t.shape, 0.7), t))
+        assert np.array_equal(s.fn(np.float64(0.7), np.float64(0.2)), s.fn(0.7, 0.2))
+        assert _stored(views[0]).shape == (7, 1) and _stored(fresh[0]).shape == (7, 5)
+        assert np.array_equal(_stored(views[0]), x[:, None])
 
 
 class TestPotentialTransform:
