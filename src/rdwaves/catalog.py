@@ -231,10 +231,11 @@ class PhiState:
         scale = 2.0**m
         sign = -1.0 if r == 0 and m > 0 else 1.0
         sn, cn, dn = jacobi_sn_cn_dn(scale * np.asarray(y, dtype=float), MODULUS_INV_SQRT2)
+        # one mask for both quotients
+        sn = np.where(_off_pole(sn if r == 0 else sn * dn), sn, np.nan)
         if r == 0:
-            phi, dphi = _pole_div(dn, sn), _pole_div(-cn, sn, 2)
+            phi, dphi = dn / sn, -cn / sn**2
         else:
-            sn = np.where(_off_pole(sn * dn), sn, np.nan)  # one mask for both quotients
             phi = -cn / (sn * dn)
             dphi = 1.0 / sn**2 - cn * cn / (2.0 * dn * dn)
         return sign * scale * phi, sign * scale * scale * dphi
