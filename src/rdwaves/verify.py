@@ -150,7 +150,8 @@ def _usable(defined: np.ndarray, rx: int, rt: int) -> tuple[np.ndarray, np.ndarr
     Only the box that encloses the masked points, grown by the standoff (and
     by at least rx along x and rt along t) and clipped at the grid's edge, is
     dilated: no dilation reaches past it, so plus and clear are True outside
-    it, and a grid with nothing masked runs no dilation at all.
+    it, and a grid with nothing masked runs no dilation at all.  The
+    refinement study calls it only on a level that holds a masked point.
     """
     masked = ~defined
     nx, nt = defined.shape
@@ -179,13 +180,14 @@ def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, i
     """ResidualReport of a residual over the nested (h, h/2, h/4) triple.
 
     Only the finest grid is sampled, and every point of it once, in strips:
-    sample(X, T) gets broadcast views of whole x-rows, at most _STRIP_POINTS
-    points a call (one row where a row alone is longer), and returns the
-    fields on them; a point is defined where every field is finite.  The
-    strips land in arrays allocated once per study, each field zero-filled
-    there, once, where a point is not defined.  Strips
-    keep a sampler's temporaries cache-sized: on the whole finest grid each
-    temporary would be a fresh mapping, page-faulted in on every study.
+    sample(X, T) gets whole x-rows of the finest grid's broadcast views, at
+    most _STRIP_POINTS points a call (one row where a row alone is longer),
+    and returns the fields on them; a point is defined where every field is
+    finite.  The strips are copied into arrays allocated once per study, and
+    a strip that holds an undefined point has each field zero-filled there,
+    once.  Strips keep a sampler's temporaries cache-sized: on the whole
+    finest grid each temporary would be a fresh mapping, page-faulted in on
+    every study.
     refined() keeps every coarse point and divides the spacing by a power of
     two, so the h and h/2 levels are the exact [::4, ::4] and [::2, ::2]
     strides of that sample.
@@ -196,8 +198,11 @@ def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, i
     a strip's stencils reach and returns the residual on their interior, which
     is margin = (r_x, r_t), the stencil radius along x and t, smaller at each
     end of either axis; a residual row depends on the 2 r_x + 1 field rows
-    around it alone.  _usable turns defined into whole-level stencil masks
-    (1 byte a point) with the same margin.  A strip hands on only its
+    around it alone.  On a level that holds an undefined point, _usable turns
+    defined into whole-level stencil masks (1 byte a point) with the same
+    margin, and each strip selects and compresses its usable stencils; a
+    level with nothing masked skips all three, since every stencil on it is
+    usable and its plus share is exactly 1.  A strip hands on only its
     non-finite count, its maxima and, on the finest level, its largest
     |residual| and its usable squared residuals.  The squares are packed in
     row-major order into the flat storage of the first finest field, behind
@@ -218,18 +223,22 @@ def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, i
     grids = [grid, grid.refined(), grid.refined().refined()]
     x, t = grids[-1].x, grids[-1].t
     rows = max(1, _STRIP_POINTS // t.size)
-    defined = np.empty((x.size, t.size), dtype=bool)
+    X, T = np.broadcast_arrays(x[:, None], t)
+    defined = np.empty(X.shape, dtype=bool)
     fields: list[np.ndarray] = []
     for start in range(0, x.size, rows):
         strip = np.s_[start:start + rows]
-        values = sample(*np.broadcast_arrays(x[strip, None], t))
+        values = sample(X[strip], T[strip])
         if not fields:
             fields = [np.empty(defined.shape) for _ in values]
         ok = np.isfinite(values[0], out=defined[strip])
         for a in values[1:]:
             ok &= np.isfinite(a)
+        masked = None if ok.all() else ~ok
         for out, a in zip(fields, values):
-            out[strip] = np.where(ok, a, 0.0)
+            out[strip] = a
+            if masked is not None:
+                np.copyto(out[strip], 0.0, where=masked)
     rx, rt = margin
     packed = fields[0].reshape(-1)  # the finest level's usable squares, packed
     count = 0
@@ -241,10 +250,15 @@ def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, i
         finest = lvl == len(grids) - 1
         stride = 2 ** (len(grids) - 1 - lvl)
         level_fields = [a[::stride, ::stride] for a in fields]
-        plus, clear = _usable(defined[::stride, ::stride], rx, rt)
-        valid = plus & clear
-        fractions.append(float(np.count_nonzero(plus) / plus.size))  # plus.mean(), to the bit
-        n_i, n_j = valid.shape
+        level_defined = defined[::stride, ::stride]
+        n_i, n_j = level_defined.shape[0] - 2 * rx, level_defined.shape[1] - 2 * rt
+        # valid is None on a level with nothing masked: every stencil is usable
+        valid, plus_share = None, 1.0
+        if not level_defined.all():
+            plus, clear = _usable(level_defined, rx, rt)
+            valid = plus & clear
+            plus_share = float(np.count_nonzero(plus) / plus.size)  # plus.mean(), to the bit
+        fractions.append(plus_share)
         # points shared with the coarse level: residual index r(2^lvl - 1)
         # mod 2^lvl accounts for the interior offset by the stencil radius
         step = 2**lvl
@@ -257,10 +271,12 @@ def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, i
             if res.shape != (i1 - i0, n_j):
                 raise ValueError(f"level_residual gave {res.shape} on a {i1 - i0 + 2 * rx} x "
                                  f"{n_j + 2 * rt} window, not its margin {margin} smaller")
-            ok = valid[i0:i1]
-            # |res| on usable stencils and 0 elsewhere, in one temporary
-            score = np.where(ok, res, 0.0)
-            np.abs(score, out=score)
+            ok = None if valid is None else valid[i0:i1]
+            if ok is None:
+                score = np.abs(res)
+            else:  # |res| on usable stencils and 0 elsewhere, in one temporary
+                score = np.where(ok, res, 0.0)
+                np.abs(score, out=score)
             strip_max = float(np.max(score))
             if not math.isfinite(strip_max):
                 nonfinite += int(np.count_nonzero(~np.isfinite(score)))
@@ -269,8 +285,8 @@ def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, i
             if first < i1 - i0:
                 shared_max = max(shared_max, float(np.max(score[first::step, sj::step])))
             if finest:
-                kept = res[ok]
-                np.multiply(kept, kept, out=packed[count:count + kept.size])
+                kept = res if ok is None else res[ok]
+                np.multiply(kept, kept, out=packed[count:count + kept.size].reshape(kept.shape))
                 count += kept.size
                 if top[0].size < 10 or strip_max > top[0][-1]:  # else no stencil here enters
                     top = _merge_top(top, score.reshape(-1), res.reshape(-1), i0 * n_j)
@@ -278,10 +294,12 @@ def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, i
             raise VerificationImpossibleError(
                 f"{nonfinite} usable stencils give a non-finite residual on the "
                 f"{('h', 'h/2', 'h/4')[lvl]} level (overflow in the stencil arithmetic)")
-        maxima.append(shared_max if valid[si::step, sj::step].any() else math.nan)
+        # a whole level shares points with the coarse one: its n_i, n_j exceed step
+        maxima.append(shared_max if valid is None or valid[si::step, sj::step].any()
+                      else math.nan)
 
     # valid, level_max and fractions[-1] now belong to the finest level
-    usable = np.count_nonzero(valid) / valid.size
+    usable = 1.0 if valid is None else np.count_nonzero(valid) / valid.size
     if usable < 0.1:
         raise VerificationImpossibleError(
             f"usable fraction {usable:.3f} < 0.1 (defined {fractions[-1]:.3f}) "
@@ -295,7 +313,7 @@ def _refinement_study(sample, grid: Grid2D, level_residual, margin: tuple[int, i
     worst = []
     for _, value, position in zip(*top):
         i, j = divmod(int(position), n_j)
-        if valid[i, j]:
+        if valid is None or valid[i, j]:
             worst.append((float(x[rx + i]), float(t[rt + j]), float(value)))
     return ResidualReport(
         max_abs=level_max,
@@ -335,7 +353,8 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
     Reports the finest level's statistics plus the convergence order
     estimated from log2 of successive max-residual ratios at the points the
     three levels share.  Raises VerificationImpossibleError when fewer than
-    10 percent of the stencils are usable.
+    10 percent of the stencils are usable.  Each strip's residual is formed
+    in u_t's fresh array: u_xx, then f, subtracted in place.
     """
     if stencil_order not in (2, 4):
         raise ValueError("stencil_order must be 2 or 4")
@@ -349,9 +368,10 @@ def pde_residual(sampler: Sampler, eq: EquationSpec, grid: Grid2D,
 
     def level_residual(fields, hx, ht):
         u, f = fields
-        u_t = central_difference(u[r:-r].T, ht, 1, stencil_order).T
-        u_xx = central_difference(u[:, r:-r], hx, 2, stencil_order)
-        return u_t - u_xx - f[r:-r, r:-r]
+        res = central_difference(u[r:-r].T, ht, 1, stencil_order).T  # u_t, a fresh array
+        res -= central_difference(u[:, r:-r], hx, 2, stencil_order)
+        res -= f[r:-r, r:-r]
+        return res
 
     return _refinement_study(
         sample, grid, level_residual, (r, r), stencil_order,

@@ -243,6 +243,20 @@ class TestUsable:
         s = fisher_front("tanh")
         rep = pde_residual(s, s.equation, Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17), 4)
         assert rep.defined_fraction == 1.0 and calls == []
+        # nor calls _usable on any level; a masked study calls it on its masked levels only
+        levels = counted_usable(monkeypatch)
+        grid = Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17)
+        pde_residual(s, s.equation, grid, 4)
+        assert levels == []
+        finest = grid.refined().refined()
+        shapes = [(g.n_x, g.n_t) for g in (grid, grid.refined(), finest)]
+        # finest index (64, 32) lies on every level, (64, 34) on the h/2 and h/4
+        # levels, and (64, 33) on the h/4 level alone
+        for j, masked_levels in ((32, shapes), (34, shapes[1:]), (33, shapes[2:])):
+            levels.clear()
+            holed = masked_at(s, [(finest.x[64], finest.t[j])])
+            pde_residual(holed, s.equation, grid, 4)
+            assert levels == masked_levels
 
 
 def assert_strips_tile_finest_grid(strips, grid: Grid2D) -> None:
@@ -774,6 +788,30 @@ def holed_plane_wave() -> ZSampler:
     return ZSampler(fn=fn, label="holed")
 
 
+def masked_at(base: Sampler, cells) -> Sampler:
+    """base with a masked (nan) cell at each (x, t) of cells, matched exactly."""
+
+    def fn(x, t):
+        hit = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)), dtype=bool)
+        for xc, tc in cells:
+            hit |= (x == xc) & (t == tc)
+        return np.where(hit, np.nan, base.fn(x, t))
+
+    return Sampler(fn=fn, equation=base.equation, family_id="masked-cells", params={})
+
+
+def counted_usable(monkeypatch) -> list[tuple[int, int]]:
+    """The shapes of the level masks verify._usable is called on from now on, in order."""
+    shapes = []
+
+    def counted(defined, rx, rt):
+        shapes.append(defined.shape)
+        return _usable(defined, rx, rt)
+
+    monkeypatch.setattr(verify, "_usable", counted)
+    return shapes
+
+
 def level_strip_edges(grid: Grid2D, margin, points: int) -> list[tuple[int, list[int]]]:
     """(interior rows, first interior row of every strip but the first) of
     each level of grid's refinement triple, coarse first, at strips of at
@@ -852,6 +890,43 @@ class TestStripStudy:
             # interior row b sits on level row b + 2
             assert sum(partial[b + 1] and partial[b + 2] for b in edges) >= 3
         self.assert_matches_whole_grid(monkeypatch, lambda: [pde_residual(s, s.equation, grid, 4)])
+
+    @pytest.mark.parametrize("points", [None, 200])
+    def test_masked_cells_at_finest_only_points(self, monkeypatch, points):
+        # an odd finest x or t index lies on neither coarse level, so the h and
+        # h/2 levels are whole and only the h/4 level runs _usable
+        if points:
+            monkeypatch.setattr(verify, "_STRIP_POINTS", points)
+        grid = Grid2D(-10.0, 10.0, 33, 0.0, 0.5, 17)
+        finest = grid.refined().refined()
+        s = masked_at(fisher_front("tanh"), [(finest.x[i], finest.t[j])
+                                             for i, j in ((41, 21), (77, 10), (64, 33))])
+        levels = counted_usable(monkeypatch)
+        self.assert_matches_whole_grid(monkeypatch, lambda: [pde_residual(s, s.equation, grid, 4)])
+        assert levels == [(finest.n_x, finest.n_t)]
+
+    @pytest.mark.parametrize("points", [None, 200])
+    def test_sample_strips_alternate_between_whole_and_masked(self, monkeypatch, points):
+        # one masked cell in the first row of every second sample strip: 6
+        # strips of 126 rows at the default, 214 strips of 3 rows at 200 points
+        if points:
+            monkeypatch.setattr(verify, "_STRIP_POINTS", points)
+        grid = Grid2D(-10.0, 10.0, 161, 0.0, 0.5, 17)
+        finest = grid.refined().refined()
+        starts = range(0, finest.n_x, verify._STRIP_POINTS // finest.n_t)
+        assert len(starts) >= 6
+        base = masked_at(fisher_front("tanh"), [(finest.x[i], finest.t[4]) for i in starts[1::2]])
+        masked = []
+
+        def fn(x, t):
+            u = base.fn(x, t)
+            masked.append(bool(np.isnan(u).any()))
+            return u
+
+        s = replace(base, fn=fn)
+        self.assert_matches_whole_grid(monkeypatch, lambda: [pde_residual(s, s.equation, grid, 4)])
+        # the study's strips, then the whole-grid reference's one call
+        assert masked == [k % 2 == 1 for k in range(len(starts))] + [True]
 
     POTENTIALS = [
         (z_from_phi(0), {"k": 1.0}, Grid2D(0.45, 0.85, 33, 0.04, 0.1, 17)),

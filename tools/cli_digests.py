@@ -151,6 +151,12 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("sample-gnuplot-non-ascii", ["sample", "--family", "fisher-front",
                                               "--grid=-1,1,9,0,1,9", "--gnuplot",
                                               "--out", os.fsdecode(b"\xc3\xa9.csv")]))
+    # a study whose finest level alone holds a masked cell: the x = 0 column
+    # meets the index-0 chain's pole y = x^2 + 6t = 2K at t = K/3, the second
+    # t of the h/4 level, which neither coarser level holds
+    runs.append(("verify-chain-finest-only-pole",
+                 ["verify", "--family", "chain", "--params", '{"index": 0}',
+                  "--grid=-0.5,0.5,9,0.6080248924337905,0.9280248924337906,9", "--out", "f.json"]))
     return runs
 
 
